@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -24,8 +24,8 @@ from .ingest import AlignedDataset, EventMeta
 from .mle import iter_mle
 from .pairs import SdgpConfig, SdgpTrace, build_pair_trace, identify_sdgp
 from .swings import (ClassifierConfig, EstimatorParams, SwingClassifier,
-                     SwingPattern, _ExtremumScanner, distance_series,
-                     find_mle_start)
+                     SwingPattern, _ExtremumScanner, _MovingAverage,
+                     distance_series, find_mle_start)
 
 PENDING = "PENDING"
 UNSTABLE_FIRST_SWING = "UNSTABLE_FIRST_SWING"
@@ -71,8 +71,12 @@ class AssessmentConfig:
 
     sigma: float = 0.7
     n_trend: int = 24        # exponent samples for the initial-trend test
-    t_max: float = 10.0
     classifier: ClassifierConfig = ClassifierConfig()
+
+    @property
+    def t_max(self) -> float:
+        """Seconds of data per pair; set through ``classifier``."""
+        return self.classifier.t_max
 
 
 class PairAssessor:
@@ -88,22 +92,17 @@ class PairAssessor:
                  config: AssessmentConfig = AssessmentConfig()):
         self.cfg = config
         self.verdict = PairVerdict(severe=severe, least=least)
-        self._lams: list[float] = []
+        self._avg = _MovingAverage(config.classifier.smooth_width)
+        self._lams = self._avg.raw
         self._times: list[float] = []
-        self._sm: list[float] = []
-        self._hw = config.classifier.smooth_width // 2
         self._trend_done = False
-        self._scanner = _ExtremumScanner(+1, config.classifier.n_peak, self._hw)
+        self._scanner = _ExtremumScanner(+1, config.classifier.n_peak)
 
     def push(self, lam: float, t: float) -> PairVerdict:
         if self.verdict.status != PENDING:
             return self.verdict
-        self._lams.append(lam)
+        self._avg.push(lam)
         self._times.append(t)
-        i_fin = len(self._lams) - 1 - self._hw
-        if i_fin >= 0:
-            lo = max(0, i_fin - self._hw)
-            self._sm.append(float(np.mean(self._lams[lo:len(self._lams)])))
 
         if not self._trend_done and len(self._lams) == self.cfg.n_trend:
             ts = np.asarray(self._times)
@@ -115,7 +114,7 @@ class PairAssessor:
                 self._freeze(UNSTABLE_FIRST_SWING, t)
                 return self.verdict
         if self._trend_done:
-            j = self._scanner.scan(self._sm)
+            j = self._scanner.scan(self._avg.smoothed)
             if j is not None:
                 peak = self._lams[j]
                 self.verdict.peak_lambda = float(peak)
@@ -158,53 +157,51 @@ def aggregate(verdicts: list[PairVerdict]) -> SystemVerdict:
     return SystemVerdict(SYSTEM_UNDETERMINED, t, verdicts)
 
 
+def pair_parameters(trace: SdgpTrace, pair: tuple[str, str],
+                    config: ClassifierConfig) -> tuple[PairVerdict,
+                                                       EstimatorParams | None]:
+    """Swing pattern, ``w`` and ``m_n`` of one pair from its first ``t_max`` s.
+
+    Returns the verdict so far and the estimator parameters, or a SKIPPED /
+    UNDETERMINED_TIMEOUT verdict noting why, and ``None``, if there are none.
+    """
+    verdict = PairVerdict(*pair)
+    n = int(round(config.t_max / trace.dt)) + 1
+    try:
+        decision = SwingClassifier(trace.dt, config).run(trace.rel_speed[:n])
+        verdict.pattern, verdict.w = decision.pattern, decision.w
+        d = distance_series(trace.rel_angle[:n], decision.w)
+        verdict.m_n = find_mle_start(decision.pattern, decision.w, d, config)
+    except ClassificationRefused as exc:
+        return replace(verdict, status=SKIPPED, note=str(exc)), None
+    except (ClassificationTimeout, PeakSearchTimeout) as exc:
+        return replace(verdict, status=UNDETERMINED_TIMEOUT,
+                       decision_time=config.t_max, note=str(exc)), None
+    return verdict, EstimatorParams(w=decision.w, m_n=verdict.m_n, dt=trace.dt,
+                                    pattern=decision.pattern,
+                                    decided_at=decision.decided_at)
+
+
 def _assess_pair(trace: SdgpTrace, pair: tuple[str, str],
                  config: AssessmentConfig) -> PairVerdict:
-    severe, least = pair
-    dt = trace.dt
-    max_samples = int(round(config.t_max / dt))
-    clf = SwingClassifier(dt, config.classifier)
-    try:
-        decision = clf.run(trace.rel_speed[:max_samples + 1])
-    except ClassificationRefused as exc:
-        warnings.warn(f"pair ({severe}, {least}) skipped: {exc}",
-                      LyapstabWarning, stacklevel=3)
-        return PairVerdict(severe, least, status=SKIPPED, note=str(exc))
-    except ClassificationTimeout as exc:
-        return PairVerdict(severe, least, status=UNDETERMINED_TIMEOUT,
-                           decision_time=config.t_max, note=str(exc))
-
-    verdict = PairVerdict(severe, least, pattern=decision.pattern, w=decision.w)
-    d = distance_series(trace.rel_angle[:max_samples + 1], decision.w)
-    try:
-        m_n = find_mle_start(decision.pattern, decision.w, d, config.classifier)
-    except PeakSearchTimeout as exc:
-        verdict.status = UNDETERMINED_TIMEOUT
-        verdict.decision_time = config.t_max
-        verdict.note = str(exc)
+    verdict, params = pair_parameters(trace, pair, config.classifier)
+    if verdict.status == SKIPPED:
+        warnings.warn(f"pair ({verdict.severe}, {verdict.least}) skipped: "
+                      f"{verdict.note}", LyapstabWarning, stacklevel=3)
+    if params is None:
         return verdict
-    verdict.m_n = m_n
-
-    params = EstimatorParams(w=decision.w, m_n=m_n, dt=dt,
-                             pattern=decision.pattern,
-                             decided_at=decision.decided_at)
-    assessor = PairAssessor(severe, least, config)
+    assessor = PairAssessor(*pair, config)
     try:
         for t, lam in iter_mle(trace, params):
-            if t > config.t_max:
-                break
-            if assessor.push(lam, t).status != PENDING:
+            if t > config.t_max or assessor.push(lam, t).status != PENDING:
                 break
     except ValueError as exc:
-        verdict.status = UNDETERMINED_TIMEOUT
-        verdict.decision_time = config.t_max
-        verdict.note = str(exc)
-        return verdict
-    result = assessor.finalize(min(config.t_max, (len(trace) - 1) * dt))
-    verdict.status = result.status
-    verdict.decision_time = result.decision_time
-    verdict.peak_lambda = result.peak_lambda
-    return verdict
+        return replace(verdict, status=UNDETERMINED_TIMEOUT,
+                       decision_time=config.t_max, note=str(exc))
+    result = assessor.finalize(min(config.t_max, (len(trace) - 1) * trace.dt))
+    return replace(verdict, status=result.status,
+                   decision_time=result.decision_time,
+                   peak_lambda=result.peak_lambda)
 
 
 @dataclass

@@ -16,17 +16,21 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import assess as assess_mod
-from .assess import AssessmentConfig, run_assessment
+from .assess import AssessmentConfig, pair_parameters, run_assessment
 from .errors import LyapstabError
 from .ingest import EventMeta, align, parse_traces, write_traces
 from .mle import estimate_stream
 from .network import FaultSpec, load_network_file
 from .pairs import SdgpConfig, build_pair_trace, identify_sdgp
 from .simulator import simulate, stability_oracle
-from .swings import (ClassifierConfig, EstimatorParams, SwingClassifier,
-                     distance_series, find_mle_start)
+from .swings import ClassifierConfig, EstimatorParams, distance_series
 
 PATTERN_NAMES = ("I", "II", "III", "IV", "V", "VI")
+
+
+def _config(sigma: float, t_max: float) -> AssessmentConfig:
+    return AssessmentConfig(sigma=sigma,
+                            classifier=ClassifierConfig(t_max=t_max))
 
 
 def _meta_path(trace_path: str) -> Path:
@@ -95,8 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_event_flags(cls)
     cls.add_argument("--pair", help="SEVERE,LEAST ids; default: all identified")
     cls.add_argument("--rate", type=_positive, default=120.0)
-    cls.add_argument("--sigma", type=_sigma, default=0.7)
-    cls.add_argument("--t-max", type=_positive, default=10.0)
+    cls.add_argument("--sigma", type=_sigma, default=AssessmentConfig.sigma)
+    cls.add_argument("--t-max", type=_positive, default=ClassifierConfig.t_max)
     cls.add_argument("--speed-nominal", type=float, default=0.0,
                      help="subtract this absolute speed (rad/s) at parse time")
     cls.add_argument("--dump-distance", metavar="PREFIX",
@@ -106,8 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
     ass.add_argument("--traces", required=True)
     _add_event_flags(ass)
     ass.add_argument("--rate", type=_positive, default=120.0)
-    ass.add_argument("--sigma", type=_sigma, default=0.7)
-    ass.add_argument("--t-max", type=_positive, default=10.0)
+    ass.add_argument("--sigma", type=_sigma, default=AssessmentConfig.sigma)
+    ass.add_argument("--t-max", type=_positive, default=ClassifierConfig.t_max)
     ass.add_argument("--speed-nominal", type=float, default=0.0)
     ass.add_argument("--dump-mle", metavar="PREFIX",
                      help="write per-pair exponent series CSVs")
@@ -127,8 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--rate", type=_positive, default=120.0)
     swp.add_argument("--horizon", type=_positive, default=12.0)
     swp.add_argument("--oracle-window", type=_positive, default=5.0)
-    swp.add_argument("--sigma", type=_sigma, default=0.7)
-    swp.add_argument("--t-max", type=_positive, default=10.0)
+    swp.add_argument("--sigma", type=_sigma, default=AssessmentConfig.sigma)
+    swp.add_argument("--t-max", type=_positive, default=ClassifierConfig.t_max)
     swp.add_argument("--jobs", type=int, default=1)
     swp.add_argument("--out", required=True, help="per-case rows CSV")
     swp.add_argument("--summary-out",
@@ -175,33 +179,40 @@ def _dump_series(prefix: str, kind: str, severe: str, least: str, header: str,
     return path
 
 
+def _dump_distance(prefix: str, trace, w: int) -> None:
+    d = distance_series(trace.rel_angle, w).d
+    _dump_series(prefix, "distance", trace.severe, trace.least, "t,d",
+                 ((j * trace.dt, dj) for j, dj in enumerate(d)))
+
+
 def cmd_classify(args) -> int:
+    """Report the pattern, ``w`` and ``m_n`` that ``assess`` fits with."""
     dataset, _ = _load_aligned(args)
+    config = _config(args.sigma, args.t_max)
     if args.pair:
         severe, _, least = args.pair.partition(",")
         if not least:
             raise LyapstabError("--pair wants SEVERE,LEAST")
         pair_list = [(severe.strip(), least.strip())]
+        unknown = [g for g in pair_list[0] if g not in dataset.gen_ids]
+        if unknown:
+            raise LyapstabError(f"unknown generator id {unknown[0]!r}; the "
+                                f"traces have {', '.join(dataset.gen_ids)}")
     else:
-        pair_list = identify_sdgp(dataset, SdgpConfig(sigma=args.sigma))
+        pair_list = identify_sdgp(dataset, SdgpConfig(sigma=config.sigma))
 
-    cfg = ClassifierConfig(t_max=args.t_max)
     results = []
     for pair in pair_list:
         trace = build_pair_trace(dataset, pair)
-        clf = SwingClassifier(trace.dt, cfg)
-        decision = clf.run(trace.rel_speed)
-        d = distance_series(trace.rel_angle, decision.w)
-        m_n = find_mle_start(decision.pattern, decision.w, d, cfg)
-        results.append({
-            "severe": pair[0], "least": pair[1],
-            "pattern": decision.pattern.value,
-            "w": decision.w, "m_n": m_n, "decided_at": decision.decided_at,
-        })
+        verdict, params = pair_parameters(trace, pair, config.classifier)
+        if params is None:
+            raise LyapstabError(f"pair ({pair[0]}, {pair[1]}) has no fit "
+                                f"parameters: {verdict.note}")
+        results.append({"severe": pair[0], "least": pair[1],
+                        "pattern": params.pattern.value, "w": params.w,
+                        "m_n": params.m_n, "decided_at": params.decided_at})
         if args.dump_distance:
-            rows = ((j * trace.dt, dj) for j, dj in enumerate(d.d))
-            _dump_series(args.dump_distance, "distance", pair[0], pair[1],
-                         "t,d", rows)
+            _dump_distance(args.dump_distance, trace, params.w)
     payload = results[0] if args.pair else results
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
@@ -213,27 +224,20 @@ def cmd_classify(args) -> int:
 
 def cmd_assess(args) -> int:
     dataset, meta = _load_aligned(args)
-    config = AssessmentConfig(sigma=args.sigma, t_max=args.t_max,
-                              classifier=ClassifierConfig(t_max=args.t_max))
-    report = run_assessment(dataset, meta, config)
+    report = run_assessment(dataset, meta, _config(args.sigma, args.t_max))
     if args.dump_mle or args.dump_distance:
         for verdict in report.pairs:
             if verdict.w is None:
                 continue
             trace = build_pair_trace(dataset, (verdict.severe, verdict.least))
             if args.dump_distance:
-                d = distance_series(trace.rel_angle, verdict.w)
-                rows = ((j * trace.dt, dj) for j, dj in enumerate(d.d))
-                _dump_series(args.dump_distance, "distance", verdict.severe,
-                             verdict.least, "t,d", rows)
+                _dump_distance(args.dump_distance, trace, verdict.w)
             if args.dump_mle and verdict.m_n is not None:
-                params = EstimatorParams(w=verdict.w, m_n=verdict.m_n,
-                                         dt=trace.dt, pattern=verdict.pattern,
-                                         decided_at=0)
-                series = estimate_stream(trace, params)
-                rows = zip(series.times, series.lambdas)
-                _dump_series(args.dump_mle, "mle", verdict.severe,
-                             verdict.least, "t,lambda", rows)
+                series = estimate_stream(trace, EstimatorParams(
+                    w=verdict.w, m_n=verdict.m_n, dt=trace.dt,
+                    pattern=verdict.pattern, decided_at=0))
+                _dump_series(args.dump_mle, "mle", trace.severe, trace.least,
+                             "t,lambda", zip(series.times, series.lambdas))
     text = report.to_json()
     print(text)
     if args.out:
@@ -271,9 +275,7 @@ def _sweep_case(payload) -> dict:
         oracle = stability_oracle(traces, window=oracle_window)
         meta = EventMeta(t_fault=t_fault, t_clear=t_clear, faulted_element=bus)
         dataset = align(traces, meta, rate=rate)
-        config = AssessmentConfig(sigma=sigma, t_max=t_max,
-                                  classifier=ClassifierConfig(t_max=t_max))
-        report = run_assessment(dataset, meta, config)
+        report = run_assessment(dataset, meta, _config(sigma, t_max))
         patterns = [v.pattern.value for v in report.pairs if v.pattern]
         row["patterns"] = "|".join(patterns)
         row["verdict"] = report.system.status

@@ -81,7 +81,6 @@ class DistanceSeries:
     """Separation between the two trajectory segments: d_j = |theta_{j+w} - theta_j|."""
 
     d: np.ndarray
-    valid_from: int = 0
 
 
 def distance_series(rel_angle: np.ndarray, w: int) -> DistanceSeries:
@@ -93,22 +92,30 @@ def distance_series(rel_angle: np.ndarray, w: int) -> DistanceSeries:
     return DistanceSeries(d=np.abs(theta[w:] - theta[:-w]))
 
 
-def smooth_series(x, width: int = 5) -> np.ndarray:
-    """Centred moving average with windows clipped at the array edges."""
-    x = np.asarray(x, dtype=float)
-    hw = width // 2
-    out = np.empty(len(x))
-    for i in range(len(x)):
-        out[i] = x[max(0, i - hw):i + hw + 1].mean()
-    return out
+# -- the streaming primitive: smooth, then confirm the first extremum ------
 
+class _MovingAverage:
+    """Centred moving average of a sample stream, clipped at the left edge.
 
-def _dominates(sm: np.ndarray, j: int, n_peak: int, sign: int) -> bool:
-    lo = max(0, j - n_peak)
-    window = sm[lo:j + n_peak + 1]
-    if sign > 0:
-        return bool((sm[j] >= window).all())
-    return bool((sm[j] <= window).all())
+    ``raw`` holds the pushed samples and ``smoothed[i]`` the mean of
+    ``raw[i - hw : i + hw + 1]``.  A smoothed value is appended once its
+    right half-window has arrived, so appended values never change.
+    """
+
+    def __init__(self, width: int):
+        self.hw = width // 2
+        self.raw: list[float] = []
+        self.smoothed: list[float] = []
+
+    def push(self, x: float) -> None:
+        self.raw.append(x)
+        i = len(self.raw) - 1 - self.hw
+        if i >= 0:
+            window = self.raw[max(0, i - self.hw):]
+            acc = 0.0  # left to right like np.mean; sum() compensates on 3.12+
+            for v in window:
+                acc += v
+            self.smoothed.append(acc / len(window))
 
 
 class _ExtremumScanner:
@@ -116,26 +123,24 @@ class _ExtremumScanner:
 
     ``sign=+1`` looks for a maximum, ``-1`` for a minimum.  Index ``j`` is
     confirmed once the smoothed value there dominates every smoothed value in
-    ``[j - n_peak, j + n_peak]`` (clipped at the left edge only); smoothed
-    values are used only after their full right window exists, so a verdict
-    never changes when more samples arrive.
+    ``[j - n_peak, j + n_peak]`` (clipped at the left edge only); ``scan``
+    takes the final smoothed values seen so far, so a verdict never changes
+    when more samples arrive.
     """
 
-    def __init__(self, sign: int, n_peak: int, half_width: int, start: int = 1):
-        self.sign = sign
+    def __init__(self, sign: int, n_peak: int, start: int = 1):
+        self.extreme = max if sign > 0 else min
         self.n_peak = n_peak
-        self.hw = half_width
         self.next_j = start
         self.found: int | None = None
 
-    def scan(self, smoothed: list[float]) -> int | None:
-        if self.found is not None:
-            return self.found
-        sm = np.asarray(smoothed)
-        # j is decidable once smoothed index j + n_peak is final.
-        while self.found is None and self.next_j + self.n_peak <= len(sm) - 1:
-            if _dominates(sm, self.next_j, self.n_peak, self.sign):
-                self.found = self.next_j
+    def scan(self, sm: list[float]) -> int | None:
+        # j is decidable once smoothed index j + n_peak exists
+        while self.found is None and self.next_j + self.n_peak < len(sm):
+            j = self.next_j
+            window = sm[max(0, j - self.n_peak):j + self.n_peak + 1]
+            if sm[j] == self.extreme(window):
+                self.found = j
             else:
                 self.next_j += 1
         return self.found
@@ -147,23 +152,22 @@ def find_mle_start(pattern: SwingPattern, w: int, d: DistanceSeries,
 
     Growing patterns start immediately (m_n = w); oscillating patterns wait
     for the first confirmed crest of the distance series at index j* and use
-    m_n = w + j*.  Raises :class:`PeakSearchTimeout` when no crest confirms
-    within the available data.
+    m_n = w + j*, reading the series only up to where j* confirms.  Raises
+    :class:`PeakSearchTimeout` when no crest confirms within the data.
     """
     if pattern in MONOTONE_PATTERNS:
         return w
     if pattern not in OSCILLATING_PATTERNS:
         raise ValueError(f"cannot pick m_n for pattern {pattern.value}")
-    hw = config.smooth_width // 2
-    sm = smooth_series(d.d, config.smooth_width)
-    # Only smoothed values with a full right window are stable under growth.
-    usable = len(d.d) - hw
-    scanner = _ExtremumScanner(+1, config.n_peak, hw, start=max(1, d.valid_from))
-    j_star = scanner.scan(list(sm[:max(usable, 0)]))
-    if j_star is None:
-        raise PeakSearchTimeout(
-            f"no confirmed crest in {len(d.d)} distance samples")
-    return w + j_star
+    avg = _MovingAverage(config.smooth_width)
+    crest = _ExtremumScanner(+1, config.n_peak)
+    for dj in d.d.tolist():
+        avg.push(dj)
+        j_star = crest.scan(avg.smoothed)
+        if j_star is not None:
+            return w + j_star
+    raise PeakSearchTimeout(
+        f"no confirmed crest in {len(d.d)} distance samples")
 
 
 @dataclass(frozen=True)
@@ -188,10 +192,10 @@ class SwingClassifier:
             raise ValueError("dt must be positive")
         self.dt = dt
         self.cfg = config
-        self.hw = config.smooth_width // 2
         self.max_samples = int(round(config.t_max / dt))
-        self._v: list[float] = []
-        self._sm: list[float] = []
+        self._avg = _MovingAverage(config.smooth_width)
+        self._v = self._avg.raw
+        self._sm = self._avg.smoothed
         self.v0: float | None = None
         self.eps_v = 0.0
         self.eps_a = 0.0
@@ -229,20 +233,15 @@ class SwingClassifier:
                     f"initial relative speed {v_new:.2e} rad/s is below the "
                     f"resolvable threshold {self.eps_v:.2e}")
             self.eps_a = self.cfg.eps_a_rel * v_new / (self.dt * self.cfg.n_confirm)
-        self._v.append(v_new)
+        self._avg.push(v_new)
         n_last = len(self._v) - 1
-        # finalise the smoothed value whose right window just completed
-        i_fin = n_last - self.hw
-        if i_fin >= 0:
-            lo = max(0, i_fin - self.hw)
-            self._sm.append(float(np.mean(self._v[lo:n_last + 1])))
 
         if self.branch is None and n_last >= self.cfg.n_confirm:
             self.branch = "dec" if self._sm[-1] < self._sm[0] else "inc"
             if self.branch == "dec":
-                self._dec_min = _ExtremumScanner(-1, self.cfg.n_peak, self.hw)
+                self._dec_min = _ExtremumScanner(-1, self.cfg.n_peak)
             else:
-                self._inc_peak = _ExtremumScanner(+1, self.cfg.n_peak, self.hw)
+                self._inc_peak = _ExtremumScanner(+1, self.cfg.n_peak)
         if self.branch == "dec":
             self._step_decreasing(n_last)
         elif self.branch == "inc":
@@ -263,7 +262,7 @@ class SwingClassifier:
             j = self._dec_min.scan(self._sm)
             if j is not None:
                 self._j_min = j
-                self._dec_max = _ExtremumScanner(+1, self.cfg.n_peak, self.hw,
+                self._dec_max = _ExtremumScanner(+1, self.cfg.n_peak,
                                                  start=j + 1)
         if self._j_min is not None and self.decision is None:
             j_max = self._dec_max.scan(self._sm)
@@ -302,7 +301,7 @@ class SwingClassifier:
             j = self._inc_peak.scan(self._sm)
             if j is not None:
                 self._peak_at = j
-                self._inc_min = _ExtremumScanner(-1, self.cfg.n_peak, self.hw,
+                self._inc_min = _ExtremumScanner(-1, self.cfg.n_peak,
                                                  start=j + 1)
             elif (n_last - self._decelerating_at) * self.dt >= self.cfg.escape_after:
                 # decelerated but never reversed: first-swing growth after all
@@ -327,7 +326,7 @@ class SwingClassifier:
 
     def run(self, speeds) -> ClassifierDecision:
         """Feed a whole series; error out if it ends without a decision."""
-        for v in speeds:
+        for v in np.asarray(speeds, dtype=float).tolist():
             decision = self.step(v)
             if decision is not None:
                 return decision
@@ -338,4 +337,4 @@ class SwingClassifier:
 def classify(rel_speed, dt: float,
              config: ClassifierConfig = ClassifierConfig()) -> ClassifierDecision:
     """One-shot classification of a complete relative-speed series."""
-    return SwingClassifier(dt, config).run(np.asarray(rel_speed, dtype=float))
+    return SwingClassifier(dt, config).run(rel_speed)

@@ -5,9 +5,11 @@ lines; each criterion also asserts, so the suite is red if any gate fails.
 """
 
 import itertools
+import json
 import time
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +31,8 @@ from lyapstab.simulator import simulate, stability_oracle
 from lyapstab.swings import EstimatorParams, SwingPattern, classify
 
 N_TREND = AssessmentConfig().n_trend
+GOLDEN_VERDICTS = (Path(__file__).resolve().parent / "data"
+                   / "battery_verdicts.json")
 
 
 def gate(criterion: int, label: str, ok: bool, detail: str, elapsed: float):
@@ -220,6 +224,7 @@ class CaseResult:
     decision_time: float | None
     pair_statuses: tuple
     pair_times: tuple
+    pair_params: tuple  # (pattern, w, m_n, peak_lambda) per pair
 
 
 def _battery_cases():
@@ -257,8 +262,7 @@ def _battery_cases():
     return cases
 
 
-@pytest.fixture(scope="module")
-def battery():
+def _run_battery():
     results = []
     start = time.perf_counter()
     for label, model, bus, tc, removed, horizon, window in _battery_cases():
@@ -276,8 +280,29 @@ def battery():
             verdict=report.system.status,
             decision_time=report.system.decision_time,
             pair_statuses=tuple(v.status for v in report.pairs),
-            pair_times=tuple(v.decision_time for v in report.pairs)))
+            pair_times=tuple(v.decision_time for v in report.pairs),
+            pair_params=tuple((v.pattern.value if v.pattern else None,
+                               v.w, v.m_n, v.peak_lambda)
+                              for v in report.pairs)))
     return results, time.perf_counter() - start
+
+
+@pytest.fixture(scope="module")
+def battery():
+    return _run_battery()
+
+
+def _verdict_rows(results) -> list[dict]:
+    """Per-pair verdicts of the battery in the golden file's layout."""
+    return [
+        {"label": r.label, "verdict": r.verdict,
+         "decision_time": r.decision_time,
+         "pairs": [{"status": s, "decision_time": t, "pattern": p, "w": w,
+                    "m_n": m_n, "peak_lambda": peak}
+                   for s, t, (p, w, m_n, peak)
+                   in zip(r.pair_statuses, r.pair_times, r.pair_params)]}
+        for r in results
+    ]
 
 
 def test_criterion_5_battery_agreement(battery):
@@ -320,6 +345,23 @@ def test_criterion_6_decision_latencies(battery):
          f"{len(first_swing)} first-swing (max {worst_first:.2f}s <= 2.0), "
          f"{len(multi_swing)} multi-swing (max {worst_multi:.2f}s <= 5.0)",
          time.perf_counter() - start)
+
+
+def test_battery_matches_golden_verdicts(battery):
+    """Every pair verdict of the battery is pinned; rewrite the file with
+    ``PYTHONPATH=src python tests/test_acceptance.py`` only on purpose."""
+    results, _ = battery
+    got = _verdict_rows(results)
+    want = json.loads(GOLDEN_VERDICTS.read_text(encoding="utf-8"))
+    assert [r["label"] for r in got] == [r["label"] for r in want]
+    for g, w in zip(got, want):
+        g_peaks = [p.pop("peak_lambda") for p in g["pairs"]]
+        w_peaks = [p.pop("peak_lambda") for p in w["pairs"]]
+        assert g == w, g["label"]
+        for gp, wp in zip(g_peaks, w_peaks):
+            assert (gp is None) == (wp is None), g["label"]
+            if wp is not None:
+                assert gp == pytest.approx(wp, rel=1e-9), g["label"]
 
 
 # ---------------------------------------------------------------------------
@@ -366,3 +408,11 @@ def test_criterion_7_simulator_validity(networks_dir):
     gate(7, "simulator validity", ok,
          f"clearing bracket [{last_stable:.4f}, {first_unstable:.4f}] around "
          f"{t_cr:.4f} (+-{DT:.4f}); energy drift {drift:.2e}", elapsed)
+
+
+if __name__ == "__main__":
+    GOLDEN_VERDICTS.parent.mkdir(exist_ok=True)
+    GOLDEN_VERDICTS.write_text(
+        json.dumps(_verdict_rows(_run_battery()[0]), indent=1) + "\n",
+        encoding="utf-8")
+    print(f"wrote {GOLDEN_VERDICTS}")

@@ -25,6 +25,18 @@ def stable_case(tmp_path, networks_dir):
     return out, tmp_path / "traces.meta.json"
 
 
+@pytest.fixture(scope="module")
+def four_b6(tmp_path_factory, networks_dir):
+    """Four-machine bus-6 event cleared at 0.25 s with T56B opened."""
+    out = tmp_path_factory.mktemp("four_b6") / "four.csv"
+    code = run_cli("simulate", "--network", networks_dir / "fourmachine.net",
+                   "--fault-bus", "6", "--fault-time", "0.1",
+                   "--clear-time", "0.25", "--open-branch", "T56B",
+                   "--horizon", "12.0", "--out", out)
+    assert code == 0
+    return out, out.with_name("four.meta.json")
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -187,3 +199,32 @@ def test_sweep_parallel_matches_serial(tmp_path, networks_dir):
     assert run_cli(*args, "--out", serial) == 0
     assert run_cli(*args, "--jobs", "2", "--out", parallel) == 0
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+@pytest.mark.parametrize("pair", ["G9,G4", "G1,G4,G2"])
+def test_classify_unknown_generator_is_input_error(four_b6, capsys, pair):
+    traces_path, meta_path = four_b6
+    code = run_cli("classify", "--traces", traces_path, "--meta", meta_path,
+                   "--pair", pair)
+    assert code == 1
+    assert "error: unknown generator id" in capsys.readouterr().err
+
+
+def test_classify_reports_what_assess_fits_with(four_b6, capsys):
+    traces_path, meta_path = four_b6
+    event = ("--traces", traces_path, "--meta", meta_path)
+    assert run_cli("classify", *event, "--t-max", "1.5") == 0
+    classified = json.loads(capsys.readouterr().out)
+    run_cli("assess", *event, "--t-max", "1.5")
+    assessed = json.loads(capsys.readouterr().out)["pairs"]
+    key = lambda p: (p["severe"], p["least"], p["pattern"], p["w"], p["m_n"])
+    assert [key(p) for p in classified] == [key(p) for p in assessed]
+    assert [(p["pattern"], p["w"], p["m_n"]) for p in classified] == [
+        ("IV", 41, 66), ("IV", 55, 83)]
+
+    # one second is too short for the first crest: neither command fits
+    assert run_cli("classify", *event, "--t-max", "1.0") == 1
+    capsys.readouterr()
+    run_cli("assess", *event, "--t-max", "1.0")
+    assessed = json.loads(capsys.readouterr().out)["pairs"]
+    assert [p["status"] for p in assessed] == ["UNDETERMINED_TIMEOUT"] * 2

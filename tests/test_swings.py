@@ -9,8 +9,8 @@ from conftest import DT, make_template, naive_first_extremum, template_suite
 from lyapstab.errors import (ClassificationRefused, ClassificationTimeout,
                              PeakSearchTimeout)
 from lyapstab.swings import (ClassifierConfig, DistanceSeries, EstimatorParams,
-                             SwingClassifier, SwingPattern, classify,
-                             distance_series, find_mle_start)
+                             SwingClassifier, SwingPattern, _MovingAverage,
+                             classify, distance_series, find_mle_start)
 
 
 # ---------------------------------------------------------------------------
@@ -42,6 +42,24 @@ def test_distance_of_sinusoid_matches_identity():
 def test_distance_requires_enough_samples():
     with pytest.raises(ValueError):
         distance_series(np.zeros(10), w=10)
+
+
+# ---------------------------------------------------------------------------
+# the streaming moving average
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("width", [1, 3, 5, 7])
+def test_moving_average_equals_clipped_centred_mean(width):
+    hw = width // 2
+    rng = np.random.default_rng(width)
+    for _ in range(20):
+        x = rng.normal(0.0, 1.0, 200) * 10.0 ** rng.uniform(-6, 6, 200)
+        avg = _MovingAverage(width)
+        for xi in x.tolist():
+            avg.push(xi)
+        assert len(avg.smoothed) == len(x) - hw
+        for i, value in enumerate(avg.smoothed):
+            assert value == np.mean(x[max(0, i - hw):i + hw + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +184,22 @@ def test_oscillating_pattern_waits_for_first_crest():
         assert find_mle_start(pattern, 25, d) == 25 + j_star
     # sanity: the crest of |sin| sits at the quarter period
     assert abs(j_star - 30) <= 2
+
+
+@pytest.mark.parametrize("f,gamma", [(1.0, 0.0), (0.7, 0.5), (1.6, 1.5)])
+def test_find_mle_start_needs_no_tail_past_the_crest(f, gamma):
+    cfg = ClassifierConfig()
+    t = np.arange(0, 1201) * DT
+    d = DistanceSeries(d=np.abs(np.exp(-gamma * t) * np.sin(2 * np.pi * f * t)))
+    w = 20
+    m_n = find_mle_start(SwingPattern.IV, w, d, cfg)
+    cut = (m_n - w) + cfg.n_peak + cfg.smooth_width // 2 + 1
+    assert cut < len(d.d) // 4
+    assert find_mle_start(SwingPattern.IV, w, DistanceSeries(d=d.d[:cut]),
+                          cfg) == m_n
+    # one sample fewer and the crest is not yet confirmed
+    with pytest.raises(PeakSearchTimeout):
+        find_mle_start(SwingPattern.IV, w, DistanceSeries(d=d.d[:cut - 1]), cfg)
 
 
 def test_find_mle_start_timeout_on_monotone_distance():
