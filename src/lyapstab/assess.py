@@ -56,6 +56,12 @@ class PairVerdict:
     w: int | None = None
     m_n: int | None = None
     note: str | None = None
+    # what the verdict was computed from: the distance series over the
+    # first t_max s, and the (times, lambdas) the PairAssessor consumed
+    distance: np.ndarray | None = field(default=None, repr=False,
+                                        compare=False)
+    mle: tuple[list, list] | None = field(default=None, repr=False,
+                                          compare=False)
 
 
 @dataclass
@@ -171,6 +177,7 @@ def pair_parameters(trace: SdgpTrace, pair: tuple[str, str],
         decision = SwingClassifier(trace.dt, config).run(trace.rel_speed[:n])
         verdict.pattern, verdict.w = decision.pattern, decision.w
         d = distance_series(trace.rel_angle[:n], decision.w)
+        verdict.distance = d.d
         verdict.m_n = find_mle_start(decision.pattern, decision.w, d, config)
     except ClassificationRefused as exc:
         return replace(verdict, status=SKIPPED, note=str(exc)), None
@@ -191,6 +198,7 @@ def _assess_pair(trace: SdgpTrace, pair: tuple[str, str],
     if params is None:
         return verdict
     assessor = PairAssessor(*pair, config)
+    verdict.mle = (assessor._times, assessor._lams)  # filled as it consumes
     try:
         for t, lam in iter_mle(trace, params):
             if t > config.t_max or assessor.push(lam, t).status != PENDING:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -18,12 +19,12 @@ from pathlib import Path
 from . import assess as assess_mod
 from .assess import AssessmentConfig, pair_parameters, run_assessment
 from .errors import LyapstabError
-from .ingest import EventMeta, align, parse_traces, write_traces
-from .mle import estimate_stream
+from .ingest import (ASSESSMENT_RATE, EventMeta, align, parse_traces,
+                     write_traces)
 from .network import FaultSpec, load_network_file
 from .pairs import SdgpConfig, build_pair_trace, identify_sdgp
 from .simulator import simulate, stability_oracle
-from .swings import ClassifierConfig, EstimatorParams, distance_series
+from .swings import ClassifierConfig
 
 PATTERN_NAMES = ("I", "II", "III", "IV", "V", "VI")
 
@@ -33,11 +34,6 @@ def _config(sigma: float, t_max: float) -> AssessmentConfig:
                             classifier=ClassifierConfig(t_max=t_max))
 
 
-def _meta_path(trace_path: str) -> Path:
-    p = Path(trace_path)
-    return p.with_name(p.stem + ".meta.json")
-
-
 def _add_event_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--meta", help="event metadata JSON (from `simulate`)")
     p.add_argument("--fault-time", type=float, help="overrides metadata")
@@ -45,9 +41,7 @@ def _add_event_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _resolve_meta(args) -> EventMeta:
-    meta = None
-    if args.meta:
-        meta = EventMeta.from_file(args.meta)
+    meta = EventMeta.from_file(args.meta) if args.meta else None
     t_f = args.fault_time if args.fault_time is not None else (
         meta.t_fault if meta else None)
     t_c = args.clear_time if args.clear_time is not None else (
@@ -61,8 +55,8 @@ def _resolve_meta(args) -> EventMeta:
 
 def _positive(value: str) -> float:
     x = float(value)
-    if x <= 0.0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    if not 0.0 < x < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
     return x
 
 
@@ -87,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--clear-time", type=float, required=True)
     sim.add_argument("--open-branch", action="append", default=[],
                      help="branch removed at clearing; repeatable")
-    sim.add_argument("--rate", type=_positive, default=120.0,
+    sim.add_argument("--rate", type=_positive, default=ASSESSMENT_RATE,
                      help="output sample rate, Hz")
     sim.add_argument("--horizon", type=_positive, default=12.0,
                      help="simulated seconds from t=0")
@@ -98,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     cls.add_argument("--traces", required=True)
     _add_event_flags(cls)
     cls.add_argument("--pair", help="SEVERE,LEAST ids; default: all identified")
-    cls.add_argument("--rate", type=_positive, default=120.0)
+    cls.add_argument("--rate", type=_positive, default=ASSESSMENT_RATE)
     cls.add_argument("--sigma", type=_sigma, default=AssessmentConfig.sigma)
     cls.add_argument("--t-max", type=_positive, default=ClassifierConfig.t_max)
     cls.add_argument("--speed-nominal", type=float, default=0.0,
@@ -109,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     ass = sub.add_parser("assess", help="full stability assessment, JSON report")
     ass.add_argument("--traces", required=True)
     _add_event_flags(ass)
-    ass.add_argument("--rate", type=_positive, default=120.0)
+    ass.add_argument("--rate", type=_positive, default=ASSESSMENT_RATE)
     ass.add_argument("--sigma", type=_sigma, default=AssessmentConfig.sigma)
     ass.add_argument("--t-max", type=_positive, default=ClassifierConfig.t_max)
     ass.add_argument("--speed-nominal", type=float, default=0.0)
@@ -128,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--open-branch", default="auto",
                      help="'auto' (first branch at the faulted bus), 'none', "
                           "or a branch id")
-    swp.add_argument("--rate", type=_positive, default=120.0)
+    swp.add_argument("--rate", type=_positive, default=ASSESSMENT_RATE)
     swp.add_argument("--horizon", type=_positive, default=12.0)
     swp.add_argument("--oracle-window", type=_positive, default=5.0)
     swp.add_argument("--sigma", type=_sigma, default=AssessmentConfig.sigma)
@@ -145,15 +139,16 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
+    meta = EventMeta(t_fault=args.fault_time, t_clear=args.clear_time,
+                     faulted_element=args.fault_bus)
     model = load_network_file(args.network)
     fault = FaultSpec(bus=args.fault_bus, t_fault=args.fault_time,
                       t_clear=args.clear_time,
                       removed_branches=tuple(args.open_branch))
     traces = simulate(model, fault, dt=1.0 / args.rate, horizon=args.horizon)
     write_traces(traces, args.out)
-    meta = EventMeta(t_fault=args.fault_time, t_clear=args.clear_time,
-                     faulted_element=args.fault_bus)
-    meta_path = Path(args.meta_out) if args.meta_out else _meta_path(args.out)
+    out = Path(args.out)
+    meta_path = Path(args.meta_out or out.with_name(out.stem + ".meta.json"))
     meta_path.write_text(meta.to_json() + "\n", encoding="utf-8")
     print(f"wrote {args.out} and {meta_path}", file=sys.stderr)
     return 0
@@ -169,20 +164,17 @@ def _load_aligned(args):
     return align(traces, meta, rate=args.rate), meta
 
 
-def _dump_series(prefix: str, kind: str, severe: str, least: str, header: str,
-                 rows) -> Path:
-    path = Path(f"{prefix}{kind}_{severe}-{least}.csv")
+def _dump_series(prefix: str, kind: str, verdict, header: str, rows) -> None:
+    path = Path(f"{prefix}{kind}_{verdict.severe}-{verdict.least}.csv")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(repr(float(x)) for x in row) + "\n")
-    return path
 
 
-def _dump_distance(prefix: str, trace, w: int) -> None:
-    d = distance_series(trace.rel_angle, w).d
-    _dump_series(prefix, "distance", trace.severe, trace.least, "t,d",
-                 ((j * trace.dt, dj) for j, dj in enumerate(d)))
+def _dump_distance(prefix: str, verdict, dt: float) -> None:
+    _dump_series(prefix, "distance", verdict, "t,d",
+                 ((j * dt, dj) for j, dj in enumerate(verdict.distance)))
 
 
 def cmd_classify(args) -> int:
@@ -212,7 +204,7 @@ def cmd_classify(args) -> int:
                         "pattern": params.pattern.value, "w": params.w,
                         "m_n": params.m_n, "decided_at": params.decided_at})
         if args.dump_distance:
-            _dump_distance(args.dump_distance, trace, params.w)
+            _dump_distance(args.dump_distance, verdict, dataset.dt)
     payload = results[0] if args.pair else results
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
@@ -225,19 +217,12 @@ def cmd_classify(args) -> int:
 def cmd_assess(args) -> int:
     dataset, meta = _load_aligned(args)
     report = run_assessment(dataset, meta, _config(args.sigma, args.t_max))
-    if args.dump_mle or args.dump_distance:
-        for verdict in report.pairs:
-            if verdict.w is None:
-                continue
-            trace = build_pair_trace(dataset, (verdict.severe, verdict.least))
-            if args.dump_distance:
-                _dump_distance(args.dump_distance, trace, verdict.w)
-            if args.dump_mle and verdict.m_n is not None:
-                series = estimate_stream(trace, EstimatorParams(
-                    w=verdict.w, m_n=verdict.m_n, dt=trace.dt,
-                    pattern=verdict.pattern, decided_at=0))
-                _dump_series(args.dump_mle, "mle", trace.severe, trace.least,
-                             "t,lambda", zip(series.times, series.lambdas))
+    for verdict in report.pairs:
+        if args.dump_distance and verdict.distance is not None:
+            _dump_distance(args.dump_distance, verdict, dataset.dt)
+        if args.dump_mle and verdict.mle is not None:
+            _dump_series(args.dump_mle, "mle", verdict, "t,lambda",
+                         zip(*verdict.mle))
     text = report.to_json()
     print(text)
     if args.out:
@@ -262,6 +247,7 @@ def _sweep_case(payload) -> dict:
            "verdict": "", "oracle": "", "agree": "", "decision_time_s": "",
            "error": ""}
     try:
+        meta = EventMeta(t_fault=t_fault, t_clear=t_clear, faulted_element=bus)
         model = load_network_file(network_path)
         if open_branch == "auto":
             removed = _auto_branch(model, bus)
@@ -273,7 +259,6 @@ def _sweep_case(payload) -> dict:
                           removed_branches=removed)
         traces = simulate(model, fault, dt=1.0 / rate, horizon=horizon)
         oracle = stability_oracle(traces, window=oracle_window)
-        meta = EventMeta(t_fault=t_fault, t_clear=t_clear, faulted_element=bus)
         dataset = align(traces, meta, rate=rate)
         report = run_assessment(dataset, meta, _config(sigma, t_max))
         patterns = [v.pattern.value for v in report.pairs if v.pattern]
@@ -349,7 +334,10 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # usage error: argparse's 2 would read UNSTABLE
+        return 1 if exc.code == 2 else exc.code
     handlers = {"simulate": cmd_simulate, "classify": cmd_classify,
                 "assess": cmd_assess, "sweep": cmd_sweep}
     try:

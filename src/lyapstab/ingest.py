@@ -33,6 +33,8 @@ class EventMeta:
     faulted_element: str | None = None
 
     def __post_init__(self):
+        if not (math.isfinite(self.t_fault) and math.isfinite(self.t_clear)):
+            raise ValueError("fault and clearing times must be finite")
         if self.t_clear < self.t_fault:
             raise ValueError("t_clear must not precede t_fault")
 

@@ -35,7 +35,7 @@ def log_distance(d: float) -> float:
 
 @dataclass
 class RlsState:
-    """Running line fit L = lambda_hat * t + c_hat with covariance P.
+    """Running line fit L = lambda_hat * t + c_hat, covariance P in p00/p01/p11.
 
     ``k`` counts observations absorbed beyond the two-point initialisation;
     ``residual_stat`` accumulates squared innovations as a fit diagnostic.
@@ -43,13 +43,16 @@ class RlsState:
 
     lambda_hat: float
     c_hat: float
-    P: np.ndarray
+    p00: float
+    p01: float
+    p11: float
     k: int = 1
     residual_stat: float = 0.0
     t_last: float = field(default=math.nan)
 
-    def predict(self, t: float) -> float:
-        return self.lambda_hat * t + self.c_hat
+    @property
+    def P(self) -> np.ndarray:
+        return np.array([[self.p00, self.p01], [self.p01, self.p11]])
 
 
 def rls_init(L0: float, L1: float, t0: float, t1: float) -> RlsState:
@@ -58,31 +61,36 @@ def rls_init(L0: float, L1: float, t0: float, t1: float) -> RlsState:
     P is the inverse of the 2x2 normal matrix of rows (t0, 1), (t1, 1),
     written in closed form: det = (t0 - t1)^2.
     """
+    L0, L1, t0, t1 = float(L0), float(L1), float(t0), float(t1)
     if not t1 > t0:
         raise SingularInitError(f"need t1 > t0, got t0={t0!r}, t1={t1!r}")
     lam = (L1 - L0) / (t1 - t0)
     det = (t0 - t1) ** 2
-    P = np.array([[2.0, -(t0 + t1)], [-(t0 + t1), t0 * t0 + t1 * t1]]) / det
-    return RlsState(lambda_hat=lam, c_hat=L0 - lam * t0, P=P, k=1, t_last=t1)
+    return RlsState(lambda_hat=lam, c_hat=L0 - lam * t0, p00=2.0 / det,
+                    p01=-(t0 + t1) / det, p11=(t0 * t0 + t1 * t1) / det,
+                    k=1, t_last=t1)
 
 
 def rls_update(state: RlsState, L_new: float, t_new: float) -> RlsState:
     """Absorb one observation; updates the state in place and returns it."""
-    if not math.isfinite(L_new):
+    y, t = float(L_new), float(t_new)
+    if not math.isfinite(y):
         raise ValueError("non-finite observation")
-    if not t_new > state.t_last:
+    if not t > state.t_last:
         raise ValueError(f"times must increase: {t_new!r} after {state.t_last!r}")
-    x = np.array([t_new, 1.0])
-    Px = state.P @ x
-    gain = Px / (1.0 + x @ Px)
-    innovation = L_new - (state.lambda_hat * t_new + state.c_hat)
-    state.lambda_hat += gain[0] * innovation
-    state.c_hat += gain[1] * innovation
-    P = state.P - np.outer(gain, Px)
-    state.P = 0.5 * (P + P.T)
+    px0 = state.p00 * t + state.p01   # Px with x = (t, 1)
+    px1 = state.p01 * t + state.p11
+    den = 1.0 + (t * px0 + px1)
+    g0, g1 = px0 / den, px1 / den
+    innovation = y - (state.lambda_hat * t + state.c_hat)
+    state.lambda_hat += g0 * innovation
+    state.c_hat += g1 * innovation
+    state.p01 = 0.5 * ((state.p01 - g0 * px1) + (state.p01 - g1 * px0))
+    state.p00 -= g0 * px0
+    state.p11 -= g1 * px1
     state.k += 1
     state.residual_stat += innovation * innovation
-    state.t_last = t_new
+    state.t_last = t
     return state
 
 
@@ -92,9 +100,6 @@ class MleSeries:
 
     times: np.ndarray
     lambdas: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.times)
 
 
 def iter_mle(trace: SdgpTrace, params: EstimatorParams):

@@ -214,10 +214,6 @@ class SwingClassifier:
         self._peak_at: int | None = None
         self._inc_min = None
 
-    @property
-    def pattern(self) -> SwingPattern:
-        return self.decision.pattern if self.decision else SwingPattern.UNDETERMINED
-
     def step(self, v_new: float) -> ClassifierDecision | None:
         if self.decision is not None:
             return None

@@ -125,7 +125,12 @@ def test_assess_flags_override_meta(stable_case):
     assert code == 0
 
 
-def test_assess_dumps_series(stable_case, tmp_path):
+def read_dump(path):
+    with open(path, encoding="utf-8") as fh:
+        return [tuple(map(float, row)) for row in list(csv.reader(fh))[1:]]
+
+
+def test_assess_dumps_series(stable_case, tmp_path, capsys):
     traces_path, meta_path = stable_case
     prefix = str(tmp_path / "dump_")
     run_cli("assess", "--traces", traces_path, "--meta", meta_path,
@@ -134,6 +139,42 @@ def test_assess_dumps_series(stable_case, tmp_path):
     assert len(dump_files) == 2  # one exponent + one distance file per pair
     headers = {p.read_text().splitlines()[0] for p in dump_files}
     assert headers == {"t,lambda", "t,d"}
+    # the exponent dump ends where the verdict froze
+    (pair,) = json.loads(capsys.readouterr().out)["pairs"]
+    mle = read_dump(tmp_path / f"dump_mle_{pair['severe']}-{pair['least']}.csv")
+    assert mle[-1][0] == pair["decision_time_s"]
+
+
+def test_dumps_hold_the_series_each_verdict_used(four_b6, tmp_path, capsys,
+                                                 monkeypatch):
+    import lyapstab.assess as assess_mod
+    fits = []
+
+    def counting_iter_mle(trace, params):
+        fits.append((trace.severe, trace.least))
+        return iter_mle(trace, params)
+
+    iter_mle = assess_mod.iter_mle
+    monkeypatch.setattr(assess_mod, "iter_mle", counting_iter_mle)
+    traces_path, meta_path = four_b6
+    event = ("--traces", traces_path, "--meta", meta_path, "--t-max", "1.5")
+    a_prefix, c_prefix = str(tmp_path / "a_"), str(tmp_path / "c_")
+    run_cli("assess", *event, "--dump-mle", a_prefix,
+            "--dump-distance", a_prefix)
+    pairs = json.loads(capsys.readouterr().out)["pairs"]
+    fitted = [(p["severe"], p["least"]) for p in pairs if p["m_n"] is not None]
+    assert len(fitted) == 2 and fits == fitted  # one fit per fitted pair
+
+    assert run_cli("classify", *event, "--dump-distance", c_prefix) == 0
+    for p in pairs:
+        name = f"{p['severe']}-{p['least']}.csv"
+        mle = read_dump(tmp_path / f"a_mle_{name}")
+        assert mle[-1][0] == p["decision_time_s"]
+        assert max(t for t, _ in mle) <= 1.5
+        distance = tmp_path / f"a_distance_{name}"
+        assert len(read_dump(distance)) == round(1.5 * 120) + 1 - p["w"]
+        assert (tmp_path / f"c_distance_{name}").read_bytes() == \
+            distance.read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -228,3 +269,70 @@ def test_classify_reports_what_assess_fits_with(four_b6, capsys):
     run_cli("assess", *event, "--t-max", "1.0")
     assessed = json.loads(capsys.readouterr().out)["pairs"]
     assert [p["status"] for p in assessed] == ["UNDETERMINED_TIMEOUT"] * 2
+
+
+# ---------------------------------------------------------------------------
+# input errors
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("flags", [
+    ("--t-max", "-1"),
+    ("--no-such-flag",),
+])
+def test_usage_errors_exit_one(four_b6, capsys, flags):
+    traces_path, meta_path = four_b6
+    code = run_cli("assess", "--traces", traces_path, "--meta", meta_path,
+                   *flags)
+    assert code == 1  # exit 2 would read as UNSTABLE
+    err = capsys.readouterr().err
+    assert "usage:" in err and "error:" in err
+
+
+def test_help_exits_zero(capsys):
+    assert run_cli("assess", "--help") == 0
+    assert "--dump-mle" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("classify", ("--t-max", "inf")),
+    ("assess", ("--t-max", "inf")),
+    ("classify", ("--rate", "inf")),
+    ("assess", ("--rate", "inf")),
+    ("classify", ("--clear-time", "inf")),
+    ("assess", ("--clear-time", "inf")),
+    ("assess", ("--t-max", "nan")),
+    ("assess", ("--fault-time", "nan", "--clear-time", "0.25")),
+    ("assess", ("--meta", "nan.meta.json")),
+    ("assess", ("--meta", "inf.meta.json")),
+])
+def test_non_finite_numbers_are_input_errors(four_b6, tmp_path, monkeypatch,
+                                             capsys, command, flags):
+    (tmp_path / "nan.meta.json").write_text(
+        '{"fault_time_s": NaN, "clear_time_s": 0.25}')
+    (tmp_path / "inf.meta.json").write_text(
+        '{"fault_time_s": 0.1, "clear_time_s": Infinity}')
+    monkeypatch.chdir(tmp_path)
+    traces_path, meta_path = four_b6
+    code = run_cli(command, "--traces", traces_path, "--meta", meta_path,
+                   *flags)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
+def test_non_finite_event_times_rejected_before_simulating(tmp_path,
+                                                          networks_dir,
+                                                          capsys):
+    net = networks_dir / "twomachine.net"
+    code = run_cli("simulate", "--network", net, "--fault-bus", "3",
+                   "--clear-time", "nan", "--out", tmp_path / "x.csv")
+    assert code == 1
+    assert "error: fault and clearing times must be finite" in \
+        capsys.readouterr().err
+    out = tmp_path / "sweep.csv"
+    assert run_cli("sweep", "--network", net, "--fault-bus", "3",
+                   "--clear-time", "nan", "--open-branch", "none",
+                   "--out", out) == 0
+    with open(out, encoding="utf-8") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["error"] == "fault and clearing times must be finite"

@@ -135,6 +135,14 @@ def test_covariance_stays_symmetric_positive_definite():
     assert np.all(np.linalg.eigvalsh(state.P) > 0.0)
 
 
+def test_fit_state_stays_plain_floats():
+    state = rls_init(0.25, 0.5, 0.0, 0.1)
+    for i in range(2, 20):
+        rls_update(state, 0.3 * i + 0.01 * (-1) ** i, 0.1 * i)
+    fields = (state.lambda_hat, state.c_hat, state.p00, state.p01, state.p11)
+    assert all(type(x) is float for x in fields)
+
+
 def test_time_shift_changes_only_intercept():
     rng = np.random.default_rng(11)
     times = np.sort(rng.uniform(0.0, 4.0, 60))
