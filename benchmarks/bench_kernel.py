@@ -83,7 +83,8 @@ def main():
 
     print(f"{'workload':<28}" + "".join(f"{name:>12}" for name, _ in backends)
           + ("     speedup" if len(backends) == 2 else ""))
-    for n, seconds in ((2, 10.0), (4, 10.0), (10, 10.0), (4, 60.0)):
+    for n, seconds in ((2, 10.0), (4, 10.0), (10, 10.0), (12, 10.0),
+                       (48, 10.0), (4, 60.0)):
         label = f"rk4 n={n}, {seconds:.0f} s horizon"
         times = [time_kernel(be, n, seconds, args.repeats)
                  for _, be in backends]

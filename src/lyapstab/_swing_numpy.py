@@ -2,25 +2,25 @@
 
 Fallback for :mod:`lyapstab._swing_core`; both expose the same ``rk4_swing``
 signature so the selector in :mod:`lyapstab._core` can swap them freely.
+
+The electrical power of the reduced network,
+``pe_i = E_i * sum_j E_j (G_ij cos(d_i - d_j) + B_ij sin(d_i - d_j))``,
+is evaluated in phasor form.  Expanding the angle differences with
+``c = E cos(delta)`` and ``s = E sin(delta)`` gives
+``pe_i = c_i (Gc - Bs)_i + s_i (Gs + Bc)_i``.  Since
+``(G + jB)(c + js) = (Gc - Bs) + j(Gs + Bc)``, that is the real part of
+``(c_i - j s_i) * ((G + jB)(c + js))_i``, so with ``u = exp(1j * delta)``
+
+    pe_i = Re(conj(u_i) * (Y u)_i),    Y = E[:, None] * (G + jB) * E[None, :]
+
+and ``minv_i * pe_i = Re(conj(u_i) * (Z u)_i)`` for ``Z`` = ``Y`` with its
+rows scaled by ``minv``.  ``Z`` is formed once per call; each RK4 stage then
+needs one complex matrix-vector product and no (n, n) temporary.  NumPy call
+overhead, not arithmetic, dominates at the machine counts simulated, so the
+kernel is written to make as few calls per stage as it can.
 """
 
 import numpy as np
-
-
-def _accel(delta, omega, minv, damp, pm, emf, G, B):
-    """Rotor acceleration of every machine at the given state.
-
-    Electrical power uses the reduced-network form
-    ``Pe_i = E_i * sum_j E_j (G_ij cos(d_i - d_j) + B_ij sin(d_i - d_j))``,
-    expanded through the angle-difference identities so no (n, n) temporary
-    is formed.  Machines with ``minv == 0`` (infinite inertia) never move.
-    """
-    c = np.cos(delta)
-    s = np.sin(delta)
-    ec = emf * c
-    es = emf * s
-    pe = emf * (c * (G @ ec) + s * (G @ es) + s * (B @ ec) - c * (B @ es))
-    return (pm - pe - damp * omega) * minv
 
 
 def rk4_swing(delta, omega, minv, damp, pm, emf, G, B, h, n_blocks, substeps,
@@ -33,25 +33,47 @@ def rk4_swing(delta, omega, minv, damp, pm, emf, G, B, h, n_blocks, substeps,
 
     Returns -1 if every recorded state is finite, otherwise the index of the
     first non-finite record; rows before that index are valid.
+
+    Machines with ``minv == 0`` (infinite inertia) have an all-zero row of
+    ``Z``, ``pm * minv`` and ``damp * minv``, so they never move.
     """
-    half = 0.5 * h
-    sixth = h / 6.0
+    n = len(delta)
+    Z = (minv * emf)[:, None] * (G + 1j * B) * emf[None, :]
+    pmm = pm * minv
+    dm = damp * minv
+    # Row s of ``stages`` is RK4 stage s laid out as [delta_s, omega_s, accel_s]:
+    # its first 2n entries are the stage state and its last 2n are the slope
+    # f = [omega_s, accel_s], so writing a state also writes half its slope.
+    stages = np.empty((4, 3 * n))
+    x = stages[0, :2 * n]  # the integrated state [delta, omega]
+    x[:n] = delta
+    x[n:] = omega
+    k = stages[:, n:]
+    weights = np.array([1.0, 2.0, 2.0, 1.0]) * (h / 6.0)
+    u = np.empty(n, dtype=complex)
+    u_re, u_im = u.real, u.imag
+    # (step to this stage, slope it steps along, state, delta, omega, accel)
+    rows = list(zip((None, 0.5 * h, 0.5 * h, h), (None,) + tuple(k[:3]),
+                    stages[:, :2 * n], stages[:, :n], stages[:, n:2 * n],
+                    stages[:, 2 * n:]))
     for block in range(n_blocks):
         for _ in range(substeps):
-            k1w = _accel(delta, omega, minv, damp, pm, emf, G, B)
-            d2 = delta + half * omega
-            w2 = omega + half * k1w
-            k2w = _accel(d2, w2, minv, damp, pm, emf, G, B)
-            d3 = delta + half * w2
-            w3 = omega + half * k2w
-            k3w = _accel(d3, w3, minv, damp, pm, emf, G, B)
-            d4 = delta + h * w3
-            w4 = omega + h * k3w
-            k4w = _accel(d4, w4, minv, damp, pm, emf, G, B)
-            delta += sixth * (omega + 2.0 * w2 + 2.0 * w3 + w4)
-            omega += sixth * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-        out_delta[block] = delta
-        out_omega[block] = omega
-        if not (np.isfinite(delta).all() and np.isfinite(omega).all()):
-            return block
-    return -1
+            for c, k_prev, y, d, w, a in rows:
+                if c is not None:
+                    np.multiply(k_prev, c, out=y)
+                    y += x
+                np.cos(d, out=u_re)  # u = exp(1j * d), built in place
+                np.sin(d, out=u_im)
+                # np.dot, not @: less per-call overhead on these small arrays
+                np.subtract(pmm, (u.conj() * np.dot(Z, u)).real, out=a)
+                a -= dm * w
+            x += np.dot(weights, k)
+        out_delta[block] = x[:n]
+        out_omega[block] = x[n:]
+        if not np.isfinite(x).all():
+            break
+    else:
+        block = -1
+    delta[:] = x[:n]
+    omega[:] = x[n:]
+    return block

@@ -73,11 +73,10 @@ class GeneratorTrace:
 
 def _electrical_power(delta: np.ndarray, emf: np.ndarray,
                       G: np.ndarray, B: np.ndarray) -> np.ndarray:
-    c = np.cos(delta)
-    s = np.sin(delta)
-    ec = emf * c
-    es = emf * s
-    return emf * (c * (G @ ec) + s * (G @ es) + s * (B @ ec) - c * (B @ es))
+    """pe_i = Re(conj(u_i) (Y u)_i), the phasor form derived in ``_swing_numpy``."""
+    u = np.exp(1j * delta)
+    Y = emf[:, None] * (G + 1j * B) * emf[None, :]
+    return (u.conj() * (Y @ u)).real
 
 
 def _power_jacobian(delta: np.ndarray, emf: np.ndarray,

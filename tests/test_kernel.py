@@ -1,5 +1,7 @@
-"""Compiled kernel vs NumPy fallback: same contract, same numbers."""
+"""Both swing kernels against a plain-Python reference and each other:
+same contract, same numbers."""
 
+import math
 import os
 import subprocess
 import sys
@@ -48,6 +50,60 @@ def run(backend, state, h, n_blocks, substeps):
     return bad, out_d, out_w
 
 
+def reference_rk4(state, h, n_blocks, substeps):
+    """Plain-Python RK4 with the per-element power sum of ``_swing_core.pyx``.
+
+    ``pe_i = E_i sum_j E_j (G_ij cos(d_i - d_j) + B_ij sin(d_i - d_j))``,
+    one machine and one term at a time: the reference both kernels must match.
+    """
+    delta, omega, minv, damp, pm, emf, G, B = (a.tolist() for a in state)
+    n = len(delta)
+
+    def accel(d, w):
+        out = []
+        for i in range(n):
+            pe = 0.0
+            for j in range(n):
+                dij = d[i] - d[j]
+                pe += emf[j] * (G[i][j] * math.cos(dij) + B[i][j] * math.sin(dij))
+            out.append((pm[i] - emf[i] * pe - damp[i] * w[i]) * minv[i])
+        return out
+
+    def step(base, slope, c):
+        return [b + c * s for b, s in zip(base, slope)]
+
+    out_d, out_w = [], []
+    for _ in range(n_blocks):
+        for _ in range(substeps):
+            k1 = accel(delta, omega)
+            w2 = step(omega, k1, 0.5 * h)
+            k2 = accel(step(delta, omega, 0.5 * h), w2)
+            w3 = step(omega, k2, 0.5 * h)
+            k3 = accel(step(delta, w2, 0.5 * h), w3)
+            w4 = step(omega, k3, h)
+            k4 = accel(step(delta, w3, h), w4)
+            delta = [d + h / 6.0 * (a + 2.0 * b + 2.0 * c + e)
+                     for d, a, b, c, e in zip(delta, omega, w2, w3, w4)]
+            omega = [w + h / 6.0 * (a + 2.0 * b + 2.0 * c + e)
+                     for w, a, b, c, e in zip(omega, k1, k2, k3, k4)]
+        out_d.append(delta)
+        out_w.append(omega)
+    return np.array(out_d), np.array(out_w)
+
+
+@pytest.mark.parametrize("n_blocks, substeps, tol",
+                         [(1, 1, 1e-13), (60, 10, 1e-9)],
+                         ids=["one-step", "half-second"])
+def test_kernels_match_reference(n_blocks, substeps, tol):
+    state = example_system()
+    ref_d, ref_w = reference_rk4(state, 1.0 / 1200.0, n_blocks, substeps)
+    for backend in filter(None, (_swing_core, _swing_numpy)):
+        bad, d, w = run(backend, state, 1.0 / 1200.0, n_blocks, substeps)
+        assert bad == -1
+        assert np.abs(d - ref_d).max() < tol
+        assert np.abs(w - ref_w).max() < tol
+
+
 @needs_ext
 def test_single_step_parity():
     state = example_system()
@@ -68,12 +124,25 @@ def test_half_second_run_parity():
     assert np.abs(wc - wp).max() < 1e-9
 
 
-@needs_ext
 def test_infinite_machine_never_moves():
     state = example_system()
-    _, dc, wc = run(_swing_core, state, 1.0 / 1200.0, 30, 10)
-    assert np.all(dc[:, -1] == state[0][-1])
-    assert np.all(wc[:, -1] == state[1][-1])
+    for backend in filter(None, (_swing_core, _swing_numpy)):
+        _, d, w = run(backend, state, 1.0 / 1200.0, 30, 10)
+        assert np.all(d[:, -1] == state[0][-1])
+        assert np.all(w[:, -1] == state[1][-1])
+
+
+def test_clean_run_leaves_final_state_in_place():
+    delta, omega, minv, damp, pm, emf, G, B = example_system()
+    for backend in filter(None, (_swing_core, _swing_numpy)):
+        d, w = delta.copy(), omega.copy()
+        out_d = np.empty((7, len(d)))
+        out_w = np.empty((7, len(d)))
+        bad = backend.rk4_swing(d, w, minv, damp, pm, emf, G, B, 1.0 / 1200.0,
+                                7, 3, out_d, out_w)
+        assert bad == -1
+        assert np.array_equal(d, out_d[-1])
+        assert np.array_equal(w, out_w[-1])
 
 
 def test_nonfinite_state_reports_block_index():
