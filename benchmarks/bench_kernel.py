@@ -1,4 +1,4 @@
-"""Benchmark: compiled swing kernel vs the NumPy fallback.
+"""Benchmark: the swing kernel.
 
 Times the dominant workload (fixed-step RK4 over the reduced network) for a
 few system sizes and horizons, then a full simulate() call on the shipped
@@ -16,14 +16,9 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from lyapstab import _swing_numpy  # noqa: E402
+from lyapstab._swing_numpy import rk4_swing  # noqa: E402
 from lyapstab.network import FaultSpec, load_network_file  # noqa: E402
 from lyapstab.simulator import simulate  # noqa: E402
-
-try:
-    from lyapstab import _swing_core
-except ImportError:
-    _swing_core = None
 
 NETWORKS = Path(__file__).resolve().parent.parent / "networks"
 
@@ -43,7 +38,7 @@ def synthetic_system(n, seed=0):
     return delta, omega, minv, damp, pm, emf, G, B
 
 
-def time_kernel(backend, n, seconds, repeats):
+def time_kernel(n, seconds, repeats):
     h = 1.0 / 1200.0
     n_blocks = int(seconds * 120)
     best = np.inf
@@ -52,8 +47,8 @@ def time_kernel(backend, n, seconds, repeats):
         out_d = np.empty((n_blocks, n))
         out_w = np.empty((n_blocks, n))
         start = time.perf_counter()
-        backend.rk4_swing(delta, omega, minv, damp, pm, emf, G, B, h,
-                          n_blocks, 10, out_d, out_w)
+        rk4_swing(delta, omega, minv, damp, pm, emf, G, B, h, n_blocks, 10,
+                  out_d, out_w)
         best = min(best, time.perf_counter() - start)
     return best
 
@@ -75,29 +70,16 @@ def main():
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args()
 
-    if _swing_core is None:
-        print("compiled kernel not available; showing the fallback only")
-    backends = [("numpy", _swing_numpy)]
-    if _swing_core is not None:
-        backends.insert(0, ("compiled", _swing_core))
-
-    print(f"{'workload':<28}" + "".join(f"{name:>12}" for name, _ in backends)
-          + ("     speedup" if len(backends) == 2 else ""))
+    print(f"{'workload':<28}{'time':>12}")
     for n, seconds in ((2, 10.0), (4, 10.0), (10, 10.0), (12, 10.0),
                        (48, 10.0), (4, 60.0)):
         label = f"rk4 n={n}, {seconds:.0f} s horizon"
-        times = [time_kernel(be, n, seconds, args.repeats)
-                 for _, be in backends]
-        row = f"{label:<28}" + "".join(f"{t * 1e3:>10.1f}ms" for t in times)
-        if len(times) == 2:
-            row += f"{times[1] / times[0]:>11.1f}x"
-        print(row)
+        t = time_kernel(n, seconds, args.repeats)
+        print(f"{label:<28}{t * 1e3:>10.1f}ms")
 
     print()
-    active = "compiled" if _swing_core is not None else "numpy"
     t = time_simulate(args.repeats)
-    print(f"simulate() four-machine 12 s with the active kernel "
-          f"({active}): {t * 1e3:.1f} ms")
+    print(f"simulate() four-machine 12 s: {t * 1e3:.1f} ms")
 
 
 if __name__ == "__main__":

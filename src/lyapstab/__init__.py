@@ -6,7 +6,7 @@ pick the separation window and fitting start, estimate the maximal Lyapunov
 exponent recursively, and map the exponent curve's shape to a verdict.
 """
 
-from ._core import backend_name
+from ._swing_numpy import backend_name
 from .assess import (AssessmentConfig, AssessmentReport, PairAssessor,
                      PairVerdict, SystemVerdict, aggregate, run_assessment)
 from .ingest import (ASSESSMENT_RATE, AlignedDataset, EventMeta, align,

@@ -1,7 +1,4 @@
-"""Pure-NumPy swing-equation kernel.
-
-Fallback for :mod:`lyapstab._swing_core`; both expose the same ``rk4_swing``
-signature so the selector in :mod:`lyapstab._core` can swap them freely.
+"""The swing-equation kernel: fixed-step RK4 in NumPy.
 
 The electrical power of the reduced network,
 ``pe_i = E_i * sum_j E_j (G_ij cos(d_i - d_j) + B_ij sin(d_i - d_j))``,
@@ -21,6 +18,11 @@ kernel is written to make as few calls per stage as it can.
 """
 
 import numpy as np
+
+
+def backend_name() -> str:
+    """Name of the swing kernel, recorded with benchmark results."""
+    return "numpy"
 
 
 def rk4_swing(delta, omega, minv, damp, pm, emf, G, B, h, n_blocks, substeps,

@@ -75,7 +75,7 @@ class SystemVerdict:
 class AssessmentConfig:
     """Knobs of the end-to-end pipeline; time limits are seconds after clearing."""
 
-    sigma: float = 0.7
+    sigma: float = SdgpConfig.sigma
     n_trend: int = 24        # exponent samples for the initial-trend test
     classifier: ClassifierConfig = ClassifierConfig()
 

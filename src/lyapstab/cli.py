@@ -60,6 +60,13 @@ def _positive(value: str) -> float:
     return x
 
 
+def _jobs(value: str) -> int:
+    n = int(value)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return n
+
+
 def _sigma(value: str) -> float:
     x = float(value)
     if not 0.0 < x <= 1.0:
@@ -127,7 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--oracle-window", type=_positive, default=5.0)
     swp.add_argument("--sigma", type=_sigma, default=AssessmentConfig.sigma)
     swp.add_argument("--t-max", type=_positive, default=ClassifierConfig.t_max)
-    swp.add_argument("--jobs", type=int, default=1)
+    swp.add_argument("--jobs", type=_jobs, default=1,
+                     help="worker processes, at most one per case")
     swp.add_argument("--out", required=True, help="per-case rows CSV")
     swp.add_argument("--summary-out",
                      help="pattern-count table (default: <out stem>_summary.csv)")
@@ -286,8 +294,9 @@ def cmd_sweep(args) -> int:
         for bus in args.fault_bus
         for t_c in args.clear_time
     ]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(payloads))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_case, payloads))
     else:
         rows = [_sweep_case(p) for p in payloads]

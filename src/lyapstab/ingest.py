@@ -22,6 +22,8 @@ ASSESSMENT_RATE = 120.0  # samples/s
 # Parsed timestamps may jitter around the nominal grid; gaps beyond twice the
 # nominal step are data loss and rejected outright.
 MAX_GAP_FACTOR = 2.0
+# Seconds after clearing that every trace must cover to be aligned at all.
+MIN_HORIZON = 0.5
 
 
 @dataclass(frozen=True)
@@ -236,12 +238,12 @@ def resample(trace: GeneratorTrace, rate: float) -> GeneratorTrace:
 
 
 def align(traces: list[GeneratorTrace], meta: EventMeta,
-          rate: float = ASSESSMENT_RATE, min_horizon: float = 0.5) -> AlignedDataset:
+          rate: float = ASSESSMENT_RATE) -> AlignedDataset:
     """Put every trace on the shared ``rate`` grid anchored at fault clearing.
 
     Index 0 is the first point of the absolute grid ``k / rate`` at or after
     ``meta.t_clear``; all series are truncated to the longest span every
-    trace can cover.  Traces missing ``[t_clear, t_clear + min_horizon]``
+    trace can cover.  Traces missing ``[t_clear, t_clear + MIN_HORIZON]``
     raise :class:`CoverageError` naming the offenders.
     """
     if not traces:
@@ -252,11 +254,11 @@ def align(traces: list[GeneratorTrace], meta: EventMeta,
 
     short = [tr.gen_id for tr in traces
              if tr.sample_times()[0] > meta.t_clear + 1e-9 * dt
-             or tr.t_end < meta.t_clear + min_horizon - 1e-9 * dt]
+             or tr.t_end < meta.t_clear + MIN_HORIZON - 1e-9 * dt]
     if short:
         raise CoverageError(
             f"traces must cover [{meta.t_clear:.4f}, "
-            f"{meta.t_clear + min_horizon:.4f}] s; offenders: {short}")
+            f"{meta.t_clear + MIN_HORIZON:.4f}] s; offenders: {short}")
 
     n_samples = min(
         int(math.floor((tr.t_end - t_start) * rate + 1e-9)) + 1 for tr in traces)

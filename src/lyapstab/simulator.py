@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._core import rk4_swing
+from ._swing_numpy import rk4_swing
 from .errors import CoverageError, SetupError
 from .network import (FAULT_ON, POST_FAULT, PRE_FAULT, FaultSpec, NetworkModel,
                       ReducedSystem, reduce_network)

@@ -242,6 +242,52 @@ def test_sweep_parallel_matches_serial(tmp_path, networks_dir):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
+@pytest.mark.parametrize("jobs, n_cases, pool_size", [
+    ("64", 2, 2), ("2", 3, 2), ("3", 1, None), ("1", 2, None)])
+def test_sweep_pool_never_exceeds_cases(tmp_path, networks_dir, monkeypatch,
+                                        jobs, n_cases, pool_size):
+    sizes = []
+
+    class InProcessPool:
+        """Records the pool size and maps in this process; starts nothing."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr("lyapstab.cli.ProcessPoolExecutor", InProcessPool)
+    clear = [arg for t_c in ("0.2", "0.26", "0.34")[:n_cases]
+             for arg in ("--clear-time", t_c)]
+    out = tmp_path / "sweep.csv"
+    assert run_cli("sweep", "--network", networks_dir / "twomachine.net",
+                   "--fault-bus", "3", *clear, "--open-branch", "none",
+                   "--horizon", "6.0", "--jobs", jobs, "--out", out) == 0
+    assert sizes == ([] if pool_size is None else [pool_size])
+    with open(out, encoding="utf-8") as fh:
+        assert len(list(csv.DictReader(fh))) == n_cases
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+def test_sweep_jobs_must_be_a_positive_integer(tmp_path, networks_dir,
+                                               capsys, jobs):
+    out = tmp_path / "sweep.csv"
+    code = run_cli("sweep", "--network", networks_dir / "twomachine.net",
+                   "--fault-bus", "3", "--clear-time", "0.2",
+                   "--jobs", jobs, "--out", out)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "usage:" in err and "error:" in err and "--jobs" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("pair", ["G9,G4", "G1,G4,G2"])
 def test_classify_unknown_generator_is_input_error(four_b6, capsys, pair):
     traces_path, meta_path = four_b6

@@ -1,23 +1,14 @@
-"""Both swing kernels against a plain-Python reference and each other:
-same contract, same numbers."""
+"""The swing kernel against a plain-Python reference: same contract, same
+numbers."""
 
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-from lyapstab import _core, _swing_numpy
-
-try:
-    from lyapstab import _swing_core
-except ImportError:  # extension not built; fallback-only environment
-    _swing_core = None
-
-needs_ext = pytest.mark.skipif(_swing_core is None,
-                               reason="compiled kernel not built")
+import lyapstab
+from lyapstab import simulator
+from lyapstab._swing_numpy import rk4_swing
 
 
 def example_system(n=4, seed=3):
@@ -39,22 +30,22 @@ def example_system(n=4, seed=3):
         np.ascontiguousarray(B)
 
 
-def run(backend, state, h, n_blocks, substeps):
+def run(state, h, n_blocks, substeps):
     delta, omega, minv, damp, pm, emf, G, B = state
     d = delta.copy()
     w = omega.copy()
     out_d = np.empty((n_blocks, len(d)))
     out_w = np.empty((n_blocks, len(d)))
-    bad = backend.rk4_swing(d, w, minv, damp, pm, emf, G, B, h, n_blocks,
-                            substeps, out_d, out_w)
+    bad = rk4_swing(d, w, minv, damp, pm, emf, G, B, h, n_blocks, substeps,
+                    out_d, out_w)
     return bad, out_d, out_w
 
 
 def reference_rk4(state, h, n_blocks, substeps):
-    """Plain-Python RK4 with the per-element power sum of ``_swing_core.pyx``.
+    """Plain-Python RK4 with the power summed one element at a time.
 
     ``pe_i = E_i sum_j E_j (G_ij cos(d_i - d_j) + B_ij sin(d_i - d_j))``,
-    one machine and one term at a time: the reference both kernels must match.
+    one machine and one term at a time: the reference the kernel must match.
     """
     delta, omega, minv, damp, pm, emf, G, B = (a.tolist() for a in state)
     n = len(delta)
@@ -97,52 +88,29 @@ def reference_rk4(state, h, n_blocks, substeps):
 def test_kernels_match_reference(n_blocks, substeps, tol):
     state = example_system()
     ref_d, ref_w = reference_rk4(state, 1.0 / 1200.0, n_blocks, substeps)
-    for backend in filter(None, (_swing_core, _swing_numpy)):
-        bad, d, w = run(backend, state, 1.0 / 1200.0, n_blocks, substeps)
-        assert bad == -1
-        assert np.abs(d - ref_d).max() < tol
-        assert np.abs(w - ref_w).max() < tol
-
-
-@needs_ext
-def test_single_step_parity():
-    state = example_system()
-    bad_c, dc, wc = run(_swing_core, state, 1.0 / 1200.0, 1, 1)
-    bad_p, dp, wp = run(_swing_numpy, state, 1.0 / 1200.0, 1, 1)
-    assert bad_c == bad_p == -1
-    assert np.abs(dc - dp).max() < 1e-13
-    assert np.abs(wc - wp).max() < 1e-13
-
-
-@needs_ext
-def test_half_second_run_parity():
-    state = example_system(n=3, seed=11)
-    bad_c, dc, wc = run(_swing_core, state, 1.0 / 1200.0, 60, 10)
-    bad_p, dp, wp = run(_swing_numpy, state, 1.0 / 1200.0, 60, 10)
-    assert bad_c == bad_p == -1
-    assert np.abs(dc - dp).max() < 1e-9
-    assert np.abs(wc - wp).max() < 1e-9
+    bad, d, w = run(state, 1.0 / 1200.0, n_blocks, substeps)
+    assert bad == -1
+    assert np.abs(d - ref_d).max() < tol
+    assert np.abs(w - ref_w).max() < tol
 
 
 def test_infinite_machine_never_moves():
     state = example_system()
-    for backend in filter(None, (_swing_core, _swing_numpy)):
-        _, d, w = run(backend, state, 1.0 / 1200.0, 30, 10)
-        assert np.all(d[:, -1] == state[0][-1])
-        assert np.all(w[:, -1] == state[1][-1])
+    _, d, w = run(state, 1.0 / 1200.0, 30, 10)
+    assert np.all(d[:, -1] == state[0][-1])
+    assert np.all(w[:, -1] == state[1][-1])
 
 
 def test_clean_run_leaves_final_state_in_place():
     delta, omega, minv, damp, pm, emf, G, B = example_system()
-    for backend in filter(None, (_swing_core, _swing_numpy)):
-        d, w = delta.copy(), omega.copy()
-        out_d = np.empty((7, len(d)))
-        out_w = np.empty((7, len(d)))
-        bad = backend.rk4_swing(d, w, minv, damp, pm, emf, G, B, 1.0 / 1200.0,
-                                7, 3, out_d, out_w)
-        assert bad == -1
-        assert np.array_equal(d, out_d[-1])
-        assert np.array_equal(w, out_w[-1])
+    d, w = delta.copy(), omega.copy()
+    out_d = np.empty((7, len(d)))
+    out_w = np.empty((7, len(d)))
+    bad = rk4_swing(d, w, minv, damp, pm, emf, G, B, 1.0 / 1200.0, 7, 3,
+                    out_d, out_w)
+    assert bad == -1
+    assert np.array_equal(d, out_d[-1])
+    assert np.array_equal(w, out_w[-1])
 
 
 def test_nonfinite_state_reports_block_index():
@@ -150,21 +118,31 @@ def test_nonfinite_state_reports_block_index():
     delta = state[0].copy()
     delta[0] = np.nan
     broken = (delta,) + state[1:]
-    for backend in filter(None, (_swing_core, _swing_numpy)):
-        bad, _, _ = run(backend, broken, 1.0 / 1200.0, 5, 2)
-        assert bad == 0
+    bad, _, _ = run(broken, 1.0 / 1200.0, 5, 2)
+    assert bad == 0
 
+
+
+def test_overflow_reports_first_nonfinite_block():
+    # Damping -60 / (minv h) on machine 0 makes omega_0' = (60 / h) omega_0,
+    # so each RK4 step multiplies omega_0 by R = sum_{k <= 4} 60^k / k!.  The
+    # bounded coupling is negligible beside that, so omega_0 leaves the float
+    # range in the first block k with |omega_0(0)| R^(10 (k + 1)) > max float.
+    h, substeps = 1.0 / 1200.0, 10
+    state = list(example_system())
+    damp = state[3].copy()
+    damp[0] = -60.0 / (state[2][0] * h)
+    state[3] = damp
+    log_r = math.log10(sum(60.0 ** k / math.factorial(k) for k in range(5)))
+    blocks_to_overflow = [k for k in range(12) if math.log10(abs(state[1][0]))
+                          + substeps * (k + 1) * log_r > math.log10(np.finfo(float).max)]
+    assert blocks_to_overflow[0] == 5
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad, d, w = run(tuple(state), h, 12, substeps)
+    assert bad == blocks_to_overflow[0]
+    assert np.isfinite(d[:bad]).all() and np.isfinite(w[:bad]).all()
+    assert not (np.isfinite(d[bad]).all() and np.isfinite(w[bad]).all())
 
 def test_backend_name_reports_active_kernel():
-    assert _core.backend_name() in ("compiled", "numpy")
-    if _swing_core is not None and not os.environ.get("LYAPSTAB_PURE_PYTHON"):
-        assert _core.backend_name() == "compiled"
-
-
-def test_env_var_forces_numpy_backend():
-    env = dict(os.environ, LYAPSTAB_PURE_PYTHON="1")
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from lyapstab import backend_name; print(backend_name())"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "numpy"
+    assert lyapstab.backend_name() == "numpy"
+    assert simulator.rk4_swing is rk4_swing
