@@ -58,24 +58,27 @@ def rk4_swing(delta, omega, minv, damp, pm, emf, G, B, h, n_blocks, substeps,
     rows = list(zip((None, 0.5 * h, 0.5 * h, h), (None,) + tuple(k[:3]),
                     stages[:, :2 * n], stages[:, :n], stages[:, n:2 * n],
                     stages[:, 2 * n:]))
-    for block in range(n_blocks):
-        for _ in range(substeps):
-            for c, k_prev, y, d, w, a in rows:
-                if c is not None:
-                    np.multiply(k_prev, c, out=y)
-                    y += x
-                np.cos(d, out=u_re)  # u = exp(1j * d), built in place
-                np.sin(d, out=u_im)
-                # np.dot, not @: less per-call overhead on these small arrays
-                np.subtract(pmm, (u.conj() * np.dot(Z, u)).real, out=a)
-                a -= dm * w
-            x += np.dot(weights, k)
-        out_delta[block] = x[:n]
-        out_omega[block] = x[n:]
-        if not np.isfinite(x).all():
-            break
-    else:
-        block = -1
+    # A diverging run overflows to inf and nan; the per-block finiteness check
+    # reports it, so NumPy's floating-point warnings would only be noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in range(n_blocks):
+            for _ in range(substeps):
+                for c, k_prev, y, d, w, a in rows:
+                    if c is not None:
+                        np.multiply(k_prev, c, out=y)
+                        y += x
+                    np.cos(d, out=u_re)  # u = exp(1j * d), built in place
+                    np.sin(d, out=u_im)
+                    # np.dot, not @: less per-call overhead on these small arrays
+                    np.subtract(pmm, (u.conj() * np.dot(Z, u)).real, out=a)
+                    a -= dm * w
+                x += np.dot(weights, k)
+            out_delta[block] = x[:n]
+            out_omega[block] = x[n:]
+            if not np.isfinite(x).all():
+                break
+        else:
+            block = -1
     delta[:] = x[:n]
     omega[:] = x[n:]
     return block

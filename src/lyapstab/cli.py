@@ -13,7 +13,6 @@ import csv
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import assess as assess_mod
@@ -296,6 +295,8 @@ def cmd_sweep(args) -> int:
     ]
     workers = min(args.jobs, len(payloads))
     if workers > 1:
+        # imported here: every other command starts faster without it
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_case, payloads))
     else:

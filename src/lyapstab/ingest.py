@@ -3,12 +3,19 @@
 Trace files are CSV with header ``t,gen_id,delta_rad,omega_rad_per_s``, one
 row per (sample, generator), LF line endings, ``.`` decimal separator.
 Floats are written with ``repr`` so a parse/re-emit cycle is byte-identical.
+
+A well-formed file is read in one bulk ``np.loadtxt`` pass whose checks run
+as array operations.  Any file whose rows that pass refuses is read again
+line by line, so one reader reports every malformed row, with the number of
+the first line at fault; both readers give bit-identical traces for the
+files they accept.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,15 +131,19 @@ def write_traces(traces: list[GeneratorTrace], path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
         if same_grid:
-            times = traces[0].sample_times()
-            for i, t in enumerate(times):
-                for tr in traces:
-                    fh.write(f"{float(t)!r},{tr.gen_id},"
-                             f"{float(tr.angles[i])!r},{float(tr.speeds[i])!r}\n")
+            ids = [tr.gen_id for tr in traces]
+            times = [repr(t) for t in traces[0].sample_times().tolist()]
+            samples = zip(times, zip(*(tr.angles.tolist() for tr in traces)),
+                          zip(*(tr.speeds.tolist() for tr in traces)))
+            fh.writelines(f"{t},{gid},{a!r},{s!r}\n"
+                          for t, angles, speeds in samples
+                          for gid, a, s in zip(ids, angles, speeds))
         else:
             for tr in traces:
-                for t, a, s in zip(tr.sample_times(), tr.angles, tr.speeds):
-                    fh.write(f"{float(t)!r},{tr.gen_id},{float(a)!r},{float(s)!r}\n")
+                fh.writelines(f"{t!r},{tr.gen_id},{a!r},{s!r}\n"
+                              for t, a, s in zip(tr.sample_times().tolist(),
+                                                 tr.angles.tolist(),
+                                                 tr.speeds.tolist()))
 
 
 def parse_traces(path, speed_offset: float = 0.0) -> list[GeneratorTrace]:
@@ -140,16 +151,117 @@ def parse_traces(path, speed_offset: float = 0.0) -> list[GeneratorTrace]:
 
     ``speed_offset`` is subtracted from every speed sample, for sources that
     log absolute rotor speed instead of the deviation from synchronous speed.
-    Rejects duplicate (t, gen_id) rows, non-monotone timestamps, and gaps
-    larger than twice the nominal step.
+    Rejects bytes that are not UTF-8, files without samples, duplicate
+    (t, gen_id) rows, non-monotone timestamps, and gaps larger than twice the
+    nominal step.
+
+    A well-formed file is read in one bulk pass; a file whose rows that pass
+    refuses is read again line by line, which names the first line at fault.
+    """
+    traces = _parse_bulk(path, speed_offset)
+    if traces is None:
+        traces = _parse_lines(path, speed_offset)
+    return traces
+
+
+# One CSV row; the generator id stays the exact text between the commas.
+_ROW = np.dtype([("t", "f8"), ("gen_id", "O"), ("delta", "f8"), ("omega", "f8")])
+
+
+def _parse_bulk(path, speed_offset: float) -> list[GeneratorTrace] | None:
+    """Parse ``path`` with one ``np.loadtxt`` call, or return None.
+
+    Returns traces bit-identical to :func:`_parse_lines` for every file that
+    both accept, and None for any file whose rows ``loadtxt`` or the row
+    checks below refuse, so the line loop reports the line at fault.  Both
+    readers then build each trace with :func:`_trace`, whose checks name no
+    line.  ``loadtxt`` takes the lines as the text-mode file iterator yields
+    them, and converts numbers with the same C parser as ``float``, but is
+    stricter: it refuses lines of only whitespace and ``1_0``-style
+    underscores, which the line loop reads.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            if fh.readline().rstrip("\n") != CSV_HEADER:
+                return None
+            with warnings.catch_warnings():
+                # "input contained no data": refused below, reported by the loop
+                warnings.simplefilter("ignore", UserWarning)
+                rows = np.loadtxt(fh, dtype=_ROW, delimiter=",", comments=None,
+                                  ndmin=1)
+    except ValueError:  # also UnicodeDecodeError
+        return None
+    t, delta, omega = rows["t"], rows["delta"], rows["omega"]
+    if not (len(rows) and np.isfinite(t).all() and np.isfinite(delta).all()
+            and np.isfinite(omega).all()):
+        return None
+    ids = rows["gen_id"].tolist()
+    rank = {gid: i for i, gid in enumerate(dict.fromkeys(ids))}  # first seen
+    if "" in rank:
+        return None
+    codes = np.fromiter(map(rank.__getitem__, ids), dtype=np.intp,
+                        count=len(ids))
+    ends = np.cumsum(np.bincount(codes))
+    by_gen = np.argsort(codes, kind="stable")  # file order within each id
+    times = t[by_gen]
+    increasing = np.diff(times) > 0.0
+    increasing[ends[:-1] - 1] = True  # the steps from one id's rows to the next
+    if not increasing.all():
+        return None
+    angles, speeds = delta[by_gen], omega[by_gen] - speed_offset
+    return [_trace(gid, times[a:b], angles[a:b], speeds[a:b])
+            for gid, a, b in zip(rank, [0] + ends[:-1].tolist(), ends.tolist())]
+
+
+def _trace(gid: str, times: np.ndarray, angles: np.ndarray,
+           speeds: np.ndarray) -> GeneratorTrace:
+    """One generator's samples, already in increasing time order, as a trace.
+
+    Refuses fewer than 2 samples and gaps larger than twice the median step.
+    """
+    if len(times) < 2:
+        raise TraceParseError(f"generator {gid!r} has fewer than 2 samples")
+    diffs = np.diff(times)
+    dt = float(np.median(diffs))
+    if dt <= 0.0:
+        raise OrderingError(f"generator {gid!r} has a non-positive time step")
+    if diffs.max() > MAX_GAP_FACTOR * dt:
+        raise TraceParseError(
+            f"generator {gid!r} has a gap of {diffs.max():.6g} s "
+            f"(> {MAX_GAP_FACTOR} * {dt:.6g} s)")
+    return GeneratorTrace(gen_id=gid, t0=float(times[0]), dt=dt, angles=angles,
+                          speeds=speeds, stamps=times)
+
+
+def _check_utf8(raw: str, lineno: int) -> None:
+    """Refuse a line read with ``errors="surrogateescape"`` that held bad bytes.
+
+    Such bytes decode to lone surrogates U+DC80..U+DCFF, which valid UTF-8
+    never yields and which do not encode back.
+    """
+    try:
+        raw.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        byte = ord(raw[exc.start]) - 0xDC00
+        raise TraceParseError(f"invalid UTF-8 byte 0x{byte:02x}",
+                              line=lineno) from None
+
+
+def _parse_lines(path, speed_offset: float = 0.0) -> list[GeneratorTrace]:
+    """The line-by-line reader behind :func:`parse_traces`.
+
+    Reads every file the bulk pass reads, to the same traces, plus the few
+    that pass refuses but ``float`` reads; raises on every malformed file,
+    naming the first line at fault where a line is to blame.
     """
     per_gen: dict[str, list[tuple[float, float, float]]] = {}
-    order: list[str] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != CSV_HEADER:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        header = fh.readline()
+        _check_utf8(header, 1)
+        if header.rstrip("\n") != CSV_HEADER:
             raise TraceParseError(f"expected header {CSV_HEADER!r}", line=1)
         for lineno, raw in enumerate(fh, start=2):
+            _check_utf8(raw, lineno)
             line = raw.strip()
             if not line:
                 continue
@@ -171,8 +283,7 @@ def parse_traces(path, speed_offset: float = 0.0) -> list[GeneratorTrace]:
                 raise TraceParseError("empty generator id", line=lineno)
             rows = per_gen.get(gid)
             if rows is None:
-                per_gen[gid] = rows = []
-                order.append(gid)
+                per_gen[gid] = rows = []  # insertion order: first seen
             elif rows:
                 if t == rows[-1][0]:
                     raise TraceParseError(
@@ -184,26 +295,12 @@ def parse_traces(path, speed_offset: float = 0.0) -> list[GeneratorTrace]:
                         line=lineno)
             rows.append((t, angle, speed))
 
-    traces = []
-    for gid in order:
-        rows = per_gen[gid]
-        if len(rows) < 2:
-            raise TraceParseError(f"generator {gid!r} has fewer than 2 samples")
-        times = np.array([r[0] for r in rows])
-        diffs = np.diff(times)
-        dt = float(np.median(diffs))
-        if dt <= 0.0:
-            raise OrderingError(f"generator {gid!r} has a non-positive time step")
-        if diffs.max() > MAX_GAP_FACTOR * dt:
-            raise TraceParseError(
-                f"generator {gid!r} has a gap of {diffs.max():.6g} s "
-                f"(> {MAX_GAP_FACTOR} * {dt:.6g} s)")
-        traces.append(GeneratorTrace(
-            gen_id=gid, t0=float(times[0]), dt=dt,
-            angles=np.array([r[1] for r in rows]),
-            speeds=np.array([r[2] for r in rows]) - speed_offset,
-            stamps=times))
-    return traces
+    if not per_gen:
+        raise TraceParseError("no samples after the header")
+    return [_trace(gid, np.array([r[0] for r in rows]),
+                   np.array([r[1] for r in rows]),
+                   np.array([r[2] for r in rows]) - speed_offset)
+            for gid, rows in per_gen.items()]
 
 
 # ---------------------------------------------------------------------------

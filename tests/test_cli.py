@@ -263,7 +263,7 @@ def test_sweep_pool_never_exceeds_cases(tmp_path, networks_dir, monkeypatch,
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr("lyapstab.cli.ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
     clear = [arg for t_c in ("0.2", "0.26", "0.34")[:n_cases]
              for arg in ("--clear-time", t_c)]
     out = tmp_path / "sweep.csv"

@@ -1,17 +1,20 @@
 """Trace file round trips, resampling, and clearing-instant alignment."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import run_smib
-from lyapstab.errors import (CoverageError, OrderingError, RangeError,
-                             TraceParseError)
-from lyapstab.ingest import (EventMeta, align, parse_traces, resample,
-                             write_traces)
-from lyapstab.network import load_network_file
-from lyapstab.simulator import GeneratorTrace
+from lyapstab.errors import (CoverageError, LyapstabError, OrderingError,
+                             RangeError, TraceParseError)
+from lyapstab.ingest import (CSV_HEADER, EventMeta, _parse_bulk, _parse_lines,
+                             align, parse_traces, resample, write_traces)
+from lyapstab.network import FaultSpec, load_network_file
+from lyapstab.simulator import GeneratorTrace, simulate
 
 
 def make_trace(gen_id="G1", rate=120.0, duration=2.0, f=1.0, amp=0.3, t0=0.0):
@@ -93,6 +96,182 @@ def test_parse_speed_offset(tmp_path):
         "0.0,G1,0.0,377.0\n0.1,G1,0.0,377.5\n", encoding="utf-8")
     traces = parse_traces(path, speed_offset=377.0)
     assert traces[0].speeds == pytest.approx([0.0, 0.5])
+
+
+def test_parse_invalid_utf8_names_line(tmp_path):
+    path = tmp_path / "latin1.csv"
+    rows = "".join(f"{i / 120.0!r},G1,0.1,0.0\n" for i in range(2000))
+    path.write_bytes(("t,gen_id,delta_rad,omega_rad_per_s\n" + rows).encode()
+                     + b"0.5,G\xfc,0.1,0.0\n")
+    with pytest.raises(TraceParseError, match="line 2002: invalid UTF-8 byte 0xfc"):
+        parse_traces(path)
+
+
+def test_parse_header_only_is_an_error(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("t,gen_id,delta_rad,omega_rad_per_s\n\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TraceParseError, match="no samples"):
+            parse_traces(path)
+
+
+def _assert_same_traces(got, want):
+    assert [tr.gen_id for tr in got] == [tr.gen_id for tr in want]
+    for a, b in zip(got, want):
+        assert (a.t0, a.dt, a.diverged) == (b.t0, b.dt, b.diverged)
+        for name in ("angles", "speeds", "stamps"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
+@pytest.mark.parametrize("block_layout", [False, True])
+def test_bulk_parse_matches_written_traces_and_line_loop(tmp_path, networks_dir,
+                                                         block_layout):
+    model = load_network_file(networks_dir / "fourmachine.net")
+    fault = FaultSpec(bus="6", t_fault=0.1, t_clear=0.25,
+                      removed_branches=("T56B",))
+    traces = simulate(model, fault, dt=1 / 240, horizon=2.0)
+    if block_layout:  # unequal lengths: one block of rows per generator
+        traces[0] = GeneratorTrace(traces[0].gen_id, traces[0].t0, traces[0].dt,
+                                   traces[0].angles[:-3], traces[0].speeds[:-3])
+    path = tmp_path / "event.csv"
+    write_traces(traces, path)
+    bulk = _parse_bulk(path, 0.0)
+    assert bulk is not None  # well-formed files take the bulk pass
+    assert [tr.gen_id for tr in bulk] == [tr.gen_id for tr in traces]
+    for got, want in zip(bulk, traces):
+        assert np.array_equal(got.stamps, want.sample_times())
+        assert np.array_equal(got.angles, want.angles)
+        assert np.array_equal(got.speeds, want.speeds)
+    _assert_same_traces(bulk, _parse_lines(path, 0.0))
+    offset = 2 * math.pi * 60.0
+    _assert_same_traces(_parse_bulk(path, offset), _parse_lines(path, offset))
+
+
+# Mutations of a well-formed file: each edits the list of rows (field lists,
+# or raw strings for extra lines) and says whether the file is now malformed.
+def _blank_line(draw, rows):
+    rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(
+        ["", "  ", " \t"])))
+    return False
+
+
+def _intact(rows):
+    return [r for r in rows if isinstance(r, list) and len(r) == 4 and r[1]]
+
+
+def _sample_row(draw, rows):
+    return draw(st.sampled_from(_intact(rows)))
+
+
+def _underscore(draw, rows):  # float() reads "1_0" as 10.0; loadtxt refuses it
+    _sample_row(draw, rows)[draw(st.sampled_from([2, 3]))] = "1_0"
+    return False
+
+
+def _duplicate(draw, rows):
+    row = _sample_row(draw, rows)
+    rows.insert(rows.index(row) + 1, list(row))
+    return True
+
+
+def _backwards(draw, rows):
+    gid = _sample_row(draw, rows)[1]
+    same = [r for r in _intact(rows) if r[1] == gid]
+    if len(same) < 2:
+        return False
+    same[0][0], same[1][0] = same[1][0], same[0][0]
+    return True
+
+
+def _bad_number(draw, rows):
+    row = _sample_row(draw, rows)
+    row[draw(st.sampled_from([0, 2, 3]))] = draw(st.sampled_from(
+        ["zzz", "nan", "inf", "-inf", "1e999", ""]))
+    return True
+
+
+def _empty_id(draw, rows):  # all rows of one generator, so it has 2 samples
+    gid = _sample_row(draw, rows)[1]
+    for row in _intact(rows):
+        if row[1] == gid:
+            row[1] = ""
+    return True
+
+
+def _field_count(draw, rows):
+    row = _sample_row(draw, rows)
+    if draw(st.booleans()):
+        row.append("0.0")
+    else:
+        row.pop()
+    return True
+
+
+MUTATIONS = (_blank_line, _underscore, _duplicate, _backwards, _bad_number,
+             _empty_id, _field_count)
+GEN_IDS = ("G1", "G2", "Gen 3", "G\u00fc", " 7")
+SPELLINGS = (repr, "{:.3e}".format, " {!r} ".format, "{:+.6f}".format)
+NOT_UTF8 = (b"\xff", b"\xc3", b"\xed\xa0\x80")
+
+
+@st.composite
+def trace_files(draw):
+    """(file bytes, malformed): a small well-formed file plus mutations."""
+    ids = draw(st.lists(st.sampled_from(GEN_IDS), min_size=1, max_size=3,
+                        unique=True))
+    number = st.floats(-1e3, 1e3, allow_nan=False)
+    rows = [[repr(k / 120.0), gid, draw(st.sampled_from(SPELLINGS))(draw(number)),
+             draw(st.sampled_from(SPELLINGS))(draw(number))]
+            for k in range(draw(st.integers(2, 4))) for gid in ids]
+    if draw(st.booleans()):  # block layout
+        rows.sort(key=lambda row: ids.index(row[1]))
+    malformed = False
+    # at most two, so that each one still finds an intact row to edit, and
+    # distinct, so that a second swap cannot undo the first; _empty_id goes
+    # last, since it may leave no intact row
+    mutations = draw(st.lists(st.sampled_from(MUTATIONS), max_size=2, unique=True))
+    for mutate in sorted(mutations, key=lambda m: m is _empty_id):
+        malformed |= mutate(draw, rows)
+    if draw(st.integers(0, 9)) == 0:  # header only, blank lines kept
+        rows = [r for r in rows if isinstance(r, str)]
+        malformed = True
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [CSV_HEADER] + [",".join(r) if isinstance(r, list) else r
+                            for r in rows]
+    raw = (eol.join(lines) + draw(st.sampled_from([eol, ""]))).encode("utf-8")
+    if draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + draw(st.sampled_from(NOT_UTF8)) + raw[at:]
+        malformed = True
+    return raw, malformed
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "trace.csv"
+
+
+def _outcome(parse, path, offset):
+    try:
+        return parse(path, offset)
+    except LyapstabError as exc:  # any other exception fails the test
+        return exc
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(case=trace_files(), offset=st.sampled_from([0.0, 376.99111843077515]))
+def test_bulk_and_line_parsers_agree(fuzz_path, case, offset):
+    raw, malformed = case
+    fuzz_path.write_bytes(raw)
+    want = _outcome(_parse_lines, fuzz_path, offset)
+    got = _outcome(parse_traces, fuzz_path, offset)
+    assert isinstance(want, LyapstabError) == malformed
+    if malformed:
+        assert type(got) is type(want) and str(got) == str(want)
+    else:
+        _assert_same_traces(got, want)
 
 
 # ---------------------------------------------------------------------------
