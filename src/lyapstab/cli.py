@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -73,7 +74,13 @@ def _sigma(value: str) -> float:
     return x
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on the first call and shared by every later one.
+
+    Parsing leaves the parser unchanged, so one instance serves every
+    ``main()`` call in a process; callers must not modify it.
+    """
     p = argparse.ArgumentParser(
         prog="lyapstab",
         description="Rotor-angle stability assessment from post-fault rotor "

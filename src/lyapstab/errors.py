@@ -1,4 +1,8 @@
-"""Exception and warning types raised across the package."""
+"""Exception and warning types raised across the package.
+
+Also the UTF-8 check that both file readers (traces and networks) apply to
+each line they read.
+"""
 
 
 class LyapstabError(Exception):
@@ -72,3 +76,16 @@ class NoAssessablePairError(LyapstabError):
 
 class LyapstabWarning(UserWarning):
     """Non-fatal condition worth surfacing (pair skipped, odd event shape)."""
+
+
+def utf8_fault(line: str) -> str | None:
+    """Why a line read with ``errors="surrogateescape"`` is not UTF-8, or None.
+
+    Bytes that are not UTF-8 decode to lone surrogates U+DC80..U+DCFF, which
+    valid UTF-8 never yields and which do not encode back.
+    """
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        return f"invalid UTF-8 byte 0x{ord(line[exc.start]) - 0xDC00:02x}"
+    return None

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoverageError, OrderingError, RangeError, TraceParseError
+from .errors import (CoverageError, OrderingError, RangeError, TraceParseError,
+                     utf8_fault)
 from .simulator import GeneratorTrace
 
 CSV_HEADER = "t,gen_id,delta_rad,omega_rad_per_s"
@@ -234,17 +235,9 @@ def _trace(gid: str, times: np.ndarray, angles: np.ndarray,
 
 
 def _check_utf8(raw: str, lineno: int) -> None:
-    """Refuse a line read with ``errors="surrogateescape"`` that held bad bytes.
-
-    Such bytes decode to lone surrogates U+DC80..U+DCFF, which valid UTF-8
-    never yields and which do not encode back.
-    """
-    try:
-        raw.encode("utf-8")
-    except UnicodeEncodeError as exc:
-        byte = ord(raw[exc.start]) - 0xDC00
-        raise TraceParseError(f"invalid UTF-8 byte 0x{byte:02x}",
-                              line=lineno) from None
+    fault = utf8_fault(raw)
+    if fault:
+        raise TraceParseError(fault, line=lineno)
 
 
 def _parse_lines(path, speed_offset: float = 0.0) -> list[GeneratorTrace]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NetworkDataError, TopologyError
+from .errors import NetworkDataError, TopologyError, utf8_fault
 
 PRE_FAULT = "pre_fault"
 FAULT_ON = "fault_on"
@@ -273,9 +273,9 @@ def reduce_network(model: NetworkModel, topology: str,
 # Config file loading
 # ---------------------------------------------------------------------------
 #
-# The network file is a line-oriented text format: '#' starts a comment,
-# blank lines are ignored, and '[section]' headers introduce whitespace-
-# separated tables.  Sections:
+# The network file is a line-oriented UTF-8 text format: '#' starts a
+# comment, blank lines are ignored, and '[section]' headers introduce
+# whitespace-separated tables.  Every number must be finite.  Sections:
 #
 #   [system]       key = value pairs: base_mva, frequency_hz
 #   [buses]        one bus id per line
@@ -286,18 +286,32 @@ def reduce_network(model: NetworkModel, topology: str,
 #
 # See networks/*.net for annotated examples.
 
+SECTIONS = ("system", "buses", "branches", "generators", "infinite_bus", "loads")
+
+
 def load_network_file(path) -> NetworkModel:
-    """Parse a network description file into a validated :class:`NetworkModel`."""
-    sections: dict[str, list[tuple[int, list[str]]]] = {}
+    """Parse a network description file into a validated :class:`NetworkModel`.
+
+    A fault in one row (encoding, unknown section, field count, a number that
+    is missing or not finite) raises :class:`NetworkDataError` naming
+    ``path:line``.
+    """
+    sections: dict[str, list[tuple[int, list[str]]]] = {s: [] for s in SECTIONS}
     current: str | None = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            fault = utf8_fault(raw)
+            if fault:
+                raise NetworkDataError(f"{path}:{lineno}: {fault}")
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if line.startswith("[") and line.endswith("]"):
                 current = line[1:-1].strip().lower()
-                sections.setdefault(current, [])
+                if current not in sections:
+                    raise NetworkDataError(
+                        f"{path}:{lineno}: unknown section [{current}]; "
+                        f"expected one of {', '.join(SECTIONS)}")
                 continue
             if current is None:
                 raise NetworkDataError(
@@ -306,12 +320,15 @@ def load_network_file(path) -> NetworkModel:
 
     def fval(tok: str, lineno: int) -> float:
         try:
-            return float(tok)
+            x = float(tok)
         except ValueError:
             raise NetworkDataError(f"{path}:{lineno}: not a number: {tok!r}") from None
+        if not math.isfinite(x):
+            raise NetworkDataError(f"{path}:{lineno}: not a finite number: {tok!r}")
+        return x
 
     base_mva, freq = 100.0, 60.0
-    for lineno, toks in sections.get("system", []):
+    for lineno, toks in sections["system"]:
         joined = " ".join(toks)
         if "=" not in joined:
             raise NetworkDataError(f"{path}:{lineno}: expected key = value")
@@ -324,13 +341,13 @@ def load_network_file(path) -> NetworkModel:
             raise NetworkDataError(f"{path}:{lineno}: unknown system key {key!r}")
 
     buses = []
-    for lineno, toks in sections.get("buses", []):
+    for lineno, toks in sections["buses"]:
         if len(toks) != 1:
             raise NetworkDataError(f"{path}:{lineno}: one bus id per line")
         buses.append(toks[0])
 
     branches = []
-    for lineno, toks in sections.get("branches", []):
+    for lineno, toks in sections["branches"]:
         if len(toks) != 5:
             raise NetworkDataError(
                 f"{path}:{lineno}: branch rows need: id from to r_pu x_pu")
@@ -338,7 +355,7 @@ def load_network_file(path) -> NetworkModel:
                                fval(toks[3], lineno), fval(toks[4], lineno)))
 
     generators = []
-    for lineno, toks in sections.get("generators", []):
+    for lineno, toks in sections["generators"]:
         if len(toks) != 7:
             raise NetworkDataError(
                 f"{path}:{lineno}: generator rows need: id bus m d xd emf pm")
@@ -347,9 +364,9 @@ def load_network_file(path) -> NetworkModel:
                                     fval(toks[3], lineno), fval(toks[4], lineno),
                                     fval(toks[5], lineno), pm))
 
-    inf_rows = sections.get("infinite_bus", [])
+    inf_rows = sections["infinite_bus"]
     if len(inf_rows) > 1:
-        raise NetworkDataError(f"{path}: at most one infinite bus")
+        raise NetworkDataError(f"{path}:{inf_rows[1][0]}: at most one infinite bus")
     for lineno, toks in inf_rows:
         if len(toks) != 3:
             raise NetworkDataError(
@@ -359,7 +376,7 @@ def load_network_file(path) -> NetworkModel:
                                     None))
 
     loads = []
-    for lineno, toks in sections.get("loads", []):
+    for lineno, toks in sections["loads"]:
         if len(toks) != 3:
             raise NetworkDataError(f"{path}:{lineno}: load rows need: bus g_pu b_pu")
         loads.append(Load(toks[0], fval(toks[1], lineno), fval(toks[2], lineno)))

@@ -2,11 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lyapstab.cli import main
+from lyapstab.cli import build_parser, main
 from lyapstab.ingest import parse_traces
 
 
@@ -382,3 +386,72 @@ def test_non_finite_event_times_rejected_before_simulating(tmp_path,
     with open(out, encoding="utf-8") as fh:
         (row,) = csv.DictReader(fh)
     assert row["error"] == "fault and clearing times must be finite"
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+SIMULATE = ("simulate", "--network", "n.net", "--fault-bus", "3",
+            "--clear-time", "0.2", "--out", "o.csv")
+SWEEP = ("sweep", "--network", "n.net", "--out", "o.csv")
+
+
+def test_append_flags_do_not_leak_between_parses(capsys):
+    parser = build_parser()
+    args = parser.parse_args([*SIMULATE, "--open-branch", "L1",
+                              "--open-branch", "L2"])
+    assert args.open_branch == ["L1", "L2"]
+    assert parser.parse_args(list(SIMULATE)).open_branch == []
+    assert parser.parse_args([*SIMULATE, "--open-branch", "L3"]).open_branch \
+        == ["L3"]
+
+    args = parser.parse_args([*SWEEP, "--fault-bus", "3", "--fault-bus", "5",
+                              "--clear-time", "0.2", "--clear-time", "0.3"])
+    assert (args.fault_bus, args.clear_time) == (["3", "5"], [0.2, 0.3])
+    args = parser.parse_args([*SWEEP, "--fault-bus", "7", "--clear-time", "0.4"])
+    assert (args.fault_bus, args.clear_time) == (["7"], [0.4])
+    for missing in (("--clear-time", "0.2"), ("--fault-bus", "3")):
+        with pytest.raises(SystemExit):
+            parser.parse_args([*SWEEP, *missing])
+        assert "the following arguments are required" in capsys.readouterr().err
+
+
+def test_usage_error_and_help_leave_later_runs_unchanged(stable_case, capsys):
+    traces_path, meta_path = stable_case
+    event = ("assess", "--traces", traces_path, "--meta", meta_path)
+    build_parser.cache_clear()  # the assess below builds the parser afresh
+    first = run_cli(*event), capsys.readouterr().out
+    assert run_cli(*event, "--t-max", "-1") == 1
+    assert run_cli("assess", "--help") == 0
+    capsys.readouterr()
+    assert (run_cli(*event), capsys.readouterr().out) == first
+
+
+# ---------------------------------------------------------------------------
+# the installed entry point
+# ---------------------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_module(*args):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=60)
+
+
+def test_module_entry_point():
+    helped = run_module("-m", "lyapstab", "--help")
+    assert helped.returncode == 0 and "assess" in helped.stdout
+    bare = run_module("-m", "lyapstab", "assess")
+    assert bare.returncode == 1
+    assert "error:" in bare.stderr and "Traceback" not in bare.stderr
+    # importing the CLI must not build the parser
+    imported = run_module("-c", "import lyapstab.cli as cli; "
+                                "print(cli.build_parser.cache_info().currsize)")
+    assert imported.stdout.strip() == "0"

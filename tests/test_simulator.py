@@ -199,6 +199,31 @@ def test_simulate_truncates_before_divergence():
         assert all(tr.diverged and len(tr) == n_kept for tr in last)
 
 
+def test_divergence_during_the_fault_skips_later_phases():
+    # a long fault and strongly negative damping overflow G1 while the fault
+    # is still on, so the post-fault phase must not run from that state
+    model = two_machine_model(d1=-20.0)
+    fault = FaultSpec(bus="3", t_fault=0.1, t_clear=3.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traces = simulate(model, fault, dt=DT, horizon=8.0)
+        n_kept = len(traces[0])
+        assert round(0.1 / DT) < n_kept < round(3.0 / DT)
+        for tr in traces:
+            assert tr.diverged
+            assert len(tr) == n_kept
+            assert np.isfinite(tr.angles).all() and np.isfinite(tr.speeds).all()
+        assert stability_oracle(traces, window=5.0) == UNSTABLE
+        # clearing on sample n_kept ends the fault-on phase there, and that
+        # phase alone still diverges with the same finite samples kept
+        short = FaultSpec(bus="3", t_fault=0.1, t_clear=n_kept * DT)
+        cut = simulate(model, short, dt=DT, horizon=(n_kept + 1) * DT)
+        for tr, ref in zip(cut, traces):
+            assert tr.diverged and len(tr) == n_kept
+            assert np.array_equal(tr.angles, ref.angles)
+            assert np.array_equal(tr.speeds, ref.speeds)
+
+
 def test_oracle_requires_window_coverage():
     t = np.arange(0, 1.0, DT)
     a = _trace("A", np.zeros_like(t) + 0.1)
