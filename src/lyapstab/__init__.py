@@ -15,7 +15,7 @@ from .mle import (MleSeries, RlsState, estimate_stream, iter_mle,
                   log_distance, rls_init, rls_update)
 from .network import (FaultSpec, Generator, NetworkModel, ReducedSystem,
                       load_network_file, reduce_network)
-from .pairs import SdgpConfig, SdgpTrace, build_pair_trace, identify_sdgp
+from .pairs import SdgpTrace, build_pair_trace, identify_sdgp
 from .simulator import (GeneratorTrace, simulate, solve_equilibrium,
                         stability_oracle)
 from .swings import (ClassifierConfig, DistanceSeries, EstimatorParams,

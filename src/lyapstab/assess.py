@@ -18,11 +18,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .config import AssessmentConfig
 from .errors import (ClassificationRefused, ClassificationTimeout,
                      LyapstabWarning, NoAssessablePairError, PeakSearchTimeout)
 from .ingest import AlignedDataset, EventMeta
 from .mle import iter_mle
-from .pairs import SdgpConfig, SdgpTrace, build_pair_trace, identify_sdgp
+from .pairs import SdgpTrace, build_pair_trace, identify_sdgp
 from .swings import (ClassifierConfig, EstimatorParams, SwingClassifier,
                      SwingPattern, _ExtremumScanner, _MovingAverage,
                      distance_series, find_mle_start)
@@ -43,6 +44,8 @@ SYSTEM_UNSTABLE = "UNSTABLE"
 SYSTEM_UNDETERMINED = "UNDETERMINED"
 
 UNSTABLE_STATUSES = (UNSTABLE_FIRST_SWING, UNSTABLE_MULTI_SWING)
+
+N_TREND = 24  # exponent samples for the initial-trend test
 
 
 @dataclass
@@ -68,41 +71,24 @@ class PairVerdict:
 class SystemVerdict:
     status: str
     decision_time: float | None
-    pairs: list[PairVerdict]
-
-
-@dataclass(frozen=True)
-class AssessmentConfig:
-    """Knobs of the end-to-end pipeline; time limits are seconds after clearing."""
-
-    sigma: float = SdgpConfig.sigma
-    n_trend: int = 24        # exponent samples for the initial-trend test
-    classifier: ClassifierConfig = ClassifierConfig()
-
-    @property
-    def t_max(self) -> float:
-        """Seconds of data per pair; set through ``classifier``."""
-        return self.classifier.t_max
 
 
 class PairAssessor:
     """Consumes (time, lambda) updates for one pair until a verdict freezes.
 
-    The initial-trend test fires on the first ``n_trend`` updates: positive
+    The initial-trend test fires on the first ``N_TREND`` updates: positive
     fitted slope plus a net rise means first-swing instability.  Otherwise
     the first confirmed peak of the (smoothed) exponent curve decides by its
     sign.  Verdicts never change once set.
     """
 
-    def __init__(self, severe: str, least: str,
-                 config: AssessmentConfig = AssessmentConfig()):
-        self.cfg = config
+    def __init__(self, severe: str, least: str):
         self.verdict = PairVerdict(severe=severe, least=least)
-        self._avg = _MovingAverage(config.classifier.smooth_width)
+        self._avg = _MovingAverage(ClassifierConfig.smooth_width)
         self._lams = self._avg.raw
         self._times: list[float] = []
         self._trend_done = False
-        self._scanner = _ExtremumScanner(+1, config.classifier.n_peak)
+        self._scanner = _ExtremumScanner(+1, ClassifierConfig.n_peak)
 
     def push(self, lam: float, t: float) -> PairVerdict:
         if self.verdict.status != PENDING:
@@ -110,7 +96,7 @@ class PairAssessor:
         self._avg.push(lam)
         self._times.append(t)
 
-        if not self._trend_done and len(self._lams) == self.cfg.n_trend:
+        if not self._trend_done and len(self._lams) == N_TREND:
             ts = np.asarray(self._times)
             ls = np.asarray(self._lams)
             tc = ts - ts.mean()
@@ -152,61 +138,60 @@ def aggregate(verdicts: list[PairVerdict]) -> SystemVerdict:
     unstable = [v for v in live if v.status in UNSTABLE_STATUSES]
     if unstable:
         t = min(v.decision_time for v in unstable)
-        return SystemVerdict(SYSTEM_UNSTABLE, t, verdicts)
+        return SystemVerdict(SYSTEM_UNSTABLE, t)
     if any(v.status == PENDING for v in live):
-        return SystemVerdict(SYSTEM_PENDING, None, verdicts)
+        return SystemVerdict(SYSTEM_PENDING, None)
     if all(v.status == STABLE for v in live):
         t = max(v.decision_time for v in live)
-        return SystemVerdict(SYSTEM_STABLE, t, verdicts)
+        return SystemVerdict(SYSTEM_STABLE, t)
     # at least one timeout, none unstable
     t = max(v.decision_time for v in live if v.decision_time is not None)
-    return SystemVerdict(SYSTEM_UNDETERMINED, t, verdicts)
+    return SystemVerdict(SYSTEM_UNDETERMINED, t)
 
 
 def pair_parameters(trace: SdgpTrace, pair: tuple[str, str],
-                    config: ClassifierConfig) -> tuple[PairVerdict,
-                                                       EstimatorParams | None]:
+                    t_max: float) -> tuple[PairVerdict, EstimatorParams | None]:
     """Swing pattern, ``w`` and ``m_n`` of one pair from its first ``t_max`` s.
 
     Returns the verdict so far and the estimator parameters, or a SKIPPED /
     UNDETERMINED_TIMEOUT verdict noting why, and ``None``, if there are none.
     """
     verdict = PairVerdict(*pair)
-    n = int(round(config.t_max / trace.dt)) + 1
+    n = int(round(t_max / trace.dt)) + 1
     try:
-        decision = SwingClassifier(trace.dt, config).run(trace.rel_speed[:n])
+        decision = SwingClassifier(trace.dt, t_max).run(trace.rel_speed[:n])
         verdict.pattern, verdict.w = decision.pattern, decision.w
         d = distance_series(trace.rel_angle[:n], decision.w)
         verdict.distance = d.d
-        verdict.m_n = find_mle_start(decision.pattern, decision.w, d, config)
+        verdict.m_n = find_mle_start(decision.pattern, decision.w, d)
     except ClassificationRefused as exc:
         return replace(verdict, status=SKIPPED, note=str(exc)), None
     except (ClassificationTimeout, PeakSearchTimeout) as exc:
         return replace(verdict, status=UNDETERMINED_TIMEOUT,
-                       decision_time=config.t_max, note=str(exc)), None
+                       decision_time=t_max, note=str(exc)), None
     return verdict, EstimatorParams(w=decision.w, m_n=verdict.m_n, dt=trace.dt,
                                     pattern=decision.pattern,
                                     decided_at=decision.decided_at)
 
 
 def _assess_pair(trace: SdgpTrace, pair: tuple[str, str],
-                 config: AssessmentConfig) -> PairVerdict:
-    verdict, params = pair_parameters(trace, pair, config.classifier)
+                 t_max: float) -> PairVerdict:
+    verdict, params = pair_parameters(trace, pair, t_max)
     if verdict.status == SKIPPED:
         warnings.warn(f"pair ({verdict.severe}, {verdict.least}) skipped: "
                       f"{verdict.note}", LyapstabWarning, stacklevel=3)
     if params is None:
         return verdict
-    assessor = PairAssessor(*pair, config)
+    assessor = PairAssessor(*pair)
     verdict.mle = (assessor._times, assessor._lams)  # filled as it consumes
     try:
         for t, lam in iter_mle(trace, params):
-            if t > config.t_max or assessor.push(lam, t).status != PENDING:
+            if t > t_max or assessor.push(lam, t).status != PENDING:
                 break
     except ValueError as exc:
         return replace(verdict, status=UNDETERMINED_TIMEOUT,
-                       decision_time=config.t_max, note=str(exc))
-    result = assessor.finalize(min(config.t_max, (len(trace) - 1) * trace.dt))
+                       decision_time=t_max, note=str(exc))
+    result = assessor.finalize(min(t_max, (len(trace) - 1) * trace.dt))
     return replace(verdict, status=result.status,
                    decision_time=result.decision_time,
                    peak_lambda=result.peak_lambda)
@@ -253,9 +238,9 @@ def run_assessment(dataset: AlignedDataset, meta: EventMeta,
     Per-pair failures are recorded in that pair's verdict without aborting
     the others; pair-selection failures propagate (there is nothing to run).
     """
-    pairs = identify_sdgp(dataset, SdgpConfig(sigma=config.sigma))
+    pairs = identify_sdgp(dataset, config.sigma)
     verdicts = [
-        _assess_pair(build_pair_trace(dataset, pair), pair, config)
+        _assess_pair(build_pair_trace(dataset, pair), pair, config.t_max)
         for pair in pairs
     ]
     system = aggregate(verdicts)

@@ -22,22 +22,11 @@ from .errors import LyapstabError
 from .ingest import (ASSESSMENT_RATE, EventMeta, align, parse_traces,
                      write_traces)
 from .network import FaultSpec, load_network_file
-from .pairs import SdgpConfig, build_pair_trace, identify_sdgp
+from .pairs import build_pair_trace, identify_sdgp
 from .simulator import simulate, stability_oracle
-from .swings import ClassifierConfig
+from .swings import SwingPattern
 
-PATTERN_NAMES = ("I", "II", "III", "IV", "V", "VI")
-
-
-def _config(sigma: float, t_max: float) -> AssessmentConfig:
-    return AssessmentConfig(sigma=sigma,
-                            classifier=ClassifierConfig(t_max=t_max))
-
-
-def _add_event_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--meta", help="event metadata JSON (from `simulate`)")
-    p.add_argument("--fault-time", type=float, help="overrides metadata")
-    p.add_argument("--clear-time", type=float, help="overrides metadata")
+PATTERN_NAMES = tuple(p.value for p in SwingPattern)
 
 
 def _resolve_meta(args) -> EventMeta:
@@ -67,11 +56,17 @@ def _jobs(value: str) -> int:
     return n
 
 
-def _sigma(value: str) -> float:
-    x = float(value)
-    if not 0.0 < x <= 1.0:
-        raise argparse.ArgumentTypeError(f"sigma must lie in (0, 1], got {value}")
-    return x
+def _setting(name: str):
+    """argparse type for one AssessmentConfig field, checked by its own rule."""
+    def parse(value: str) -> float:
+        x = float(value)
+        try:
+            AssessmentConfig(**{name: x})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"{exc}, got {value}") from None
+        return x
+    parse.__name__ = name  # argparse's "invalid <name> value" message
+    return parse
 
 
 @functools.cache
@@ -87,6 +82,26 @@ def build_parser() -> argparse.ArgumentParser:
                     "traces, plus a classical swing-equation simulator.")
     sub = p.add_subparsers(dest="command", required=True)
 
+    # flags shared by the assessing commands, each declared once
+    settings = argparse.ArgumentParser(add_help=False)
+    settings.add_argument("--rate", type=_positive, default=ASSESSMENT_RATE,
+                          help="sample rate the assessment runs at, Hz")
+    settings.add_argument("--sigma", type=_setting("sigma"),
+                          default=AssessmentConfig.sigma,
+                          help="a generator is severe if |w| / max|w| exceeds it")
+    settings.add_argument("--t-max", type=_setting("t_max"),
+                          default=AssessmentConfig.t_max,
+                          help="seconds of data per pair after clearing")
+    event = argparse.ArgumentParser(add_help=False)
+    event.add_argument("--traces", required=True)
+    event.add_argument("--meta", help="event metadata JSON (from `simulate`)")
+    event.add_argument("--fault-time", type=float, help="overrides metadata")
+    event.add_argument("--clear-time", type=float, help="overrides metadata")
+    event.add_argument("--speed-nominal", type=float, default=0.0,
+                       help="subtract this absolute speed (rad/s) at parse time")
+    event.add_argument("--dump-distance", metavar="PREFIX",
+                       help="write per-pair distance series CSVs")
+
     sim = sub.add_parser("simulate", help="run a fault case and write traces")
     sim.add_argument("--network", required=True, help="network description file")
     sim.add_argument("--fault-bus", required=True)
@@ -101,31 +116,18 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", required=True, help="trace CSV path")
     sim.add_argument("--meta-out", help="metadata path (default: <out>.meta.json)")
 
-    cls = sub.add_parser("classify", help="swing pattern and fit parameters")
-    cls.add_argument("--traces", required=True)
-    _add_event_flags(cls)
+    cls = sub.add_parser("classify", parents=[event, settings],
+                         help="swing pattern and fit parameters")
     cls.add_argument("--pair", help="SEVERE,LEAST ids; default: all identified")
-    cls.add_argument("--rate", type=_positive, default=ASSESSMENT_RATE)
-    cls.add_argument("--sigma", type=_sigma, default=AssessmentConfig.sigma)
-    cls.add_argument("--t-max", type=_positive, default=ClassifierConfig.t_max)
-    cls.add_argument("--speed-nominal", type=float, default=0.0,
-                     help="subtract this absolute speed (rad/s) at parse time")
-    cls.add_argument("--dump-distance", metavar="PREFIX",
-                     help="write per-pair distance series CSVs")
 
-    ass = sub.add_parser("assess", help="full stability assessment, JSON report")
-    ass.add_argument("--traces", required=True)
-    _add_event_flags(ass)
-    ass.add_argument("--rate", type=_positive, default=ASSESSMENT_RATE)
-    ass.add_argument("--sigma", type=_sigma, default=AssessmentConfig.sigma)
-    ass.add_argument("--t-max", type=_positive, default=ClassifierConfig.t_max)
-    ass.add_argument("--speed-nominal", type=float, default=0.0)
+    ass = sub.add_parser("assess", parents=[event, settings],
+                         help="full stability assessment, JSON report")
     ass.add_argument("--dump-mle", metavar="PREFIX",
                      help="write per-pair exponent series CSVs")
-    ass.add_argument("--dump-distance", metavar="PREFIX")
     ass.add_argument("--out", help="also write the JSON report here")
 
-    swp = sub.add_parser("sweep", help="grid of fault cases vs the oracle")
+    swp = sub.add_parser("sweep", parents=[settings],
+                         help="grid of fault cases vs the oracle")
     swp.add_argument("--network", required=True)
     swp.add_argument("--fault-bus", action="append", required=True,
                      help="repeatable")
@@ -135,11 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--open-branch", default="auto",
                      help="'auto' (first branch at the faulted bus), 'none', "
                           "or a branch id")
-    swp.add_argument("--rate", type=_positive, default=ASSESSMENT_RATE)
     swp.add_argument("--horizon", type=_positive, default=12.0)
     swp.add_argument("--oracle-window", type=_positive, default=5.0)
-    swp.add_argument("--sigma", type=_sigma, default=AssessmentConfig.sigma)
-    swp.add_argument("--t-max", type=_positive, default=ClassifierConfig.t_max)
     swp.add_argument("--jobs", type=_jobs, default=1,
                      help="worker processes, at most one per case")
     swp.add_argument("--out", required=True, help="per-case rows CSV")
@@ -194,7 +193,6 @@ def _dump_distance(prefix: str, verdict, dt: float) -> None:
 def cmd_classify(args) -> int:
     """Report the pattern, ``w`` and ``m_n`` that ``assess`` fits with."""
     dataset, _ = _load_aligned(args)
-    config = _config(args.sigma, args.t_max)
     if args.pair:
         severe, _, least = args.pair.partition(",")
         if not least:
@@ -205,12 +203,12 @@ def cmd_classify(args) -> int:
             raise LyapstabError(f"unknown generator id {unknown[0]!r}; the "
                                 f"traces have {', '.join(dataset.gen_ids)}")
     else:
-        pair_list = identify_sdgp(dataset, SdgpConfig(sigma=config.sigma))
+        pair_list = identify_sdgp(dataset, args.sigma)
 
     results = []
     for pair in pair_list:
         trace = build_pair_trace(dataset, pair)
-        verdict, params = pair_parameters(trace, pair, config.classifier)
+        verdict, params = pair_parameters(trace, pair, args.t_max)
         if params is None:
             raise LyapstabError(f"pair ({pair[0]}, {pair[1]}) has no fit "
                                 f"parameters: {verdict.note}")
@@ -230,7 +228,7 @@ def cmd_classify(args) -> int:
 
 def cmd_assess(args) -> int:
     dataset, meta = _load_aligned(args)
-    report = run_assessment(dataset, meta, _config(args.sigma, args.t_max))
+    report = run_assessment(dataset, meta, AssessmentConfig(args.sigma, args.t_max))
     for verdict in report.pairs:
         if args.dump_distance and verdict.distance is not None:
             _dump_distance(args.dump_distance, verdict, dataset.dt)
@@ -256,7 +254,7 @@ def _auto_branch(model, bus: str) -> tuple[str, ...]:
 
 def _sweep_case(payload) -> dict:
     (network_path, bus, t_clear, t_fault, open_branch, rate, horizon,
-     oracle_window, sigma, t_max) = payload
+     oracle_window, config) = payload
     row = {"bus": bus, "clear_time_s": t_clear, "patterns": "",
            "verdict": "", "oracle": "", "agree": "", "decision_time_s": "",
            "error": ""}
@@ -274,7 +272,7 @@ def _sweep_case(payload) -> dict:
         traces = simulate(model, fault, dt=1.0 / rate, horizon=horizon)
         oracle = stability_oracle(traces, window=oracle_window)
         dataset = align(traces, meta, rate=rate)
-        report = run_assessment(dataset, meta, _config(sigma, t_max))
+        report = run_assessment(dataset, meta, config)
         patterns = [v.pattern.value for v in report.pairs if v.pattern]
         row["patterns"] = "|".join(patterns)
         row["verdict"] = report.system.status
@@ -294,9 +292,10 @@ SWEEP_FIELDS = ("bus", "clear_time_s", "patterns", "verdict", "oracle",
 
 
 def cmd_sweep(args) -> int:
+    config = AssessmentConfig(args.sigma, args.t_max)
     payloads = [
         (args.network, bus, t_c, args.fault_time, args.open_branch, args.rate,
-         args.horizon, args.oracle_window, args.sigma, args.t_max)
+         args.horizon, args.oracle_window, config)
         for bus in args.fault_bus
         for t_c in args.clear_time
     ]

@@ -67,9 +67,12 @@ class NetworkModel:
         self.validate()
 
     def validate(self) -> None:
+        if not (self.base_mva > 0.0 and self.frequency_hz > 0.0):
+            raise NetworkDataError("base_mva and frequency_hz must be > 0")
         bus_set = set(self.buses)
         if len(bus_set) != len(self.buses):
-            raise NetworkDataError("duplicate bus ids")
+            dup = next(b for i, b in enumerate(self.buses) if b in self.buses[:i])
+            raise NetworkDataError(f"duplicate bus id {dup!r}")
         seen = set()
         for br in self.branches:
             if br.branch_id in seen:
@@ -77,6 +80,8 @@ class NetworkModel:
             seen.add(br.branch_id)
             if math.hypot(br.r, br.x) <= 0.0:
                 raise NetworkDataError(f"branch {br.branch_id!r} has zero impedance")
+            if br.r < 0.0:
+                raise NetworkDataError(f"branch {br.branch_id!r} needs r >= 0")
             for bus in (br.from_bus, br.to_bus):
                 if bus not in bus_set:
                     raise NetworkDataError(
@@ -294,7 +299,7 @@ def load_network_file(path) -> NetworkModel:
 
     A fault in one row (encoding, unknown section, field count, a number that
     is missing or not finite) raises :class:`NetworkDataError` naming
-    ``path:line``.
+    ``path:line``; a fault of the model as a whole names ``path``.
     """
     sections: dict[str, list[tuple[int, list[str]]]] = {s: [] for s in SECTIONS}
     current: str | None = None
@@ -381,6 +386,9 @@ def load_network_file(path) -> NetworkModel:
             raise NetworkDataError(f"{path}:{lineno}: load rows need: bus g_pu b_pu")
         loads.append(Load(toks[0], fval(toks[1], lineno), fval(toks[2], lineno)))
 
-    return NetworkModel(buses=tuple(buses), branches=tuple(branches),
-                        generators=tuple(generators), loads=tuple(loads),
-                        base_mva=base_mva, frequency_hz=freq)
+    try:
+        return NetworkModel(buses=tuple(buses), branches=tuple(branches),
+                            generators=tuple(generators), loads=tuple(loads),
+                            base_mva=base_mva, frequency_hz=freq)
+    except NetworkDataError as exc:
+        raise NetworkDataError(f"{path}: {exc}") from None

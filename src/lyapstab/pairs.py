@@ -13,23 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import AssessmentConfig
 from .errors import DegenerateEventError, LyapstabWarning, NoDisturbanceError
 from .ingest import AlignedDataset
 
 # When the "least disturbed" machine is itself strongly disturbed the event
 # looks like a common-mode acceleration (e.g. islanding); flag but proceed.
 COMMON_MODE_RATIO = 0.5
-
-
-@dataclass(frozen=True)
-class SdgpConfig:
-    """Severity threshold: |w_g| / max|w| > sigma marks generator g severe."""
-
-    sigma: float = 0.7
-
-    def __post_init__(self):
-        if not 0.0 < self.sigma <= 1.0:
-            raise ValueError("sigma must lie in (0, 1]")
 
 
 @dataclass
@@ -65,12 +55,13 @@ def _id_key(gen_id: str):
 
 
 def identify_sdgp(data: AlignedDataset,
-                  cfg: SdgpConfig = SdgpConfig()) -> list[tuple[str, str]]:
+                  sigma: float = AssessmentConfig.sigma) -> list[tuple[str, str]]:
     """Pick the severe generators and pair each with the least disturbed one.
 
     Severity is judged on clearing-instant speed magnitudes (index 0 of the
-    aligned data).  Ties for the least disturbed generator break toward the
-    lowest id; the least generator is never its own pair partner.
+    aligned data): |w_g| / max|w| > ``sigma`` marks generator g severe.  Ties
+    for the least disturbed generator break toward the lowest id; the least
+    generator is never its own pair partner.
     """
     if len(data.gen_ids) < 2:
         raise DegenerateEventError("need at least two generators to form a pair")
@@ -81,7 +72,7 @@ def identify_sdgp(data: AlignedDataset,
 
     ids = sorted(speeds, key=_id_key)
     least = min(ids, key=lambda g: (abs(speeds[g]), _id_key(g)))
-    severe = [g for g in ids if abs(speeds[g]) / w_star > cfg.sigma and g != least]
+    severe = [g for g in ids if abs(speeds[g]) / w_star > sigma and g != least]
     if not severe:
         raise DegenerateEventError(
             "no severely disturbed generator left after excluding the reference")

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import AssessmentConfig
 from .errors import (ClassificationRefused, ClassificationTimeout,
                      PeakSearchTimeout)
 
@@ -27,19 +28,15 @@ class SwingPattern(enum.Enum):
     IV = "IV"
     V = "V"
     VI = "VI"
-    UNDETERMINED = "UNDETERMINED"
 
 
 # Patterns that keep growing from the start: fit immediately (m_n = w).
+# The others oscillate: fit from the first crest of the distance series.
 MONOTONE_PATTERNS = (SwingPattern.I, SwingPattern.II)
-# Oscillating patterns: fit from the first crest of the distance series.
-OSCILLATING_PATTERNS = (SwingPattern.III, SwingPattern.IV,
-                        SwingPattern.V, SwingPattern.VI)
 
 
-@dataclass(frozen=True)
 class ClassifierConfig:
-    """Tunables of the automaton; defaults assume 120 samples/s input.
+    """Fixed constants (not settings) of the automaton, tuned for 120 samples/s.
 
     ``eps_v_rel`` scales the band around +/-v0 used for threshold crossings
     (with an absolute floor for near-zero events), ``eps_a_rel`` scales the
@@ -47,14 +44,14 @@ class ClassifierConfig:
     and the ``n_*`` counts control smoothing and extremum confirmation.
     """
 
-    n_confirm: int = 12      # samples of evidence before the initial branch
-    n_peak: int = 6          # +/- neighbourhood for extremum confirmation
-    smooth_width: int = 5    # centred moving-average width
-    eps_v_rel: float = 1e-3
-    eps_v_floor: float = 1e-6  # rad/s
-    eps_a_rel: float = 0.02
-    escape_after: float = 2.0  # s of fruitless peak-waiting before Pattern I
-    t_max: float = 10.0        # s of data before classification times out
+    __slots__ = ()
+    n_confirm = 12      # samples of evidence before the initial branch
+    n_peak = 6          # +/- neighbourhood for extremum confirmation
+    smooth_width = 5    # centred moving-average width
+    eps_v_rel = 1e-3
+    eps_v_floor = 1e-6  # rad/s
+    eps_a_rel = 0.02
+    escape_after = 2.0  # s of fruitless peak-waiting before Pattern I
 
 
 @dataclass(frozen=True)
@@ -146,8 +143,7 @@ class _ExtremumScanner:
         return self.found
 
 
-def find_mle_start(pattern: SwingPattern, w: int, d: DistanceSeries,
-                   config: ClassifierConfig = ClassifierConfig()) -> int:
+def find_mle_start(pattern: SwingPattern, w: int, d: DistanceSeries) -> int:
     """Fitting start step m_n for the estimator.
 
     Growing patterns start immediately (m_n = w); oscillating patterns wait
@@ -157,10 +153,8 @@ def find_mle_start(pattern: SwingPattern, w: int, d: DistanceSeries,
     """
     if pattern in MONOTONE_PATTERNS:
         return w
-    if pattern not in OSCILLATING_PATTERNS:
-        raise ValueError(f"cannot pick m_n for pattern {pattern.value}")
-    avg = _MovingAverage(config.smooth_width)
-    crest = _ExtremumScanner(+1, config.n_peak)
+    avg = _MovingAverage(ClassifierConfig.smooth_width)
+    crest = _ExtremumScanner(+1, ClassifierConfig.n_peak)
     for dj in d.d.tolist():
         avg.push(dj)
         j_star = crest.scan(avg.smoothed)
@@ -187,13 +181,13 @@ class SwingClassifier:
     raises :class:`ClassificationTimeout`.
     """
 
-    def __init__(self, dt: float, config: ClassifierConfig = ClassifierConfig()):
+    def __init__(self, dt: float, t_max: float = AssessmentConfig.t_max):
         if dt <= 0.0:
             raise ValueError("dt must be positive")
         self.dt = dt
-        self.cfg = config
-        self.max_samples = int(round(config.t_max / dt))
-        self._avg = _MovingAverage(config.smooth_width)
+        self.t_max = t_max
+        self.max_samples = int(round(t_max / dt))
+        self._avg = _MovingAverage(ClassifierConfig.smooth_width)
         self._v = self._avg.raw
         self._sm = self._avg.smoothed
         self.v0: float | None = None
@@ -223,21 +217,23 @@ class SwingClassifier:
             if v_new < 0.0:
                 raise ValueError("pair traces must be oriented so v0 >= 0")
             self.v0 = v_new
-            self.eps_v = max(self.cfg.eps_v_rel * v_new, self.cfg.eps_v_floor)
+            self.eps_v = max(ClassifierConfig.eps_v_rel * v_new,
+                             ClassifierConfig.eps_v_floor)
             if v_new < self.eps_v:
                 raise ClassificationRefused(
                     f"initial relative speed {v_new:.2e} rad/s is below the "
                     f"resolvable threshold {self.eps_v:.2e}")
-            self.eps_a = self.cfg.eps_a_rel * v_new / (self.dt * self.cfg.n_confirm)
+            self.eps_a = (ClassifierConfig.eps_a_rel * v_new
+                          / (self.dt * ClassifierConfig.n_confirm))
         self._avg.push(v_new)
         n_last = len(self._v) - 1
 
-        if self.branch is None and n_last >= self.cfg.n_confirm:
+        if self.branch is None and n_last >= ClassifierConfig.n_confirm:
             self.branch = "dec" if self._sm[-1] < self._sm[0] else "inc"
             if self.branch == "dec":
-                self._dec_min = _ExtremumScanner(-1, self.cfg.n_peak)
+                self._dec_min = _ExtremumScanner(-1, ClassifierConfig.n_peak)
             else:
-                self._inc_peak = _ExtremumScanner(+1, self.cfg.n_peak)
+                self._inc_peak = _ExtremumScanner(+1, ClassifierConfig.n_peak)
         if self.branch == "dec":
             self._step_decreasing(n_last)
         elif self.branch == "inc":
@@ -245,7 +241,7 @@ class SwingClassifier:
 
         if self.decision is None and n_last >= self.max_samples:
             raise ClassificationTimeout(
-                f"no pattern decision within {self.cfg.t_max} s "
+                f"no pattern decision within {self.t_max} s "
                 f"({self.max_samples} samples)")
         return self.decision
 
@@ -258,7 +254,7 @@ class SwingClassifier:
             j = self._dec_min.scan(self._sm)
             if j is not None:
                 self._j_min = j
-                self._dec_max = _ExtremumScanner(+1, self.cfg.n_peak,
+                self._dec_max = _ExtremumScanner(+1, ClassifierConfig.n_peak,
                                                  start=j + 1)
         if self._j_min is not None and self.decision is None:
             j_max = self._dec_max.scan(self._sm)
@@ -289,7 +285,7 @@ class SwingClassifier:
 
         if self._decelerating_at is None:
             # sustained non-decelerating growth: Pattern I once confirmed
-            if n_last >= self.cfg.n_confirm and self._sm[-1] > self._sm[0]:
+            if n_last >= ClassifierConfig.n_confirm and self._sm[-1] > self._sm[0]:
                 self._emit(SwingPattern.I, 1, n_last)
             return
 
@@ -297,9 +293,10 @@ class SwingClassifier:
             j = self._inc_peak.scan(self._sm)
             if j is not None:
                 self._peak_at = j
-                self._inc_min = _ExtremumScanner(-1, self.cfg.n_peak,
+                self._inc_min = _ExtremumScanner(-1, ClassifierConfig.n_peak,
                                                  start=j + 1)
-            elif (n_last - self._decelerating_at) * self.dt >= self.cfg.escape_after:
+            elif ((n_last - self._decelerating_at) * self.dt
+                  >= ClassifierConfig.escape_after):
                 # decelerated but never reversed: first-swing growth after all
                 self._emit(SwingPattern.I, 1, n_last)
                 return
@@ -331,6 +328,6 @@ class SwingClassifier:
 
 
 def classify(rel_speed, dt: float,
-             config: ClassifierConfig = ClassifierConfig()) -> ClassifierDecision:
+             t_max: float = AssessmentConfig.t_max) -> ClassifierDecision:
     """One-shot classification of a complete relative-speed series."""
-    return SwingClassifier(dt, config).run(rel_speed)
+    return SwingClassifier(dt, t_max).run(rel_speed)

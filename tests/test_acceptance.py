@@ -19,9 +19,8 @@ from conftest import (DT, NETWORKS, chain_model,
 from lyapstab.assess import (PENDING, SKIPPED, STABLE, SYSTEM_STABLE,
                              SYSTEM_UNDETERMINED, SYSTEM_UNSTABLE,
                              UNDETERMINED_TIMEOUT, UNSTABLE_FIRST_SWING,
-                             UNSTABLE_MULTI_SWING, AssessmentConfig,
-                             PairAssessor, PairVerdict, aggregate,
-                             run_assessment)
+                             UNSTABLE_MULTI_SWING, PairAssessor, PairVerdict,
+                             aggregate, run_assessment)
 from lyapstab.errors import NoAssessablePairError
 from lyapstab.ingest import EventMeta, align
 from lyapstab.mle import estimate_stream, rls_init, rls_update
@@ -30,7 +29,6 @@ from lyapstab.pairs import SdgpTrace
 from lyapstab.simulator import simulate, stability_oracle
 from lyapstab.swings import EstimatorParams, SwingPattern, classify
 
-N_TREND = AssessmentConfig().n_trend
 GOLDEN_VERDICTS = (Path(__file__).resolve().parent / "data"
                    / "battery_verdicts.json")
 

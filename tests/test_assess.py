@@ -1,24 +1,25 @@
 """Verdict logic per pair, system aggregation, and the end-to-end pipeline."""
 
+import dataclasses
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
 
 from conftest import DT, two_machine_model
-from lyapstab.assess import (PENDING, SKIPPED, STABLE, SYSTEM_PENDING,
-                             SYSTEM_STABLE, SYSTEM_UNDETERMINED,
+from lyapstab.assess import (N_TREND, PENDING, SKIPPED, STABLE,
+                             SYSTEM_PENDING, SYSTEM_STABLE, SYSTEM_UNDETERMINED,
                              SYSTEM_UNSTABLE, UNDETERMINED_TIMEOUT,
                              UNSTABLE_FIRST_SWING, UNSTABLE_MULTI_SWING,
-                             AssessmentConfig, AssessmentReport, PairAssessor,
-                             PairVerdict, aggregate, run_assessment)
+                             AssessmentReport, PairAssessor, PairVerdict,
+                             aggregate, run_assessment)
+from lyapstab.config import AssessmentConfig
 from lyapstab.errors import LyapstabWarning, NoAssessablePairError
 from lyapstab.ingest import AlignedDataset, EventMeta, align
 from lyapstab.network import FaultSpec
 from lyapstab.simulator import simulate
-
-N_TREND = AssessmentConfig().n_trend
 
 
 def feed(lams, start_index=1):
@@ -269,6 +270,17 @@ def test_report_json_schema():
     assert set(pair) == {"severe", "least", "pattern", "w", "m_n", "status",
                          "decision_time_s", "peak_lambda"}
     assert pair["pattern"] in ("I", "II", "III", "IV", "V", "VI")
+
+
+def test_config_has_exactly_two_settings():
+    assert [f.name for f in dataclasses.fields(AssessmentConfig)] == [
+        "sigma", "t_max"]
+
+
+@pytest.mark.parametrize("t_max", [0.0, -1.0, math.inf, math.nan])
+def test_t_max_validation(t_max):
+    with pytest.raises(ValueError, match="t_max"):
+        AssessmentConfig(t_max=t_max)
 
 
 def test_undetermined_exit_code():

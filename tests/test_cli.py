@@ -231,7 +231,7 @@ def test_sweep_rows_and_rerun_identical(tmp_path, networks_dir):
     assert all(r["agree"] == "True" for r in rows if r["agree"])
 
     summary = (tmp_path / "sweep_a_summary.csv").read_text().splitlines()
-    assert summary[0].startswith("clear_time_s,I,II,III,IV,V,VI")
+    assert summary[0] == "clear_time_s,I,II,III,IV,V,VI"
 
 
 def test_sweep_parallel_matches_serial(tmp_path, networks_dir):
@@ -336,6 +336,22 @@ def test_usage_errors_exit_one(four_b6, capsys, flags):
     assert code == 1  # exit 2 would read as UNSTABLE
     err = capsys.readouterr().err
     assert "usage:" in err and "error:" in err
+
+
+@pytest.mark.parametrize("command", [
+    ("classify", "--traces", "t.csv"),
+    ("assess", "--traces", "t.csv"),
+    ("sweep", "--network", "n.net", "--fault-bus", "3", "--clear-time", "0.2",
+     "--out", "o.csv"),
+])
+@pytest.mark.parametrize("flag, value, rule", [
+    ("--sigma", "1.5", "sigma must lie in (0, 1], got 1.5"),
+    ("--t-max", "0", "t_max must be finite and > 0, got 0"),
+])
+def test_config_flags_use_the_config_rules(capsys, command, flag, value, rule):
+    assert run_cli(*command, flag, value) == 1
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}: {rule}" in err
 
 
 def test_help_exits_zero(capsys):

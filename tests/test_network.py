@@ -31,7 +31,7 @@ def lossless_pair(x_line=0.4):
 # ---------------------------------------------------------------------------
 
 def test_duplicate_bus_rejected():
-    with pytest.raises(NetworkDataError, match="duplicate bus"):
+    with pytest.raises(NetworkDataError, match="duplicate bus id '1'"):
         NetworkModel(buses=("1", "1"), branches=(),
                      generators=(Generator("G", "1", 1.0, 0.0, 0.1, 1.0, None),))
 
@@ -268,6 +268,23 @@ def test_unknown_section_names_its_line(tmp_path):
 def test_non_finite_numbers_name_their_line(tmp_path, old, new):
     path, line = _edited(tmp_path, "fourmachine.net", old, new)
     with _fails_at(path, line, "not a finite number"):
+        load_network_file(path)
+
+
+NON_PHYSICAL = "base_mva and frequency_hz must be > 0"
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("T56B    5     6   0.010", "T56B    5     6  -0.500",
+     "branch 'T56B' needs r >= 0"),
+    ("base_mva = 100.0", "base_mva = 0", NON_PHYSICAL),
+    ("frequency_hz = 60.0", "frequency_hz = -60", NON_PHYSICAL),
+    ("5\n6\n", "5\n5\n", "duplicate bus id '5'"),
+])
+def test_model_faults_name_the_file(tmp_path, old, new, message):
+    path, _ = _edited(tmp_path, "fourmachine.net", old, new)
+    with pytest.raises(NetworkDataError,
+                       match="^" + re.escape(f"{path}: {message}")):
         load_network_file(path)
 
 

@@ -1,14 +1,17 @@
 """Severely disturbed pair selection and sign-oriented pair traces."""
 
+import math
+
 import numpy as np
 import pytest
 
 from conftest import DT, two_machine_model
+from lyapstab.config import AssessmentConfig
 from lyapstab.errors import (DegenerateEventError, LyapstabWarning,
                              NoDisturbanceError)
 from lyapstab.ingest import AlignedDataset, EventMeta, align
 from lyapstab.network import FaultSpec
-from lyapstab.pairs import SdgpConfig, build_pair_trace, identify_sdgp
+from lyapstab.pairs import build_pair_trace, identify_sdgp
 from lyapstab.simulator import simulate
 
 
@@ -55,7 +58,7 @@ def test_identify_degenerate_when_all_equal():
 def test_identify_sigma_one_empty_severe_set():
     ds = dataset({"G1": 5.0, "G2": 4.0})
     with pytest.raises(DegenerateEventError):
-        identify_sdgp(ds, SdgpConfig(sigma=1.0))
+        identify_sdgp(ds, sigma=1.0)
 
 
 def test_identify_scale_invariance():
@@ -73,10 +76,9 @@ def test_identify_warns_on_common_mode():
 
 
 def test_sigma_validation():
-    with pytest.raises(ValueError):
-        SdgpConfig(sigma=0.0)
-    with pytest.raises(ValueError):
-        SdgpConfig(sigma=1.5)
+    for sigma in (0.0, 1.5, math.nan):
+        with pytest.raises(ValueError, match="sigma"):
+            AssessmentConfig(sigma=sigma)
 
 
 def test_pair_trace_zero_relative():

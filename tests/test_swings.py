@@ -135,7 +135,7 @@ def test_negative_v0_rejected():
 
 
 def test_timeout_without_decision():
-    clf = SwingClassifier(DT, ClassifierConfig(t_max=1.0))
+    clf = SwingClassifier(DT, t_max=1.0)
     with pytest.raises(ClassificationTimeout):
         for v in np.linspace(1.0, 0.9, 200):  # drifts down, never decides
             clf.step(v)
@@ -192,14 +192,13 @@ def test_find_mle_start_needs_no_tail_past_the_crest(f, gamma):
     t = np.arange(0, 1201) * DT
     d = DistanceSeries(d=np.abs(np.exp(-gamma * t) * np.sin(2 * np.pi * f * t)))
     w = 20
-    m_n = find_mle_start(SwingPattern.IV, w, d, cfg)
+    m_n = find_mle_start(SwingPattern.IV, w, d)
     cut = (m_n - w) + cfg.n_peak + cfg.smooth_width // 2 + 1
     assert cut < len(d.d) // 4
-    assert find_mle_start(SwingPattern.IV, w, DistanceSeries(d=d.d[:cut]),
-                          cfg) == m_n
+    assert find_mle_start(SwingPattern.IV, w, DistanceSeries(d=d.d[:cut])) == m_n
     # one sample fewer and the crest is not yet confirmed
     with pytest.raises(PeakSearchTimeout):
-        find_mle_start(SwingPattern.IV, w, DistanceSeries(d=d.d[:cut - 1]), cfg)
+        find_mle_start(SwingPattern.IV, w, DistanceSeries(d=d.d[:cut - 1]))
 
 
 def test_find_mle_start_timeout_on_monotone_distance():
