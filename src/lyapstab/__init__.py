@@ -18,8 +18,7 @@ from .network import (FaultSpec, Generator, NetworkModel, ReducedSystem,
 from .pairs import SdgpTrace, build_pair_trace, identify_sdgp
 from .simulator import (GeneratorTrace, simulate, solve_equilibrium,
                         stability_oracle)
-from .swings import (ClassifierConfig, DistanceSeries, EstimatorParams,
-                     SwingClassifier, SwingPattern, classify, distance_series,
-                     find_mle_start)
+from .swings import (ClassifierConfig, DistanceSeries, SwingClassifier,
+                     SwingPattern, classify, distance_series, find_mle_start)
 
 __version__ = "0.1.0"

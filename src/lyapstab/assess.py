@@ -24,9 +24,9 @@ from .errors import (ClassificationRefused, ClassificationTimeout,
 from .ingest import AlignedDataset, EventMeta
 from .mle import iter_mle
 from .pairs import SdgpTrace, build_pair_trace, identify_sdgp
-from .swings import (ClassifierConfig, EstimatorParams, SwingClassifier,
-                     SwingPattern, _ExtremumScanner, _MovingAverage,
-                     distance_series, find_mle_start)
+from .swings import (ClassifierConfig, SwingClassifier, SwingPattern,
+                     _ExtremumScanner, _MovingAverage, distance_series,
+                     find_mle_start)
 
 PENDING = "PENDING"
 UNSTABLE_FIRST_SWING = "UNSTABLE_FIRST_SWING"
@@ -59,6 +59,7 @@ class PairVerdict:
     w: int | None = None
     m_n: int | None = None
     note: str | None = None
+    decided_at: int | None = None  # sample index of the pattern decision
     # what the verdict was computed from: the distance series over the
     # first t_max s, and the (times, lambdas) the PairAssessor consumed
     distance: np.ndarray | None = field(default=None, repr=False,
@@ -150,43 +151,45 @@ def aggregate(verdicts: list[PairVerdict]) -> SystemVerdict:
 
 
 def pair_parameters(trace: SdgpTrace, pair: tuple[str, str],
-                    t_max: float) -> tuple[PairVerdict, EstimatorParams | None]:
-    """Swing pattern, ``w`` and ``m_n`` of one pair from its first ``t_max`` s.
+                    t_max: float) -> PairVerdict:
+    """Swing pattern, ``w``, ``m_n`` and distance series of one pair.
 
-    Returns the verdict so far and the estimator parameters, or a SKIPPED /
-    UNDETERMINED_TIMEOUT verdict noting why, and ``None``, if there are none.
+    Reads only the samples at or before ``t_max``: this is where a pair's
+    data budget is applied, and everything downstream reads the slices taken
+    here.  Returns a PENDING verdict ready to fit, or a SKIPPED /
+    UNDETERMINED_TIMEOUT verdict whose ``note`` says why there is no fit.
     """
     verdict = PairVerdict(*pair)
-    n = int(round(t_max / trace.dt)) + 1
+    n = int(t_max / trace.dt + 1e-9) + 1
     try:
-        decision = SwingClassifier(trace.dt, t_max).run(trace.rel_speed[:n])
+        decision = SwingClassifier(trace.dt).run(trace.rel_speed[:n])
         verdict.pattern, verdict.w = decision.pattern, decision.w
+        verdict.decided_at = decision.decided_at
         d = distance_series(trace.rel_angle[:n], decision.w)
         verdict.distance = d.d
         verdict.m_n = find_mle_start(decision.pattern, decision.w, d)
     except ClassificationRefused as exc:
-        return replace(verdict, status=SKIPPED, note=str(exc)), None
+        return replace(verdict, status=SKIPPED, note=str(exc))
     except (ClassificationTimeout, PeakSearchTimeout) as exc:
         return replace(verdict, status=UNDETERMINED_TIMEOUT,
-                       decision_time=t_max, note=str(exc)), None
-    return verdict, EstimatorParams(w=decision.w, m_n=verdict.m_n, dt=trace.dt,
-                                    pattern=decision.pattern,
-                                    decided_at=decision.decided_at)
+                       decision_time=t_max, note=str(exc))
+    return verdict
 
 
 def _assess_pair(trace: SdgpTrace, pair: tuple[str, str],
                  t_max: float) -> PairVerdict:
-    verdict, params = pair_parameters(trace, pair, t_max)
+    verdict = pair_parameters(trace, pair, t_max)
     if verdict.status == SKIPPED:
         warnings.warn(f"pair ({verdict.severe}, {verdict.least}) skipped: "
                       f"{verdict.note}", LyapstabWarning, stacklevel=3)
-    if params is None:
+    if verdict.status != PENDING:
         return verdict
     assessor = PairAssessor(*pair)
     verdict.mle = (assessor._times, assessor._lams)  # filled as it consumes
     try:
-        for t, lam in iter_mle(trace, params):
-            if t > t_max or assessor.push(lam, t).status != PENDING:
+        for t, lam in iter_mle(verdict.distance, verdict.w, verdict.m_n,
+                               trace.dt):
+            if assessor.push(lam, t).status != PENDING:
                 break
     except ValueError as exc:
         return replace(verdict, status=UNDETERMINED_TIMEOUT,

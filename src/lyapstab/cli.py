@@ -208,13 +208,13 @@ def cmd_classify(args) -> int:
     results = []
     for pair in pair_list:
         trace = build_pair_trace(dataset, pair)
-        verdict, params = pair_parameters(trace, pair, args.t_max)
-        if params is None:
+        verdict = pair_parameters(trace, pair, args.t_max)
+        if verdict.status != assess_mod.PENDING:
             raise LyapstabError(f"pair ({pair[0]}, {pair[1]}) has no fit "
                                 f"parameters: {verdict.note}")
         results.append({"severe": pair[0], "least": pair[1],
-                        "pattern": params.pattern.value, "w": params.w,
-                        "m_n": params.m_n, "decided_at": params.decided_at})
+                        "pattern": verdict.pattern.value, "w": verdict.w,
+                        "m_n": verdict.m_n, "decided_at": verdict.decided_at})
         if args.dump_distance:
             _dump_distance(args.dump_distance, verdict, dataset.dt)
     payload = results[0] if args.pair else results

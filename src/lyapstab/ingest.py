@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (CoverageError, OrderingError, RangeError, TraceParseError,
-                     utf8_fault)
+from .errors import (CoverageError, LyapstabError, OrderingError, RangeError,
+                     TraceParseError, utf8_fault)
 from .simulator import GeneratorTrace
 
 CSV_HEADER = "t,gen_id,delta_rad,omega_rad_per_s"
@@ -58,9 +58,19 @@ class EventMeta:
     def from_file(cls, path) -> "EventMeta":
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        return cls(t_fault=float(raw["fault_time_s"]),
-                   t_clear=float(raw["clear_time_s"]),
-                   faulted_element=raw.get("faulted_element"))
+        if not isinstance(raw, dict):
+            raise LyapstabError(f"{path}: event metadata must be a JSON object "
+                                "with 'fault_time_s' and 'clear_time_s'")
+        times = []
+        for key in ("fault_time_s", "clear_time_s"):
+            if key not in raw:
+                raise LyapstabError(f"{path}: missing key {key!r}")
+            try:
+                times.append(float(raw[key]))
+            except (TypeError, ValueError):
+                raise LyapstabError(f"{path}: {key!r} must be a number, got "
+                                    f"{raw[key]!r}") from None
+        return cls(*times, faulted_element=raw.get("faulted_element"))
 
 
 @dataclass

@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SingularInitError
-from .pairs import SdgpTrace
-from .swings import EstimatorParams
+from .swings import distance_series
 
 # Distances can hit exact zero at oscillation nodes; clamp before the log.
 EPS_DISTANCE = 1e-12  # rad
@@ -102,36 +101,36 @@ class MleSeries:
     lambdas: np.ndarray
 
 
-def iter_mle(trace: SdgpTrace, params: EstimatorParams):
-    """Yield (time, lambda_hat) pairs as the fit absorbs the distance stream.
+def iter_mle(d, w: int, m_n: int, dt: float):
+    """Yield (time, lambda_hat) pairs as the fit absorbs the distance series.
 
-    Fitted points are L_i = log |theta_{m_n + i} - theta_{m_n - w + i}| at
-    absolute times (m_n + i) * dt.  Internally the fit runs on times relative
-    to the fitting start (pure reparameterisation: the slope is unchanged and
-    better conditioned).  The first value arrives with the second point.
+    ``d`` is the distance series ``d_j = |theta_{j+w} - theta_j|`` of
+    :func:`~lyapstab.swings.distance_series`; the fitted points are
+    L_i = log d_{m_n - w + i} at absolute times (m_n + i) * dt, to the end
+    of ``d``.  Internally the fit runs on times relative to the fitting start
+    (pure reparameterisation: the slope is unchanged and better
+    conditioned).  The first value arrives with the second point.
     """
-    theta = trace.rel_angle
-    w, m_n, dt = params.w, params.m_n, params.dt
-    if len(theta) < m_n + 2:
+    if w < 1:
+        raise ValueError(f"w must be at least 1, got {w}")
+    if m_n < w:
+        raise ValueError(f"m_n must be at least w={w}, got {m_n}")
+    if len(d) + w < m_n + 2:
         raise ValueError(
             f"need at least {m_n + 2} angle samples to start fitting, "
-            f"have {len(theta)}")
-
-    def L(i: int) -> float:
-        j = (m_n - w) + i
-        return log_distance(abs(theta[j + w] - theta[j]))
-
-    state = rls_init(L(0), L(1), 0.0, dt)
+            f"have {len(d) + w}")
+    fitted = d[m_n - w:].tolist()
+    state = rls_init(log_distance(fitted[0]), log_distance(fitted[1]), 0.0, dt)
     yield (m_n + 1) * dt, state.lambda_hat
-    for i in range(2, len(theta) - m_n):
-        rls_update(state, L(i), i * dt)
+    for i in range(2, len(fitted)):
+        rls_update(state, log_distance(fitted[i]), i * dt)
         yield (m_n + i) * dt, state.lambda_hat
 
 
-def estimate_stream(trace: SdgpTrace, params: EstimatorParams) -> MleSeries:
-    """Run the exponent fit over all available data of one pair."""
+def estimate_stream(rel_angle, w: int, m_n: int, dt: float) -> MleSeries:
+    """Run the exponent fit over all of one pair's relative-angle series."""
     times, lambdas = [], []
-    for t, lam in iter_mle(trace, params):
+    for t, lam in iter_mle(distance_series(rel_angle, w).d, w, m_n, dt):
         times.append(t)
         lambdas.append(lam)
     return MleSeries(times=np.array(times), lambdas=np.array(lambdas))

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import AssessmentConfig
 from .errors import (ClassificationRefused, ClassificationTimeout,
                      PeakSearchTimeout)
 
@@ -52,25 +51,6 @@ class ClassifierConfig:
     eps_v_floor = 1e-6  # rad/s
     eps_a_rel = 0.02
     escape_after = 2.0  # s of fruitless peak-waiting before Pattern I
-
-
-@dataclass(frozen=True)
-class EstimatorParams:
-    """Everything the exponent estimator needs for one pair."""
-
-    w: int
-    m_n: int
-    dt: float
-    pattern: SwingPattern
-    decided_at: int  # sample index at which the pattern was emitted
-
-    def __post_init__(self):
-        if self.w < 1:
-            raise ValueError("w must be at least 1")
-        if self.m_n < self.w:
-            raise ValueError("m_n must be at least w")
-        if self.pattern in MONOTONE_PATTERNS and self.m_n != self.w:
-            raise ValueError(f"pattern {self.pattern.value} requires m_n == w")
 
 
 @dataclass
@@ -177,16 +157,15 @@ class SwingClassifier:
     The first sample fixes v0 (which must be non-negative: pair traces are
     sign-oriented upstream).  ``step`` returns a :class:`ClassifierDecision`
     exactly once, ``None`` before and after.  Near-zero v0 raises
-    :class:`ClassificationRefused`; running past ``t_max`` without a decision
-    raises :class:`ClassificationTimeout`.
+    :class:`ClassificationRefused`; ``run`` raises
+    :class:`ClassificationTimeout` when its series ends without a decision.
+    The caller bounds the data by what it feeds.
     """
 
-    def __init__(self, dt: float, t_max: float = AssessmentConfig.t_max):
+    def __init__(self, dt: float):
         if dt <= 0.0:
             raise ValueError("dt must be positive")
         self.dt = dt
-        self.t_max = t_max
-        self.max_samples = int(round(t_max / dt))
         self._avg = _MovingAverage(ClassifierConfig.smooth_width)
         self._v = self._avg.raw
         self._sm = self._avg.smoothed
@@ -238,11 +217,6 @@ class SwingClassifier:
             self._step_decreasing(n_last)
         elif self.branch == "inc":
             self._step_increasing(n_last)
-
-        if self.decision is None and n_last >= self.max_samples:
-            raise ClassificationTimeout(
-                f"no pattern decision within {self.t_max} s "
-                f"({self.max_samples} samples)")
         return self.decision
 
     # -- decreasing initial speed: patterns II / III / IV ------------------
@@ -327,7 +301,6 @@ class SwingClassifier:
             f"series ended after {len(self._v)} samples without a decision")
 
 
-def classify(rel_speed, dt: float,
-             t_max: float = AssessmentConfig.t_max) -> ClassifierDecision:
+def classify(rel_speed, dt: float) -> ClassifierDecision:
     """One-shot classification of a complete relative-speed series."""
-    return SwingClassifier(dt, t_max).run(rel_speed)
+    return SwingClassifier(dt).run(rel_speed)

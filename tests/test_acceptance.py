@@ -25,9 +25,8 @@ from lyapstab.errors import NoAssessablePairError
 from lyapstab.ingest import EventMeta, align
 from lyapstab.mle import estimate_stream, rls_init, rls_update
 from lyapstab.network import FaultSpec, load_network_file
-from lyapstab.pairs import SdgpTrace
 from lyapstab.simulator import simulate, stability_oracle
-from lyapstab.swings import EstimatorParams, SwingPattern, classify
+from lyapstab.swings import classify
 
 GOLDEN_VERDICTS = (Path(__file__).resolve().parent / "data"
                    / "battery_verdicts.json")
@@ -78,20 +77,15 @@ def test_criterion_1_rls_matches_batch():
 
 def test_criterion_2_known_exponent_recovery():
     start = time.perf_counter()
-    params = EstimatorParams(w=12, m_n=12, dt=DT, pattern=SwingPattern.I,
-                             decided_at=0)
     t = np.arange(0, 121) * DT  # exactly one second of data
     worst_clean, worst_noisy = 0.0, 0.0
     rng = np.random.default_rng(42)
     for lam in (-2.0, -0.5, 0.5, 2.0):
         theta = np.exp(lam * t)
-        clean = SdgpTrace("A", "B", theta, np.gradient(theta, DT), DT)
-        est = estimate_stream(clean, params).lambdas[-1]
+        est = estimate_stream(theta, 12, 12, DT).lambdas[-1]
         worst_clean = max(worst_clean, abs(est - lam) / abs(lam))
         noisy_theta = theta + rng.normal(0.0, 1e-3, len(t))
-        noisy = SdgpTrace("A", "B", noisy_theta,
-                          np.gradient(noisy_theta, DT), DT)
-        est = estimate_stream(noisy, params).lambdas[-1]
+        est = estimate_stream(noisy_theta, 12, 12, DT).lambdas[-1]
         worst_noisy = max(worst_noisy, abs(est - lam) / abs(lam))
     elapsed = time.perf_counter() - start
     ok = worst_clean < 0.01 and worst_noisy < 0.10 and elapsed < 5.0

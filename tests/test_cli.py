@@ -154,9 +154,9 @@ def test_dumps_hold_the_series_each_verdict_used(four_b6, tmp_path, capsys,
     import lyapstab.assess as assess_mod
     fits = []
 
-    def counting_iter_mle(trace, params):
-        fits.append((trace.severe, trace.least))
-        return iter_mle(trace, params)
+    def counting_iter_mle(d, w, m_n, dt):
+        fits.append(w)
+        return iter_mle(d, w, m_n, dt)
 
     iter_mle = assess_mod.iter_mle
     monkeypatch.setattr(assess_mod, "iter_mle", counting_iter_mle)
@@ -166,8 +166,8 @@ def test_dumps_hold_the_series_each_verdict_used(four_b6, tmp_path, capsys,
     run_cli("assess", *event, "--dump-mle", a_prefix,
             "--dump-distance", a_prefix)
     pairs = json.loads(capsys.readouterr().out)["pairs"]
-    fitted = [(p["severe"], p["least"]) for p in pairs if p["m_n"] is not None]
-    assert len(fitted) == 2 and fits == fitted  # one fit per fitted pair
+    fitted = [p["w"] for p in pairs if p["m_n"] is not None]
+    assert len(set(fitted)) == 2 and fits == fitted  # one fit per fitted pair
 
     assert run_cli("classify", *event, "--dump-distance", c_prefix) == 0
     for p in pairs:
@@ -319,6 +319,54 @@ def test_classify_reports_what_assess_fits_with(four_b6, capsys):
     run_cli("assess", *event, "--t-max", "1.0")
     assessed = json.loads(capsys.readouterr().out)["pairs"]
     assert [p["status"] for p in assessed] == ["UNDETERMINED_TIMEOUT"] * 2
+
+
+def test_t_max_off_the_grid_bounds_every_series(four_b6, tmp_path, capsys):
+    # 1.005 s lies between the samples at 1.0 s and 1.00833 s: the classifier,
+    # the distance series and the fit all stop at the sample at 1.0 s
+    traces_path, meta_path = four_b6
+    event = ("--traces", traces_path, "--meta", meta_path, "--t-max", "1.005")
+    c_prefix, a_prefix = str(tmp_path / "c_"), str(tmp_path / "a_")
+    assert run_cli("classify", *event, "--pair", "G2,G4",
+                   "--dump-distance", c_prefix) == 0
+    assert json.loads(capsys.readouterr().out)["w"] == 55
+    distance = read_dump(tmp_path / "c_distance_G2-G4.csv")
+    assert len(distance) == int(1.005 * 120) + 1 - 55 == 66
+
+    run_cli("assess", *event, "--dump-mle", a_prefix)
+    capsys.readouterr()
+    mle_dumps = list(tmp_path.glob("a_mle_*.csv"))
+    assert mle_dumps
+    for path in mle_dumps:
+        assert max(t for t, _ in read_dump(path)) <= 1.005
+
+
+@pytest.mark.parametrize("rate,w,m_n", [(60, 21, 34), (120, 41, 66),
+                                        (240, 83, 134)])
+def test_assessment_rate_scales_w_and_m_n(four_b6, capsys, rate, w, m_n):
+    traces_path, meta_path = four_b6
+    code = run_cli("assess", "--traces", traces_path, "--meta", meta_path,
+                   "--rate", rate)
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and report["system"]["status"] == "STABLE"
+    (g1,) = [p for p in report["pairs"] if p["severe"] == "G1"]
+    assert (g1["least"], g1["w"], g1["m_n"]) == ("G4", w, m_n)
+
+
+@pytest.mark.parametrize("command", ["assess", "classify"])
+@pytest.mark.parametrize("content,key", [
+    ('{"fault_time_s": 0.1, "faulted_element": "6"}', "clear_time_s"),
+    ('[0.1, 0.25]', "clear_time_s"),
+    ('{"fault_time_s": null, "clear_time_s": 0.25}', "fault_time_s"),
+], ids=["missing-key", "list", "null"])
+def test_malformed_metadata_is_input_error(four_b6, tmp_path, capsys, command,
+                                           content, key):
+    meta = tmp_path / "bad.meta.json"
+    meta.write_text(content, encoding="utf-8")
+    code = run_cli(command, "--traces", four_b6[0], "--meta", meta)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and str(meta) in err and key in err
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,7 @@ from lyapstab.ingest import EventMeta, align
 from lyapstab.mle import (EPS_DISTANCE, estimate_stream, iter_mle,
                           log_distance, rls_init, rls_update)
 from lyapstab.network import FaultSpec
-from lyapstab.pairs import SdgpTrace
 from lyapstab.simulator import simulate
-from lyapstab.swings import EstimatorParams, SwingPattern
 
 
 def batch_fit(times, values):
@@ -29,13 +27,12 @@ def run_rls(times, values):
     return state
 
 
-def exp_pair_trace(lam, theta0=1.0, duration=2.0, noise=0.0, seed=0):
+def exp_angle(lam, theta0=1.0, duration=2.0, noise=0.0, seed=0):
     t = np.arange(int(duration / DT) + 1) * DT
     theta = theta0 * np.exp(lam * t)
     if noise:
         theta = theta + np.random.default_rng(seed).normal(0.0, noise, len(t))
-    return SdgpTrace(severe="A", least="B", rel_angle=theta,
-                     rel_speed=np.gradient(theta, DT), dt=DT)
+    return theta
 
 
 # ---------------------------------------------------------------------------
@@ -177,38 +174,40 @@ def test_update_guards():
 
 def test_exponential_separation_recovers_exponent():
     lam = 1.5
-    params = EstimatorParams(w=12, m_n=12, dt=DT, pattern=SwingPattern.I,
-                             decided_at=0)
-    series = estimate_stream(exp_pair_trace(lam), params)
+    series = estimate_stream(exp_angle(lam), 12, 12, DT)
     after_60 = series.lambdas[59:]
     assert np.abs(after_60 - lam).max() / lam < 0.01
 
 
 def test_ramp_angle_gives_zero_exponent():
     t = np.arange(0, 241) * DT
-    trace = SdgpTrace(severe="A", least="B", rel_angle=4.0 * t,
-                      rel_speed=np.full_like(t, 4.0), dt=DT)
-    params = EstimatorParams(w=6, m_n=6, dt=DT, pattern=SwingPattern.I,
-                             decided_at=0)
-    series = estimate_stream(trace, params)
+    series = estimate_stream(4.0 * t, 6, 6, DT)
     assert np.abs(series.lambdas).max() < 1e-8
 
 
 def test_stream_times_and_first_emission():
-    params = EstimatorParams(w=10, m_n=25, dt=DT, pattern=SwingPattern.III,
-                             decided_at=0)
-    series = estimate_stream(exp_pair_trace(0.5, duration=1.0), params)
+    series = estimate_stream(exp_angle(0.5, duration=1.0), 10, 25, DT)
     assert series.times[0] == pytest.approx((25 + 1) * DT)
     assert np.all(np.diff(series.times) > 0)
     assert len(series.times) == len(series.lambdas)
 
 
 def test_stream_requires_enough_samples():
-    trace = exp_pair_trace(0.5, duration=0.1)  # 13 samples
-    params = EstimatorParams(w=10, m_n=30, dt=DT, pattern=SwingPattern.III,
-                             decided_at=0)
+    theta = exp_angle(0.5, duration=0.1)  # 13 samples
     with pytest.raises(ValueError, match="angle samples"):
-        next(iter_mle(trace, params))
+        estimate_stream(theta, 10, 30, DT)
+
+
+@pytest.mark.parametrize("w,m_n,n_d,message", [
+    (0, 1, 100, "w must be at least 1"),
+    (5, 3, 100, "m_n must be at least w"),
+    # m_n + 2 = 32 angle samples needed, len(d) + w = 31 given
+    (10, 30, 21, "need at least 32 angle samples .* have 31"),
+], ids=["w-zero", "m_n-below-w", "d-too-short"])
+def test_iter_mle_input_rules(w, m_n, n_d, message):
+    d = np.linspace(1.0, 2.0, n_d)
+    with pytest.raises(ValueError, match=message):
+        next(iter_mle(d, w, m_n, DT))
 
 
 def test_undamped_two_machine_dips_then_peaks():
@@ -223,16 +222,11 @@ def test_undamped_two_machine_dips_then_peaks():
     spd = ds.speeds[0] - ds.speeds[1]
     if spd[0] < 0:
         rel, spd = -rel, -spd
-    trace = SdgpTrace(severe="G1", least="G2", rel_angle=rel, rel_speed=spd,
-                      dt=DT)
     from lyapstab.swings import classify, distance_series, find_mle_start
     decision = classify(spd, DT)
     m_n = find_mle_start(decision.pattern, decision.w,
                          distance_series(rel, decision.w))
-    params = EstimatorParams(w=decision.w, m_n=m_n, dt=DT,
-                             pattern=decision.pattern,
-                             decided_at=decision.decided_at)
-    series = estimate_stream(trace, params)
+    series = estimate_stream(rel, decision.w, m_n, DT)
     dipped = np.flatnonzero(series.lambdas < series.lambdas[0])
     assert dipped.size > 0
     peak_j = naive_first_extremum(series.lambdas, sign=+1)

@@ -8,9 +8,9 @@ import pytest
 from conftest import DT, make_template, naive_first_extremum, template_suite
 from lyapstab.errors import (ClassificationRefused, ClassificationTimeout,
                              PeakSearchTimeout)
-from lyapstab.swings import (ClassifierConfig, DistanceSeries, EstimatorParams,
-                             SwingClassifier, SwingPattern, _MovingAverage,
-                             classify, distance_series, find_mle_start)
+from lyapstab.swings import (ClassifierConfig, DistanceSeries, SwingClassifier,
+                             SwingPattern, _MovingAverage, classify,
+                             distance_series, find_mle_start)
 
 
 # ---------------------------------------------------------------------------
@@ -135,10 +135,8 @@ def test_negative_v0_rejected():
 
 
 def test_timeout_without_decision():
-    clf = SwingClassifier(DT, t_max=1.0)
-    with pytest.raises(ClassificationTimeout):
-        for v in np.linspace(1.0, 0.9, 200):  # drifts down, never decides
-            clf.step(v)
+    with pytest.raises(ClassificationTimeout, match="after 200 samples"):
+        classify(np.linspace(1.0, 0.9, 200), DT)  # drifts down, never decides
 
 
 def test_scale_invariance_of_w_and_m_n():
@@ -205,12 +203,3 @@ def test_find_mle_start_timeout_on_monotone_distance():
     d = DistanceSeries(d=np.linspace(0.0, 1.0, 300))
     with pytest.raises(PeakSearchTimeout):
         find_mle_start(SwingPattern.III, 10, d)
-
-
-def test_estimator_params_invariants():
-    with pytest.raises(ValueError):
-        EstimatorParams(w=0, m_n=1, dt=DT, pattern=SwingPattern.I, decided_at=0)
-    with pytest.raises(ValueError):
-        EstimatorParams(w=5, m_n=3, dt=DT, pattern=SwingPattern.III, decided_at=0)
-    with pytest.raises(ValueError):
-        EstimatorParams(w=5, m_n=9, dt=DT, pattern=SwingPattern.II, decided_at=0)
