@@ -11,10 +11,33 @@ is evaluated in phasor form.  Expanding the angle differences with
     pe_i = Re(conj(u_i) * (Y u)_i),    Y = E[:, None] * (G + jB) * E[None, :]
 
 and ``minv_i * pe_i = Re(conj(u_i) * (Z u)_i)`` for ``Z`` = ``Y`` with its
-rows scaled by ``minv``.  ``Z`` is formed once per call; each RK4 stage then
-needs one complex matrix-vector product and no (n, n) temporary.  NumPy call
-overhead, not arithmetic, dominates at the machine counts simulated, so the
-kernel is written to make as few calls per stage as it can.
+rows scaled by ``minv``.  ``Z`` is formed once per call.
+
+NumPy call overhead, not arithmetic, dominates at the machine counts
+simulated, so each RK4 stage is laid out to need as few calls as possible.
+Stage ``s`` owns one row of a ``(4, 5n + 1)`` buffer:
+
+    row = [ a_s | omega_s | delta_s | p_s (2n) | 1 ]
+
+with ``a_s`` the acceleration.  Three things are then views of that row:
+the stage state ``y_s = [omega_s, delta_s] = row[n:3n]``, its slope
+``k_s = dy/dt = [a_s, omega_s] = row[:2n]``, and the operand ``row[n:]`` of
+the acceleration.  Writing ``u`` and ``Zu`` as interleaved (re, im) floats,
+``p_s = u * Zu`` elementwise (one ``np.multiply`` of their float views)
+holds ``[Re u_0 Re(Zu)_0, Im u_0 Im(Zu)_0, ...]``, and the sum of each
+consecutive pair is ``Re(conj(u_i) (Zu)_i) = minv_i * pe_i``.  So
+
+    a = pm * minv - minv * pe - damp * minv * omega = A @ row[n:]
+    A = [ -damp * minv (diagonal) | 0 | -S | pm * minv ]
+
+where ``S`` (n x 2n) has ``S[i, 2i] = S[i, 2i + 1] = 1`` and the zero block
+skips ``delta_s``.  A stage is then: the stage state (``x + c * k_prev``,
+two calls; none for the first stage), ``cos``/``sin`` into ``u``,
+``Zu``, ``p_s``, and ``A @ row[n:]`` into ``a_s``: at most seven calls.
+The integrated state ``x`` is stage 0's state, so the first stage reads it
+without a copy.  A machine with ``minv == 0`` has an all-zero row of ``Z``,
+so its ``p`` entries are zero and its row of ``A`` gives exactly zero
+acceleration: it never moves.
 """
 
 import numpy as np
@@ -36,49 +59,54 @@ def rk4_swing(delta, omega, minv, damp, pm, emf, G, B, h, n_blocks, substeps,
     Returns -1 if every recorded state is finite, otherwise the index of the
     first non-finite record; rows before that index are valid.
 
-    Machines with ``minv == 0`` (infinite inertia) have an all-zero row of
-    ``Z``, ``pm * minv`` and ``damp * minv``, so they never move.
+    Machines with ``minv == 0`` (infinite inertia) never move.
     """
     n = len(delta)
     Z = (minv * emf)[:, None] * (G + 1j * B) * emf[None, :]
-    pmm = pm * minv
-    dm = damp * minv
-    # Row s of ``stages`` is RK4 stage s laid out as [delta_s, omega_s, accel_s]:
-    # its first 2n entries are the stage state and its last 2n are the slope
-    # f = [omega_s, accel_s], so writing a state also writes half its slope.
-    stages = np.empty((4, 3 * n))
-    x = stages[0, :2 * n]  # the integrated state [delta, omega]
-    x[:n] = delta
-    x[n:] = omega
-    k = stages[:, n:]
+    machines = np.arange(n)
+    A = np.zeros((n, 4 * n + 1))
+    A[machines, machines] = -(damp * minv)
+    A[machines, 2 * n + 2 * machines] = -1.0
+    A[machines, 2 * n + 2 * machines + 1] = -1.0
+    A[:, -1] = pm * minv
+    stages = np.empty((4, 5 * n + 1))
+    stages[:, -1] = 1.0
+    x = stages[0, n:3 * n]  # the integrated state [omega, delta]
+    x[:n] = omega
+    x[n:] = delta
+    k = stages[:, :2 * n]
     weights = np.array([1.0, 2.0, 2.0, 1.0]) * (h / 6.0)
     u = np.empty(n, dtype=complex)
+    zu = np.empty(n, dtype=complex)
     u_re, u_im = u.real, u.imag
-    # (step to this stage, slope it steps along, state, delta, omega, accel)
-    rows = list(zip((None, 0.5 * h, 0.5 * h, h), (None,) + tuple(k[:3]),
-                    stages[:, :2 * n], stages[:, :n], stages[:, n:2 * n],
-                    stages[:, 2 * n:]))
+    u_f, zu_f = u.view(float), zu.view(float)
+    # (step to this stage, slope it steps along, state, delta, p, accel, operand)
+    rows = [(c, k_prev, row[n:3 * n], row[2 * n:3 * n], row[3 * n:5 * n],
+             row[:n], row[n:])
+            for c, k_prev, row in zip((None, 0.5 * h, 0.5 * h, h),
+                                      (None,) + tuple(k[:3]), stages)]
     # A diverging run overflows to inf and nan; the per-block finiteness check
     # reports it, so NumPy's floating-point warnings would only be noise.
     with np.errstate(over="ignore", invalid="ignore"):
         for block in range(n_blocks):
             for _ in range(substeps):
-                for c, k_prev, y, d, w, a in rows:
+                for c, k_prev, y, d, p, a, v in rows:
                     if c is not None:
                         np.multiply(k_prev, c, out=y)
                         y += x
                     np.cos(d, out=u_re)  # u = exp(1j * d), built in place
                     np.sin(d, out=u_im)
                     # np.dot, not @: less per-call overhead on these small arrays
-                    np.subtract(pmm, (u.conj() * np.dot(Z, u)).real, out=a)
-                    a -= dm * w
+                    np.dot(Z, u, out=zu)
+                    np.multiply(u_f, zu_f, out=p)
+                    np.dot(A, v, out=a)
                 x += np.dot(weights, k)
-            out_delta[block] = x[:n]
-            out_omega[block] = x[n:]
+            out_delta[block] = x[n:]
+            out_omega[block] = x[:n]
             if not np.isfinite(x).all():
                 break
         else:
             block = -1
-    delta[:] = x[:n]
-    omega[:] = x[n:]
+    delta[:] = x[n:]
+    omega[:] = x[:n]
     return block

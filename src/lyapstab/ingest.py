@@ -70,7 +70,10 @@ class EventMeta:
             except (TypeError, ValueError):
                 raise LyapstabError(f"{path}: {key!r} must be a number, got "
                                     f"{raw[key]!r}") from None
-        return cls(*times, faulted_element=raw.get("faulted_element"))
+        try:
+            return cls(*times, faulted_element=raw.get("faulted_element"))
+        except ValueError as exc:
+            raise LyapstabError(f"{path}: {exc}") from None
 
 
 @dataclass

@@ -434,6 +434,22 @@ def test_non_finite_numbers_are_input_errors(four_b6, tmp_path, monkeypatch,
     assert "error:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("text, rule", [
+    ('{"fault_time_s": NaN, "clear_time_s": 0.25}',
+     "fault and clearing times must be finite"),
+    ('{"fault_time_s": 0.3, "clear_time_s": 0.25}',
+     "t_clear must not precede t_fault"),
+], ids=["nan", "out-of-order"])
+def test_rejected_event_times_name_the_metadata_file(four_b6, tmp_path, capsys,
+                                                     text, rule):
+    meta = tmp_path / "event.meta.json"
+    meta.write_text(text)
+    traces_path, _ = four_b6
+    assert run_cli("assess", "--traces", traces_path, "--meta", meta) == 1
+    err = capsys.readouterr().err
+    assert f"error: {meta}: {rule}" in err and "Traceback" not in err
+
+
 def test_non_finite_event_times_rejected_before_simulating(tmp_path,
                                                           networks_dir,
                                                           capsys):

@@ -11,13 +11,13 @@ from lyapstab import simulator
 from lyapstab._swing_numpy import rk4_swing
 
 
-def example_system(n=4, seed=3):
+def example_system(n=4, seed=3, infinite=(-1,)):
     rng = np.random.default_rng(seed)
     delta = rng.normal(0.0, 0.4, n)
     omega = rng.normal(0.0, 0.5, n)
     minv = 1.0 / rng.uniform(0.01, 0.2, n)
-    minv[-1] = 0.0  # one infinite machine; it starts (and stays) at rest
-    omega[-1] = 0.0
+    minv[list(infinite)] = 0.0  # infinite machines start (and stay) at rest
+    omega[list(infinite)] = 0.0
     damp = rng.uniform(0.0, 0.1, n)
     pm = rng.normal(0.0, 0.5, n)
     emf = rng.uniform(0.9, 1.2, n)
@@ -82,11 +82,17 @@ def reference_rk4(state, h, n_blocks, substeps):
     return np.array(out_d), np.array(out_w)
 
 
+# (machines, indices of the infinite machines)
+SIZES = [pytest.param(2, (-1,), id="n2"), pytest.param(4, (-1,), id="n4"),
+         pytest.param(12, (4, -1), id="n12")]
+
+
+@pytest.mark.parametrize("n, infinite", SIZES)
 @pytest.mark.parametrize("n_blocks, substeps, tol",
                          [(1, 1, 1e-13), (60, 10, 1e-9)],
                          ids=["one-step", "half-second"])
-def test_kernels_match_reference(n_blocks, substeps, tol):
-    state = example_system()
+def test_kernels_match_reference(n_blocks, substeps, tol, n, infinite):
+    state = example_system(n, infinite=infinite)
     ref_d, ref_w = reference_rk4(state, 1.0 / 1200.0, n_blocks, substeps)
     bad, d, w = run(state, 1.0 / 1200.0, n_blocks, substeps)
     assert bad == -1
@@ -94,11 +100,14 @@ def test_kernels_match_reference(n_blocks, substeps, tol):
     assert np.abs(w - ref_w).max() < tol
 
 
-def test_infinite_machine_never_moves():
-    state = example_system()
-    _, d, w = run(state, 1.0 / 1200.0, 30, 10)
-    assert np.all(d[:, -1] == state[0][-1])
-    assert np.all(w[:, -1] == state[1][-1])
+@pytest.mark.parametrize("n, infinite", SIZES)
+def test_infinite_machine_never_moves(n, infinite):
+    state = example_system(n, infinite=infinite)
+    bad, d, w = run(state, 1.0 / 1200.0, 30, 10)
+    assert bad == -1
+    for i in infinite:
+        assert np.all(d[:, i] == state[0][i])
+        assert np.all(w[:, i] == state[1][i])
 
 
 def test_clean_run_leaves_final_state_in_place():

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (DT, chain_model, smib_equal_area_critical_time,
                       smib_fault, two_machine_model)
@@ -244,3 +246,41 @@ def test_oracle_tolerates_large_stable_swing():
     assert peak > math.pi
     assert peak < 3.8
     assert stability_oracle(traces, window=8.0) == STABLE
+
+
+def _pairwise_oracle(angles, back):
+    """The oracle's rule one pair at a time: the reference it must match."""
+    for i in range(len(angles)):
+        for j in range(i + 1, len(angles)):
+            rel = np.abs(angles[i] - angles[j])
+            if rel.max() > 4.0 * math.pi:
+                return UNSTABLE
+            if rel[-1] > math.pi and rel[-1] > rel[-1 - back]:
+                return UNSTABLE
+    return STABLE
+
+
+# Drawn often, so that ties and differences of exactly pi and 4 pi occur.
+_EDGE_ANGLES = (0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi,
+                2 * math.pi, -2 * math.pi, 3 * math.pi, 4 * math.pi,
+                -4 * math.pi, math.nextafter(4 * math.pi, math.inf),
+                math.nextafter(math.pi, math.inf), 1e-300, -0.0)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(st.data())
+def test_oracle_matches_pairwise_rule(data):
+    n_gen = data.draw(st.integers(1, 6))
+    n_samples = data.draw(st.integers(2, 12))
+    dt = data.draw(st.sampled_from([1.0, 0.5, 0.25]))
+    value = st.one_of(st.sampled_from(_EDGE_ANGLES),
+                      st.floats(-6.5, 6.5, allow_subnormal=False))
+    angles = np.array(data.draw(st.lists(
+        st.lists(value, min_size=n_samples, max_size=n_samples),
+        min_size=n_gen, max_size=n_gen)))
+    traces = [GeneratorTrace(gen_id=f"G{i}", t0=0.0, dt=dt, angles=row,
+                             speeds=np.zeros(n_samples))
+              for i, row in enumerate(angles)]
+    back = max(1, min(round(1.0 / dt), n_samples - 1))
+    assert stability_oracle(traces, window=(n_samples - 1) * dt) == \
+        _pairwise_oracle(angles, back)
