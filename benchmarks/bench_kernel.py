@@ -2,9 +2,13 @@
 
 Times the dominant workload (fixed-step RK4 over the reduced network) for a
 few system sizes and horizons, then a full simulate() call on the shipped
-four-machine fixture.  Run from the repository root:
+four-machine fixture.  The sizes are timed in rounds: each round runs every
+size once, starting one size later than the round before, so drift in the
+host's speed spreads over all sizes instead of reading as a size effect.
+Prints the best and the median round per size.  Run from the repository
+root:
 
-    python3 benchmarks/bench_kernel.py [--repeats N]
+    python3 benchmarks/bench_kernel.py [--repeats ROUNDS]
 """
 
 import argparse
@@ -38,19 +42,31 @@ def synthetic_system(n, seed=0):
     return delta, omega, minv, damp, pm, emf, G, B
 
 
-def time_kernel(n, seconds, repeats):
+KERNEL_CASES = ((2, 10.0), (4, 10.0), (10, 10.0), (12, 10.0), (48, 10.0),
+                (4, 60.0))  # (machines, seconds of 120 Hz output)
+
+
+def time_kernel(n, seconds):
+    """Seconds for one rk4_swing call: n machines, 10 substeps per sample."""
     h = 1.0 / 1200.0
     n_blocks = int(seconds * 120)
-    best = np.inf
-    for _ in range(repeats):
-        delta, omega, minv, damp, pm, emf, G, B = synthetic_system(n)
-        out_d = np.empty((n_blocks, n))
-        out_w = np.empty((n_blocks, n))
-        start = time.perf_counter()
-        rk4_swing(delta, omega, minv, damp, pm, emf, G, B, h, n_blocks, 10,
-                  out_d, out_w)
-        best = min(best, time.perf_counter() - start)
-    return best
+    delta, omega, minv, damp, pm, emf, G, B = synthetic_system(n)
+    out_d = np.empty((n_blocks, n))
+    out_w = np.empty((n_blocks, n))
+    start = time.perf_counter()
+    rk4_swing(delta, omega, minv, damp, pm, emf, G, B, h, n_blocks, 10,
+              out_d, out_w)
+    return time.perf_counter() - start
+
+
+def time_kernel_rounds(rounds):
+    """Per case, its time in each round; round r starts at case r."""
+    times = {case: [] for case in KERNEL_CASES}
+    for r in range(rounds):
+        k = r % len(KERNEL_CASES)
+        for case in KERNEL_CASES[k:] + KERNEL_CASES[:k]:
+            times[case].append(time_kernel(*case))
+    return times
 
 
 def time_simulate(repeats):
@@ -67,15 +83,14 @@ def time_simulate(repeats):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--repeats", type=int, default=3,
+                        help="rounds over all kernel sizes; simulate() repeats")
     args = parser.parse_args()
 
-    print(f"{'workload':<28}{'time':>12}")
-    for n, seconds in ((2, 10.0), (4, 10.0), (10, 10.0), (12, 10.0),
-                       (48, 10.0), (4, 60.0)):
+    print(f"{'workload':<28}{'best':>12}{'median':>12}")
+    for (n, seconds), t in time_kernel_rounds(args.repeats).items():
         label = f"rk4 n={n}, {seconds:.0f} s horizon"
-        t = time_kernel(n, seconds, args.repeats)
-        print(f"{label:<28}{t * 1e3:>10.1f}ms")
+        print(f"{label:<28}{min(t) * 1e3:>10.1f}ms{np.median(t) * 1e3:>10.1f}ms")
 
     print()
     t = time_simulate(args.repeats)

@@ -10,15 +10,14 @@ from ._swing_numpy import backend_name
 from .assess import (AssessmentConfig, AssessmentReport, PairAssessor,
                      PairVerdict, SystemVerdict, aggregate, run_assessment)
 from .ingest import (ASSESSMENT_RATE, AlignedDataset, EventMeta, align,
-                     parse_traces, resample, write_traces)
-from .mle import (MleSeries, RlsState, estimate_stream, iter_mle,
-                  log_distance, rls_init, rls_update)
+                     parse_traces, write_traces)
+from .mle import RlsState, iter_mle, log_distance, rls_init, rls_update
 from .network import (FaultSpec, Generator, NetworkModel, ReducedSystem,
                       load_network_file, reduce_network)
 from .pairs import SdgpTrace, build_pair_trace, identify_sdgp
 from .simulator import (GeneratorTrace, simulate, solve_equilibrium,
                         stability_oracle)
 from .swings import (ClassifierConfig, DistanceSeries, SwingClassifier,
-                     SwingPattern, classify, distance_series, find_mle_start)
+                     SwingPattern, distance_series, find_mle_start)
 
 __version__ = "0.1.0"

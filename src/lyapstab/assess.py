@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -77,17 +77,18 @@ class SystemVerdict:
 class PairAssessor:
     """Consumes (time, lambda) updates for one pair until a verdict freezes.
 
+    Writes into ``verdict``: the consumed series into ``mle`` as it arrives,
+    and ``status``, ``decision_time`` and ``peak_lambda`` once decided.
     The initial-trend test fires on the first ``N_TREND`` updates: positive
     fitted slope plus a net rise means first-swing instability.  Otherwise
     the first confirmed peak of the (smoothed) exponent curve decides by its
     sign.  Verdicts never change once set.
     """
 
-    def __init__(self, severe: str, least: str):
-        self.verdict = PairVerdict(severe=severe, least=least)
+    def __init__(self, verdict: PairVerdict):
+        self.verdict = verdict
         self._avg = _MovingAverage(ClassifierConfig.smooth_width)
-        self._lams = self._avg.raw
-        self._times: list[float] = []
+        self._times, self._lams = verdict.mle = ([], self._avg.raw)
         self._trend_done = False
         self._scanner = _ExtremumScanner(+1, ClassifierConfig.n_peak)
 
@@ -114,12 +115,10 @@ class PairAssessor:
                 self._freeze(UNSTABLE_MULTI_SWING if peak > 0.0 else STABLE, t)
         return self.verdict
 
-    def finalize(self, t: float | None = None) -> PairVerdict:
-        """Called when the stream ends or the time budget runs out."""
+    def finalize(self, t: float) -> PairVerdict:
+        """Called at ``t`` when the stream ends without a decision."""
         if self.verdict.status == PENDING:
-            self._freeze(UNDETERMINED_TIMEOUT,
-                         t if t is not None else
-                         (self._times[-1] if self._times else 0.0))
+            self._freeze(UNDETERMINED_TIMEOUT, t)
         return self.verdict
 
     def _freeze(self, status: str, t: float) -> None:
@@ -150,16 +149,20 @@ def aggregate(verdicts: list[PairVerdict]) -> SystemVerdict:
     return SystemVerdict(SYSTEM_UNDETERMINED, t)
 
 
-def pair_parameters(trace: SdgpTrace, pair: tuple[str, str],
-                    t_max: float) -> PairVerdict:
-    """Swing pattern, ``w``, ``m_n`` and distance series of one pair.
+def _end_of_data(trace: SdgpTrace, t_max: float) -> float:
+    """Time after clearing where a pair's data runs out: every timeout's time."""
+    return min(t_max, (len(trace) - 1) * trace.dt)
+
+
+def pair_parameters(trace: SdgpTrace, t_max: float) -> PairVerdict:
+    """Build the pair's verdict: swing pattern, ``w``, ``m_n`` and distances.
 
     Reads only the samples at or before ``t_max``: this is where a pair's
     data budget is applied, and everything downstream reads the slices taken
     here.  Returns a PENDING verdict ready to fit, or a SKIPPED /
     UNDETERMINED_TIMEOUT verdict whose ``note`` says why there is no fit.
     """
-    verdict = PairVerdict(*pair)
+    verdict = PairVerdict(trace.severe, trace.least)
     n = int(t_max / trace.dt + 1e-9) + 1
     try:
         decision = SwingClassifier(trace.dt).run(trace.rel_speed[:n])
@@ -169,35 +172,32 @@ def pair_parameters(trace: SdgpTrace, pair: tuple[str, str],
         verdict.distance = d.d
         verdict.m_n = find_mle_start(decision.pattern, decision.w, d)
     except ClassificationRefused as exc:
-        return replace(verdict, status=SKIPPED, note=str(exc))
+        verdict.status, verdict.note = SKIPPED, str(exc)
     except (ClassificationTimeout, PeakSearchTimeout) as exc:
-        return replace(verdict, status=UNDETERMINED_TIMEOUT,
-                       decision_time=t_max, note=str(exc))
+        verdict.status, verdict.note = UNDETERMINED_TIMEOUT, str(exc)
+        verdict.decision_time = _end_of_data(trace, t_max)
     return verdict
 
 
-def _assess_pair(trace: SdgpTrace, pair: tuple[str, str],
-                 t_max: float) -> PairVerdict:
-    verdict = pair_parameters(trace, pair, t_max)
+def _assess_pair(trace: SdgpTrace, t_max: float) -> PairVerdict:
+    verdict = pair_parameters(trace, t_max)
     if verdict.status == SKIPPED:
         warnings.warn(f"pair ({verdict.severe}, {verdict.least}) skipped: "
                       f"{verdict.note}", LyapstabWarning, stacklevel=3)
     if verdict.status != PENDING:
         return verdict
-    assessor = PairAssessor(*pair)
-    verdict.mle = (assessor._times, assessor._lams)  # filled as it consumes
+    assessor = PairAssessor(verdict)
     try:
         for t, lam in iter_mle(verdict.distance, verdict.w, verdict.m_n,
                                trace.dt):
             if assessor.push(lam, t).status != PENDING:
-                break
-    except ValueError as exc:
-        return replace(verdict, status=UNDETERMINED_TIMEOUT,
-                       decision_time=t_max, note=str(exc))
-    result = assessor.finalize(min(t_max, (len(trace) - 1) * trace.dt))
-    return replace(verdict, status=result.status,
-                   decision_time=result.decision_time,
-                   peak_lambda=result.peak_lambda)
+                return verdict
+        note = f"data ended after {len(verdict.mle[1])} exponent updates"
+    except ValueError as exc:  # too few samples to start the fit
+        note = str(exc)
+    assessor.finalize(_end_of_data(trace, t_max))
+    verdict.note = note
+    return verdict
 
 
 @dataclass
@@ -242,9 +242,7 @@ def run_assessment(dataset: AlignedDataset, meta: EventMeta,
     the others; pair-selection failures propagate (there is nothing to run).
     """
     pairs = identify_sdgp(dataset, config.sigma)
-    verdicts = [
-        _assess_pair(build_pair_trace(dataset, pair), pair, config.t_max)
-        for pair in pairs
-    ]
+    verdicts = [_assess_pair(build_pair_trace(dataset, pair), config.t_max)
+                for pair in pairs]
     system = aggregate(verdicts)
     return AssessmentReport(system=system, pairs=verdicts)

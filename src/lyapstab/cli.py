@@ -207,8 +207,7 @@ def cmd_classify(args) -> int:
 
     results = []
     for pair in pair_list:
-        trace = build_pair_trace(dataset, pair)
-        verdict = pair_parameters(trace, pair, args.t_max)
+        verdict = pair_parameters(build_pair_trace(dataset, pair), args.t_max)
         if verdict.status != assess_mod.PENDING:
             raise LyapstabError(f"pair ({pair[0]}, {pair[1]}) has no fit "
                                 f"parameters: {verdict.note}")

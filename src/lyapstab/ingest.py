@@ -117,16 +117,6 @@ class AlignedDataset:
     def clearing_speeds(self) -> dict[str, float]:
         return {gid: float(self.speeds[i, 0]) for i, gid in enumerate(self.gen_ids)}
 
-    def to_traces(self) -> list[GeneratorTrace]:
-        times = self.sample_times()
-        return [
-            GeneratorTrace(gen_id=gid, t0=float(times[0]), dt=self.dt,
-                           angles=self.angles[i].copy(),
-                           speeds=self.speeds[i].copy(),
-                           stamps=times.copy())
-            for i, gid in enumerate(self.gen_ids)
-        ]
-
 
 # ---------------------------------------------------------------------------
 # CSV read / write
@@ -323,26 +313,9 @@ def _interp(trace: GeneratorTrace, at: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return np.interp(at, src, trace.angles), np.interp(at, src, trace.speeds)
 
 
-def resample(trace: GeneratorTrace, rate: float) -> GeneratorTrace:
-    """Linear interpolation onto a uniform grid at ``rate``, from ``t0`` on.
-
-    The grid starts exactly at the first source sample and extends as far as
-    the source span allows, so grid points never leave the data.
-    """
-    if rate <= 0.0:
-        raise ValueError("rate must be positive")
-    src = trace.sample_times()
-    n_out = int(math.floor((src[-1] - src[0]) * rate + 1e-9)) + 1
-    stamps = src[0] + np.arange(n_out) * (1.0 / rate)
-    angles, speeds = _interp(trace, stamps)
-    return GeneratorTrace(gen_id=trace.gen_id, t0=float(stamps[0]), dt=1.0 / rate,
-                          angles=angles, speeds=speeds, diverged=trace.diverged,
-                          stamps=stamps)
-
-
 def align(traces: list[GeneratorTrace], meta: EventMeta,
           rate: float = ASSESSMENT_RATE) -> AlignedDataset:
-    """Put every trace on the shared ``rate`` grid anchored at fault clearing.
+    """Resample every trace linearly onto the ``rate`` grid anchored at clearing.
 
     Index 0 is the first point of the absolute grid ``k / rate`` at or after
     ``meta.t_clear``; all series are truncated to the longest span every
@@ -351,6 +324,8 @@ def align(traces: list[GeneratorTrace], meta: EventMeta,
     """
     if not traces:
         raise ValueError("no traces to align")
+    if not 0.0 < rate < math.inf:
+        raise ValueError("rate must be finite and > 0")
     dt = 1.0 / rate
     offset = math.ceil(meta.t_clear * rate - 1e-9)
     t_start = offset * dt

@@ -16,10 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import SingularInitError
-from .swings import distance_series
 
 # Distances can hit exact zero at oscillation nodes; clamp before the log.
 EPS_DISTANCE = 1e-12  # rad
@@ -48,10 +45,6 @@ class RlsState:
     k: int = 1
     residual_stat: float = 0.0
     t_last: float = field(default=math.nan)
-
-    @property
-    def P(self) -> np.ndarray:
-        return np.array([[self.p00, self.p01], [self.p01, self.p11]])
 
 
 def rls_init(L0: float, L1: float, t0: float, t1: float) -> RlsState:
@@ -93,14 +86,6 @@ def rls_update(state: RlsState, L_new: float, t_new: float) -> RlsState:
     return state
 
 
-@dataclass
-class MleSeries:
-    """Exponent estimate after each absorbed observation, at absolute times."""
-
-    times: np.ndarray
-    lambdas: np.ndarray
-
-
 def iter_mle(d, w: int, m_n: int, dt: float):
     """Yield (time, lambda_hat) pairs as the fit absorbs the distance series.
 
@@ -125,12 +110,3 @@ def iter_mle(d, w: int, m_n: int, dt: float):
     for i in range(2, len(fitted)):
         rls_update(state, log_distance(fitted[i]), i * dt)
         yield (m_n + i) * dt, state.lambda_hat
-
-
-def estimate_stream(rel_angle, w: int, m_n: int, dt: float) -> MleSeries:
-    """Run the exponent fit over all of one pair's relative-angle series."""
-    times, lambdas = [], []
-    for t, lam in iter_mle(distance_series(rel_angle, w).d, w, m_n, dt):
-        times.append(t)
-        lambdas.append(lam)
-    return MleSeries(times=np.array(times), lambdas=np.array(lambdas))

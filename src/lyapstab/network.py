@@ -119,10 +119,6 @@ class NetworkModel:
     def gen_ids(self) -> tuple[str, ...]:
         return tuple(g.gen_id for g in self.generators)
 
-    @property
-    def slack_index(self) -> int:
-        return next(i for i, g in enumerate(self.generators) if g.pm is None)
-
     def with_damping(self, damping: dict[str, float]) -> "NetworkModel":
         """Copy of the model with per-generator damping overridden."""
         gens = tuple(

@@ -26,7 +26,7 @@ COMMON_MODE_RATIO = 0.5
 class SdgpTrace:
     """Sign-oriented relative series of one pair, anchored at clearing.
 
-    Orientation guarantees ``v0 = rel_speed[0] >= 0``; when the raw pair had a
+    Orientation guarantees ``rel_speed[0] >= 0``; when the raw pair had a
     negative initial relative speed both channels were negated and
     ``sign_flipped`` records it.
     """
@@ -37,10 +37,6 @@ class SdgpTrace:
     rel_speed: np.ndarray
     dt: float
     sign_flipped: bool = False
-
-    @property
-    def v0(self) -> float:
-        return float(self.rel_speed[0])
 
     def __len__(self) -> int:
         return len(self.rel_angle)

@@ -289,8 +289,6 @@ class SwingClassifier:
         self.decision = ClassifierDecision(pattern=pattern, w=w,
                                            decided_at=decided_at)
 
-    # -- convenience --------------------------------------------------------
-
     def run(self, speeds) -> ClassifierDecision:
         """Feed a whole series; error out if it ends without a decision."""
         for v in np.asarray(speeds, dtype=float).tolist():
@@ -300,7 +298,3 @@ class SwingClassifier:
         raise ClassificationTimeout(
             f"series ended after {len(self._v)} samples without a decision")
 
-
-def classify(rel_speed, dt: float) -> ClassifierDecision:
-    """One-shot classification of a complete relative-speed series."""
-    return SwingClassifier(dt).run(rel_speed)

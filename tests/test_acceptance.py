@@ -23,10 +23,10 @@ from lyapstab.assess import (PENDING, SKIPPED, STABLE, SYSTEM_STABLE,
                              aggregate, run_assessment)
 from lyapstab.errors import NoAssessablePairError
 from lyapstab.ingest import EventMeta, align
-from lyapstab.mle import estimate_stream, rls_init, rls_update
+from lyapstab.mle import iter_mle, rls_init, rls_update
 from lyapstab.network import FaultSpec, load_network_file
 from lyapstab.simulator import simulate, stability_oracle
-from lyapstab.swings import classify
+from lyapstab.swings import SwingClassifier, distance_series
 
 GOLDEN_VERDICTS = (Path(__file__).resolve().parent / "data"
                    / "battery_verdicts.json")
@@ -82,10 +82,11 @@ def test_criterion_2_known_exponent_recovery():
     rng = np.random.default_rng(42)
     for lam in (-2.0, -0.5, 0.5, 2.0):
         theta = np.exp(lam * t)
-        est = estimate_stream(theta, 12, 12, DT).lambdas[-1]
+        est = list(iter_mle(distance_series(theta, 12).d, 12, 12, DT))[-1][1]
         worst_clean = max(worst_clean, abs(est - lam) / abs(lam))
         noisy_theta = theta + rng.normal(0.0, 1e-3, len(t))
-        est = estimate_stream(noisy_theta, 12, 12, DT).lambdas[-1]
+        est = list(iter_mle(distance_series(noisy_theta, 12).d, 12, 12,
+                            DT))[-1][1]
         worst_noisy = max(worst_noisy, abs(est - lam) / abs(lam))
     elapsed = time.perf_counter() - start
     ok = worst_clean < 0.01 and worst_noisy < 0.10 and elapsed < 5.0
@@ -102,7 +103,7 @@ def test_criterion_3_pattern_suite():
     suite = template_suite()
     failures = []
     for tpl in suite:
-        decision = classify(tpl.v, DT)
+        decision = SwingClassifier(DT).run(tpl.v)
         if decision.pattern.value != tpl.pattern:
             failures.append(f"{tpl.name}: pattern {decision.pattern.value}")
         elif decision.w != tpl.expected_w():
@@ -121,7 +122,7 @@ def test_criterion_3_pattern_suite():
 # ---------------------------------------------------------------------------
 
 def _run_shape(lams):
-    assessor = PairAssessor("A", "B")
+    assessor = PairAssessor(PairVerdict("A", "B"))
     t = 0.0
     for i, lam in enumerate(lams, start=1):
         t = i * DT

@@ -24,7 +24,7 @@ from lyapstab.simulator import simulate
 
 def feed(lams, start_index=1):
     """Run one assessor over a hand-built exponent sequence."""
-    assessor = PairAssessor("A", "B")
+    assessor = PairAssessor(PairVerdict("A", "B"))
     t = None
     for i, lam in enumerate(lams, start=start_index):
         t = i * DT
@@ -84,7 +84,7 @@ def test_no_peak_times_out():
 
 def test_verdict_freezes_after_decision():
     lams = 0.5 + 0.05 * np.arange(N_TREND)
-    assessor = PairAssessor("A", "B")
+    assessor = PairAssessor(PairVerdict("A", "B"))
     for i, lam in enumerate(lams, start=1):
         assessor.push(float(lam), i * DT)
     frozen = assessor.verdict.status, assessor.verdict.decision_time
@@ -259,6 +259,40 @@ def test_pipeline_mixed_skip_uses_live_pairs():
     assert statuses[("G1", "G2")] in (STABLE, UNSTABLE_FIRST_SWING,
                                       UNSTABLE_MULTI_SWING)
     assert report.system.status in (SYSTEM_STABLE, SYSTEM_UNSTABLE)
+
+
+@pytest.mark.parametrize("speed", [
+    np.linspace(1.0, 0.9, 130),  # the classifier never decides
+    np.exp(-0.3 * np.arange(130) * DT) * np.cos(2 * np.pi * np.arange(130) * DT),
+], ids=["classifier-runs-out", "fit-runs-out"])
+def test_timeout_is_where_the_data_ends(speed):
+    # 130 samples end 1.075 s after clearing, well before t_max = 10 s
+    angle = np.concatenate([[0.0], np.cumsum(speed[:-1]) * DT])
+    ds = AlignedDataset(gen_ids=("G1", "G2"),
+                        angles=np.stack([angle, np.zeros(130)]),
+                        speeds=np.stack([speed, np.zeros(130)]), grid_offset=0)
+    report = run_assessment(ds, EventMeta(t_fault=0.0, t_clear=0.0),
+                            AssessmentConfig(t_max=10.0))
+    (pair,) = report.pairs
+    assert pair.status == UNDETERMINED_TIMEOUT
+    assert pair.decision_time == pytest.approx(129 * DT)
+    assert pair.note
+    assert report.system.decision_time == pytest.approx(129 * DT)
+
+
+def test_each_pair_builds_one_verdict(monkeypatch):
+    built = []
+
+    class CountedVerdict(PairVerdict):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr("lyapstab.assess.PairVerdict", CountedVerdict)
+    report = run_case(0.2)
+    assert len(built) == len(report.pairs) == 1
+    assert built[0] is report.pairs[0]
+    assert report.pairs[0].mle is not None  # filled in by the assessor
 
 
 def test_report_json_schema():

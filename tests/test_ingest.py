@@ -12,7 +12,7 @@ from conftest import run_smib
 from lyapstab.errors import (CoverageError, LyapstabError, OrderingError,
                              RangeError, TraceParseError)
 from lyapstab.ingest import (CSV_HEADER, EventMeta, _parse_bulk, _parse_lines,
-                             align, parse_traces, resample, write_traces)
+                             align, parse_traces, write_traces)
 from lyapstab.network import FaultSpec, load_network_file
 from lyapstab.simulator import GeneratorTrace, simulate
 
@@ -275,13 +275,16 @@ def test_bulk_and_line_parsers_agree(fuzz_path, case, offset):
 
 
 # ---------------------------------------------------------------------------
-# resample
+# resampling: align interpolates every trace onto its grid
 # ---------------------------------------------------------------------------
+
+AT_ZERO = EventMeta(t_fault=0.0, t_clear=0.0)  # grid index 0 at t = 0
+
 
 def test_resample_identity_on_target_grid():
     tr = make_trace(rate=120.0)
-    out = resample(tr, 120.0)
-    assert np.array_equal(out.angles, tr.angles)
+    out = align([tr], AT_ZERO, rate=120.0)
+    assert np.array_equal(out.angles[0], tr.angles)
     assert np.array_equal(out.sample_times(), tr.sample_times())
 
 
@@ -289,35 +292,37 @@ def test_resample_ramp_inserts_midpoints():
     t = np.arange(0, 61) / 60.0
     tr = GeneratorTrace(gen_id="G", t0=0.0, dt=1 / 60.0, angles=2.0 * t,
                         speeds=np.full_like(t, 2.0), stamps=t)
-    out = resample(tr, 120.0)
-    assert len(out) == 121
-    mids = out.angles[1::2]
+    out = align([tr], AT_ZERO, rate=120.0)
+    assert out.n_samples == 121
+    mids = out.angles[0, 1::2]
     expect = (tr.angles[:-1] + tr.angles[1:]) / 2.0
     assert mids == pytest.approx(expect, abs=1e-15)
 
 
 def test_resample_preserves_constants_and_affine():
-    t = np.arange(0, 25) / 60.0
+    t = np.arange(0, 61) / 60.0  # align wants MIN_HORIZON = 0.5 s of data
     const = GeneratorTrace("G", 0.0, 1 / 60.0, np.full_like(t, 0.7),
                            np.zeros_like(t), stamps=t)
-    out = resample(const, 97.0)
+    out = align([const], AT_ZERO, rate=97.0)
     assert np.all(out.angles == 0.7)
     affine = GeneratorTrace("G", 0.0, 1 / 60.0, 3.0 * t - 1.0,
                             np.full_like(t, 3.0), stamps=t)
-    out = resample(affine, 97.0)
-    assert out.angles == pytest.approx(3.0 * out.sample_times() - 1.0, abs=1e-12)
+    out = align([affine], AT_ZERO, rate=97.0)
+    assert out.angles[0] == pytest.approx(3.0 * out.sample_times() - 1.0,
+                                          abs=1e-12)
 
 
 def test_resample_sinusoid_halving_accuracy():
     tr = make_trace(rate=240.0, f=1.0, amp=1.0)
-    out = resample(tr, 120.0)
+    out = align([tr], AT_ZERO, rate=120.0)
     analytic = np.sin(2 * np.pi * out.sample_times())
-    assert np.abs(out.angles - analytic).max() < 1e-3
+    assert np.abs(out.angles[0] - analytic).max() < 1e-3
 
 
 def test_resample_rejects_bad_rate():
-    with pytest.raises(ValueError):
-        resample(make_trace(), 0.0)
+    for rate in (0.0, -120.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="rate must be finite and > 0"):
+            align([make_trace()], AT_ZERO, rate=rate)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +370,10 @@ def test_align_idempotent():
     traces = [make_trace("G1"), make_trace("G2", amp=0.05)]
     meta = EventMeta(t_fault=0.2, t_clear=0.5)
     once = align(traces, meta)
-    twice = align(once.to_traces(), meta)
+    times = once.sample_times()
+    twice = align([GeneratorTrace(gid, float(times[0]), once.dt, once.angles[i],
+                                  once.speeds[i], stamps=times)
+                   for i, gid in enumerate(once.gen_ids)], meta)
     assert once.grid_offset == twice.grid_offset
     assert np.array_equal(once.angles, twice.angles)
     assert np.array_equal(once.speeds, twice.speeds)

@@ -8,10 +8,16 @@ import pytest
 from conftest import DT, naive_first_extremum, two_machine_model
 from lyapstab.errors import SingularInitError
 from lyapstab.ingest import EventMeta, align
-from lyapstab.mle import (EPS_DISTANCE, estimate_stream, iter_mle,
-                          log_distance, rls_init, rls_update)
+from lyapstab.mle import (EPS_DISTANCE, iter_mle, log_distance, rls_init,
+                          rls_update)
 from lyapstab.network import FaultSpec
 from lyapstab.simulator import simulate
+from lyapstab.swings import SwingClassifier, distance_series, find_mle_start
+
+
+def cov(state):
+    """The fit's covariance P as a matrix."""
+    return np.array([[state.p00, state.p01], [state.p01, state.p11]])
 
 
 def batch_fit(times, values):
@@ -74,7 +80,7 @@ def test_init_covariance_matches_inverse_oracle():
         X = np.array([[t0, 1.0], [t1, 1.0]])
         oracle = np.linalg.inv(X.T @ X)
         scale = np.abs(oracle).max()
-        assert np.abs(state.P - oracle).max() < 1e-12 * max(scale, 1.0)
+        assert np.abs(cov(state) - oracle).max() < 1e-12 * max(scale, 1.0)
 
 
 def test_init_rejects_equal_times():
@@ -127,9 +133,9 @@ def test_covariance_stays_symmetric_positive_definite():
     for i, (t, y) in enumerate(zip(times[2:], values[2:])):
         rls_update(state, y, t)
         if i % 251 == 0:
-            assert np.abs(state.P - state.P.T).max() < 1e-9
-            assert np.all(np.linalg.eigvalsh(state.P) > 0.0)
-    assert np.all(np.linalg.eigvalsh(state.P) > 0.0)
+            assert np.abs(cov(state) - cov(state).T).max() < 1e-9
+            assert np.all(np.linalg.eigvalsh(cov(state)) > 0.0)
+    assert np.all(np.linalg.eigvalsh(cov(state)) > 0.0)
 
 
 def test_fit_state_stays_plain_floats():
@@ -174,28 +180,31 @@ def test_update_guards():
 
 def test_exponential_separation_recovers_exponent():
     lam = 1.5
-    series = estimate_stream(exp_angle(lam), 12, 12, DT)
-    after_60 = series.lambdas[59:]
+    _, lambdas = np.array(list(
+        iter_mle(distance_series(exp_angle(lam), 12).d, 12, 12, DT))).T
+    after_60 = lambdas[59:]
     assert np.abs(after_60 - lam).max() / lam < 0.01
 
 
 def test_ramp_angle_gives_zero_exponent():
     t = np.arange(0, 241) * DT
-    series = estimate_stream(4.0 * t, 6, 6, DT)
-    assert np.abs(series.lambdas).max() < 1e-8
+    _, lambdas = np.array(list(
+        iter_mle(distance_series(4.0 * t, 6).d, 6, 6, DT))).T
+    assert np.abs(lambdas).max() < 1e-8
 
 
 def test_stream_times_and_first_emission():
-    series = estimate_stream(exp_angle(0.5, duration=1.0), 10, 25, DT)
-    assert series.times[0] == pytest.approx((25 + 1) * DT)
-    assert np.all(np.diff(series.times) > 0)
-    assert len(series.times) == len(series.lambdas)
+    d = distance_series(exp_angle(0.5, duration=1.0), 10).d
+    times, lambdas = zip(*iter_mle(d, 10, 25, DT))
+    assert times[0] == pytest.approx((25 + 1) * DT)
+    assert np.all(np.diff(times) > 0)
+    assert len(times) == len(lambdas)
 
 
 def test_stream_requires_enough_samples():
     theta = exp_angle(0.5, duration=0.1)  # 13 samples
     with pytest.raises(ValueError, match="angle samples"):
-        estimate_stream(theta, 10, 30, DT)
+        next(iter_mle(distance_series(theta, 10).d, 10, 30, DT))
 
 
 @pytest.mark.parametrize("w,m_n,n_d,message", [
@@ -222,13 +231,12 @@ def test_undamped_two_machine_dips_then_peaks():
     spd = ds.speeds[0] - ds.speeds[1]
     if spd[0] < 0:
         rel, spd = -rel, -spd
-    from lyapstab.swings import classify, distance_series, find_mle_start
-    decision = classify(spd, DT)
-    m_n = find_mle_start(decision.pattern, decision.w,
-                         distance_series(rel, decision.w))
-    series = estimate_stream(rel, decision.w, m_n, DT)
-    dipped = np.flatnonzero(series.lambdas < series.lambdas[0])
+    decision = SwingClassifier(DT).run(spd)
+    d = distance_series(rel, decision.w)
+    m_n = find_mle_start(decision.pattern, decision.w, d)
+    _, lambdas = np.array(list(iter_mle(d.d, decision.w, m_n, DT))).T
+    dipped = np.flatnonzero(lambdas < lambdas[0])
     assert dipped.size > 0
-    peak_j = naive_first_extremum(series.lambdas, sign=+1)
+    peak_j = naive_first_extremum(lambdas, sign=+1)
     assert peak_j is not None
     assert peak_j > dipped[0]

@@ -75,7 +75,7 @@ def test_single_machine_against_infinite_bus_allowed():
             Generator("INF", "2", math.inf, 0.0, 1e-4, 1.0, None),
         ),
     )
-    assert model.slack_index == 1
+    assert [g.gen_id for g in model.generators if g.pm is None] == ["INF"]
 
 
 def test_exactly_one_slack_required():

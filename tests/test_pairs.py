@@ -85,7 +85,7 @@ def test_pair_trace_zero_relative():
     ds = dataset({"G1": 2.0, "G2": 2.0})
     tr = build_pair_trace(ds, ("G2", "G1"))
     assert np.all(tr.rel_angle == 0.0)
-    assert tr.v0 == 0.0
+    assert tr.rel_speed[0] == 0.0
     assert not tr.sign_flipped
 
 
@@ -93,7 +93,7 @@ def test_pair_trace_orientation():
     ds = dataset({"G1": -2.0, "G2": 0.1})
     tr = build_pair_trace(ds, ("G1", "G2"))
     assert tr.sign_flipped
-    assert tr.v0 == pytest.approx(2.1)
+    assert tr.rel_speed[0] == pytest.approx(2.1)
     assert tr.rel_speed[0] >= 0.0
 
 

@@ -9,8 +9,8 @@ from conftest import DT, make_template, naive_first_extremum, template_suite
 from lyapstab.errors import (ClassificationRefused, ClassificationTimeout,
                              PeakSearchTimeout)
 from lyapstab.swings import (ClassifierConfig, DistanceSeries, SwingClassifier,
-                             SwingPattern, _MovingAverage, classify,
-                             distance_series, find_mle_start)
+                             SwingPattern, _MovingAverage, distance_series,
+                             find_mle_start)
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +68,7 @@ def test_moving_average_equals_clipped_centred_mean(width):
 
 def test_linear_growth_is_pattern_one():
     t = np.arange(0, 241) * DT
-    decision = classify(1.0 + 5.0 * t, DT)
+    decision = SwingClassifier(DT).run(1.0 + 5.0 * t)
     assert decision.pattern is SwingPattern.I
     assert decision.w == 1
     assert decision.decided_at == ClassifierConfig().n_confirm
@@ -76,7 +76,7 @@ def test_linear_growth_is_pattern_one():
 
 def test_cosine_reaches_minus_v0_at_half_period():
     t = np.arange(0, 241) * DT
-    decision = classify(np.cos(2 * np.pi * 1.0 * t), DT)
+    decision = SwingClassifier(DT).run(np.cos(2 * np.pi * 1.0 * t))
     assert decision.pattern is SwingPattern.III
     assert decision.w == 60
     assert decision.decided_at == 60
@@ -85,7 +85,7 @@ def test_cosine_reaches_minus_v0_at_half_period():
 def test_damped_cosine_is_pattern_four():
     t = np.arange(0, 481) * DT
     v = np.exp(-3.0 * t) * np.cos(2 * np.pi * 1.0 * t)
-    decision = classify(v, DT)
+    decision = SwingClassifier(DT).run(v)
     assert decision.pattern is SwingPattern.IV
     assert decision.w == naive_first_extremum(v, sign=-1)
 
@@ -96,7 +96,7 @@ def test_damped_cosine_is_pattern_four():
 
 @pytest.mark.parametrize("template", template_suite(), ids=lambda c: c.name)
 def test_template_families(template):
-    decision = classify(template.v, DT)
+    decision = SwingClassifier(DT).run(template.v)
     assert decision.pattern.value == template.pattern
     assert decision.w == template.expected_w()
 
@@ -136,16 +136,17 @@ def test_negative_v0_rejected():
 
 def test_timeout_without_decision():
     with pytest.raises(ClassificationTimeout, match="after 200 samples"):
-        classify(np.linspace(1.0, 0.9, 200), DT)  # drifts down, never decides
+        # drifts down, never decides
+        SwingClassifier(DT).run(np.linspace(1.0, 0.9, 200))
 
 
 def test_scale_invariance_of_w_and_m_n():
     tpl = make_template("III", v0=1.0, f=1.0, g=0.2)
     theta = np.cumsum(tpl.v) * DT
-    ref = classify(tpl.v, DT)
+    ref = SwingClassifier(DT).run(tpl.v)
     ref_m_n = find_mle_start(ref.pattern, ref.w, distance_series(theta, ref.w))
     for c in (0.1, 3.0, 10.0):
-        scaled = classify(c * tpl.v, DT)
+        scaled = SwingClassifier(DT).run(c * tpl.v)
         assert scaled.pattern == ref.pattern
         assert scaled.w == ref.w
         m_n = find_mle_start(scaled.pattern, scaled.w,
@@ -158,7 +159,7 @@ def test_pattern_one_escape_after_sustained_decelerating_growth():
     # the automaton falls back to the first-swing call after the escape time
     t = np.arange(0, 601) * DT
     v = 1.0 + 4.0 * np.sqrt(t)
-    decision = classify(v, DT)
+    decision = SwingClassifier(DT).run(v)
     assert decision.pattern is SwingPattern.I
     assert decision.w == 1
 
