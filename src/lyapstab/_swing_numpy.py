@@ -15,29 +15,41 @@ rows scaled by ``minv``.  ``Z`` is formed once per call.
 
 NumPy call overhead, not arithmetic, dominates at the machine counts
 simulated, so each RK4 stage is laid out to need as few calls as possible.
-Stage ``s`` owns one row of a ``(4, 5n + 1)`` buffer:
+The integrated state is ``x = [theta (2n) | omega (n)]``, where ``theta``
+interleaves ``(delta_i + pi/2, delta_i)``: one ``np.sin`` of ``theta``
+gives ``(cos delta_i, sin delta_i)``, which is ``u`` written as
+interleaved (re, im) floats.  Stage ``s`` owns one row of a
+``(4, 8n + 1)`` buffer:
 
-    row = [ a_s | omega_s | delta_s | p_s (2n) | 1 ]
+    row = [ c_s k_s (3n) | theta_s (2n) | omega_s (n) | p_s (2n) | 1 ]
 
-with ``a_s`` the acceleration.  Three things are then views of that row:
-the stage state ``y_s = [omega_s, delta_s] = row[n:3n]``, its slope
-``k_s = dy/dt = [a_s, omega_s] = row[:2n]``, and the operand ``row[n:]`` of
-the acceleration.  Writing ``u`` and ``Zu`` as interleaved (re, im) floats,
-``p_s = u * Zu`` elementwise (one ``np.multiply`` of their float views)
-holds ``[Re u_0 Re(Zu)_0, Im u_0 Im(Zu)_0, ...]``, and the sum of each
-consecutive pair is ``Re(conj(u_i) (Zu)_i) = minv_i * pe_i``.  So
+where ``y_s = [theta_s, omega_s]`` is the stage state, ``k_s`` its slope
+and ``c_s`` in ``(h/2, h/2, h, h)`` the step the next stage takes along it
+(the last one is never stepped along, only summed).  With ``u`` and ``Zu``
+as float views, ``p_s = u * Zu`` elementwise (one ``np.multiply``) holds
+``[Re u_0 Re(Zu)_0, Im u_0 Im(Zu)_0, ...]``, and the sum of each
+consecutive pair is ``Re(conj(u_i) (Zu)_i) = minv_i * pe_i``.  The slope of
+``theta`` is ``omega_i`` twice and that of ``omega`` is
+``pm * minv - minv * pe - damp * minv * omega``, so
 
-    a = pm * minv - minv * pe - damp * minv * omega = A @ row[n:]
-    A = [ -damp * minv (diagonal) | 0 | -S | pm * minv ]
+    c_s k_s = c_s D @ row[5n:],    row[5n:] = [ omega_s | p_s | 1 ]
 
-where ``S`` (n x 2n) has ``S[i, 2i] = S[i, 2i + 1] = 1`` and the zero block
-skips ``delta_s``.  A stage is then: the stage state (``x + c * k_prev``,
-two calls; none for the first stage), ``cos``/``sin`` into ``u``,
-``Zu``, ``p_s``, and ``A @ row[n:]`` into ``a_s``: at most seven calls.
-The integrated state ``x`` is stage 0's state, so the first stage reads it
-without a copy.  A machine with ``minv == 0`` has an all-zero row of ``Z``,
-so its ``p`` entries are zero and its row of ``A`` gives exactly zero
-acceleration: it never moves.
+    D = [ R          | 0  | 0         ]    (2n rows: R[2i, i] = R[2i + 1, i] = 1)
+        [ -damp minv | -S | pm * minv ]    (n rows: S[i, 2i] = S[i, 2i + 1] = 1)
+
+with ``-damp minv`` diagonal.  ``h D / 2`` and ``h D`` are formed once per
+call, so one ``np.dot`` writes the already scaled slope.  A stage is then:
+the stage state ``x + c_{s-1} k_{s-1}`` (one ``np.add``; none for the first
+stage, which reads ``x`` in place), ``np.sin`` into ``u``, ``Zu``, ``p_s``
+and the scaled slope: at most five calls.  The step ends with
+``x += [1/3, 2/3, 1/3, 1/6] @ (c k)``, the RK4 weights ``(1, 2, 2, 1) h/6``
+divided by ``c_s``; 21 calls a step in all.
+
+A machine with ``minv == 0`` has an all-zero row of ``Z``, so its ``p``
+entries are zero and its ``omega`` row of ``D`` gives exactly zero
+acceleration: it never moves.  Its ``delta`` is read back from the
+``delta_i`` slot of ``theta``, so it is returned exactly; the ``+ pi/2``
+slot only feeds ``np.sin``.
 """
 
 import numpy as np
@@ -64,49 +76,67 @@ def rk4_swing(delta, omega, minv, damp, pm, emf, G, B, h, n_blocks, substeps,
     n = len(delta)
     Z = (minv * emf)[:, None] * (G + 1j * B) * emf[None, :]
     machines = np.arange(n)
-    A = np.zeros((n, 4 * n + 1))
-    A[machines, machines] = -(damp * minv)
-    A[machines, 2 * n + 2 * machines] = -1.0
-    A[machines, 2 * n + 2 * machines + 1] = -1.0
-    A[:, -1] = pm * minv
-    stages = np.empty((4, 5 * n + 1))
+    D = np.zeros((3 * n, 3 * n + 1))
+    D[2 * machines, machines] = 1.0
+    D[2 * machines + 1, machines] = 1.0
+    omega_rows = 2 * n + machines
+    D[omega_rows, machines] = -(damp * minv)
+    D[omega_rows, n + 2 * machines] = -1.0
+    D[omega_rows, n + 2 * machines + 1] = -1.0
+    D[omega_rows, -1] = pm * minv
+    D_half, D_full = (0.5 * h) * D, h * D
+    stages = np.empty((4, 8 * n + 1))
     stages[:, -1] = 1.0
-    x = stages[0, n:3 * n]  # the integrated state [omega, delta]
-    x[:n] = omega
-    x[n:] = delta
-    k = stages[:, :2 * n]
-    weights = np.array([1.0, 2.0, 2.0, 1.0]) * (h / 6.0)
+    x = stages[0, 3 * n:6 * n]  # the integrated state [theta, omega]
+    x[0:2 * n:2] = delta + np.pi / 2
+    x[1:2 * n:2] = delta
+    x[2 * n:] = omega
+    ck = stages[:, :3 * n]
+    ck0, ck1, ck2, ck3 = ck
+    _, y1, y2, y3 = stages[:, 3 * n:6 * n]
+    th0, th1, th2, th3 = stages[:, 3 * n:5 * n]
+    p0, p1, p2, p3 = stages[:, 6 * n:8 * n]
+    v0, v1, v2, v3 = stages[:, 5 * n:]
+    weights = np.array([1.0 / 3.0, 2.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0])
     u = np.empty(n, dtype=complex)
     zu = np.empty(n, dtype=complex)
-    u_re, u_im = u.real, u.imag
     u_f, zu_f = u.view(float), zu.view(float)
-    # (step to this stage, slope it steps along, state, delta, p, accel, operand)
-    rows = [(c, k_prev, row[n:3 * n], row[2 * n:3 * n], row[3 * n:5 * n],
-             row[:n], row[n:])
-            for c, k_prev, row in zip((None, 0.5 * h, 0.5 * h, h),
-                                      (None,) + tuple(k[:3]), stages)]
     # A diverging run overflows to inf and nan; the per-block finiteness check
     # reports it, so NumPy's floating-point warnings would only be noise.
+    # np.dot, not @: less per-call overhead on these small arrays.
     with np.errstate(over="ignore", invalid="ignore"):
         for block in range(n_blocks):
             for _ in range(substeps):
-                for c, k_prev, y, d, p, a, v in rows:
-                    if c is not None:
-                        np.multiply(k_prev, c, out=y)
-                        y += x
-                    np.cos(d, out=u_re)  # u = exp(1j * d), built in place
-                    np.sin(d, out=u_im)
-                    # np.dot, not @: less per-call overhead on these small arrays
-                    np.dot(Z, u, out=zu)
-                    np.multiply(u_f, zu_f, out=p)
-                    np.dot(A, v, out=a)
-                x += np.dot(weights, k)
-            out_delta[block] = x[n:]
-            out_omega[block] = x[:n]
+                np.sin(th0, out=u_f)
+                np.dot(Z, u, out=zu)
+                np.multiply(u_f, zu_f, out=p0)
+                np.dot(D_half, v0, out=ck0)
+
+                np.add(x, ck0, out=y1)
+                np.sin(th1, out=u_f)
+                np.dot(Z, u, out=zu)
+                np.multiply(u_f, zu_f, out=p1)
+                np.dot(D_half, v1, out=ck1)
+
+                np.add(x, ck1, out=y2)
+                np.sin(th2, out=u_f)
+                np.dot(Z, u, out=zu)
+                np.multiply(u_f, zu_f, out=p2)
+                np.dot(D_full, v2, out=ck2)
+
+                np.add(x, ck2, out=y3)
+                np.sin(th3, out=u_f)
+                np.dot(Z, u, out=zu)
+                np.multiply(u_f, zu_f, out=p3)
+                np.dot(D_full, v3, out=ck3)
+
+                x += np.dot(weights, ck)
+            out_delta[block] = x[1:2 * n:2]
+            out_omega[block] = x[2 * n:]
             if not np.isfinite(x).all():
                 break
         else:
             block = -1
-    delta[:] = x[n:]
-    omega[:] = x[:n]
+    delta[:] = x[1:2 * n:2]
+    omega[:] = x[2 * n:]
     return block

@@ -149,9 +149,14 @@ def aggregate(verdicts: list[PairVerdict]) -> SystemVerdict:
     return SystemVerdict(SYSTEM_UNDETERMINED, t)
 
 
+def _samples_read(trace: SdgpTrace, t_max: float) -> int:
+    """Samples of the pair at or before ``t_max`` after clearing."""
+    return min(len(trace), int(t_max / trace.dt + 1e-9) + 1)
+
+
 def _end_of_data(trace: SdgpTrace, t_max: float) -> float:
-    """Time after clearing where a pair's data runs out: every timeout's time."""
-    return min(t_max, (len(trace) - 1) * trace.dt)
+    """Time of the last sample the pair reads: every timeout's time."""
+    return (_samples_read(trace, t_max) - 1) * trace.dt
 
 
 def pair_parameters(trace: SdgpTrace, t_max: float) -> PairVerdict:
@@ -163,7 +168,7 @@ def pair_parameters(trace: SdgpTrace, t_max: float) -> PairVerdict:
     UNDETERMINED_TIMEOUT verdict whose ``note`` says why there is no fit.
     """
     verdict = PairVerdict(trace.severe, trace.least)
-    n = int(t_max / trace.dt + 1e-9) + 1
+    n = _samples_read(trace, t_max)
     try:
         decision = SwingClassifier(trace.dt).run(trace.rel_speed[:n])
         verdict.pattern, verdict.w = decision.pattern, decision.w

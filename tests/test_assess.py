@@ -280,6 +280,21 @@ def test_timeout_is_where_the_data_ends(speed):
     assert report.system.decision_time == pytest.approx(129 * DT)
 
 
+def test_off_grid_t_max_times_out_at_the_last_sample_read():
+    # t_max = 1.505 s reads 181 samples at 120 Hz; the last is at 1.500 s
+    speed = np.linspace(1.0, 0.9, 400)  # the classifier never decides
+    angle = np.concatenate([[0.0], np.cumsum(speed[:-1]) * DT])
+    ds = AlignedDataset(gen_ids=("G1", "G2"),
+                        angles=np.stack([angle, np.zeros(400)]),
+                        speeds=np.stack([speed, np.zeros(400)]), grid_offset=0)
+    report = run_assessment(ds, EventMeta(t_fault=0.0, t_clear=0.0),
+                            AssessmentConfig(t_max=1.505))
+    (pair,) = report.pairs
+    assert pair.status == UNDETERMINED_TIMEOUT
+    assert pair.decision_time == pytest.approx(1.5)
+    assert report.system.decision_time == pytest.approx(1.5)
+
+
 def test_each_pair_builds_one_verdict(monkeypatch):
     built = []
 

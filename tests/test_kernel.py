@@ -82,8 +82,21 @@ def reference_rk4(state, h, n_blocks, substeps):
     return np.array(out_d), np.array(out_w)
 
 
-# (machines, indices of the infinite machines)
+def assert_matches_reference(state, n_blocks, substeps, tol):
+    """Run the kernel and the reference at h = 1/1200 s; returns the
+    reference angles."""
+    ref_d, ref_w = reference_rk4(state, 1.0 / 1200.0, n_blocks, substeps)
+    bad, d, w = run(state, 1.0 / 1200.0, n_blocks, substeps)
+    assert bad == -1
+    assert np.abs(d - ref_d).max() < tol
+    assert np.abs(w - ref_w).max() < tol
+    return ref_d
+
+
+# (machines, indices of the infinite machines); "n4-inf0" puts an infinite
+# machine in the first interleaved phase slot of the kernel's state
 SIZES = [pytest.param(2, (-1,), id="n2"), pytest.param(4, (-1,), id="n4"),
+         pytest.param(4, (0,), id="n4-inf0"),
          pytest.param(12, (4, -1), id="n12")]
 
 
@@ -92,12 +105,24 @@ SIZES = [pytest.param(2, (-1,), id="n2"), pytest.param(4, (-1,), id="n4"),
                          [(1, 1, 1e-13), (60, 10, 1e-9)],
                          ids=["one-step", "half-second"])
 def test_kernels_match_reference(n_blocks, substeps, tol, n, infinite):
-    state = example_system(n, infinite=infinite)
-    ref_d, ref_w = reference_rk4(state, 1.0 / 1200.0, n_blocks, substeps)
-    bad, d, w = run(state, 1.0 / 1200.0, n_blocks, substeps)
-    assert bad == -1
-    assert np.abs(d - ref_d).max() < tol
-    assert np.abs(w - ref_w).max() < tol
+    assert_matches_reference(example_system(n, infinite=infinite), n_blocks,
+                             substeps, tol)
+
+
+def test_one_step_matches_reference_at_n24():
+    assert_matches_reference(example_system(24, infinite=(0, 11, -1)), 1, 1,
+                             1e-13)
+
+
+def test_pole_slipping_machine_matches_reference():
+    # Machine 0 starts ~24 Hz fast and undamped, so its angle passes 20 pi
+    # within the half second.  The kernel takes cos(delta) as
+    # sin(delta + pi/2), whose rounding grows with |delta|.
+    delta, omega, minv, damp, pm, emf, G, B = example_system()
+    omega[0], damp[0] = 150.0, 0.0
+    state = (delta, omega, minv, damp, pm, emf, G, B)
+    ref_d = assert_matches_reference(state, 60, 10, 1e-9)
+    assert np.abs(ref_d[:, 0]).max() > 20 * np.pi
 
 
 @pytest.mark.parametrize("n, infinite", SIZES)
