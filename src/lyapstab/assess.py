@@ -45,9 +45,6 @@ SYSTEM_UNDETERMINED = "UNDETERMINED"
 
 UNSTABLE_STATUSES = (UNSTABLE_FIRST_SWING, UNSTABLE_MULTI_SWING)
 
-N_TREND = 24  # exponent samples for the initial-trend test
-
-
 @dataclass
 class PairVerdict:
     severe: str
@@ -79,17 +76,16 @@ class PairAssessor:
 
     Writes into ``verdict``: the consumed series into ``mle`` as it arrives,
     and ``status``, ``decision_time`` and ``peak_lambda`` once decided.
-    The initial-trend test fires on the first ``N_TREND`` updates: positive
-    fitted slope plus a net rise means first-swing instability.  Otherwise
-    the first confirmed peak of the (smoothed) exponent curve decides by its
-    sign.  Verdicts never change once set.
+    The initial-trend test fires on the first ``ClassifierConfig.n_trend``
+    updates: positive fitted slope plus a net rise means first-swing
+    instability.  Otherwise the first confirmed peak of the (smoothed)
+    exponent curve decides by its sign.  Verdicts never change once set.
     """
 
     def __init__(self, verdict: PairVerdict):
         self.verdict = verdict
         self._avg = _MovingAverage(ClassifierConfig.smooth_width)
         self._times, self._lams = verdict.mle = ([], self._avg.raw)
-        self._trend_done = False
         self._scanner = _ExtremumScanner(+1, ClassifierConfig.n_peak)
 
     def push(self, lam: float, t: float) -> PairVerdict:
@@ -98,16 +94,15 @@ class PairAssessor:
         self._avg.push(lam)
         self._times.append(t)
 
-        if not self._trend_done and len(self._lams) == N_TREND:
+        if len(self._lams) == ClassifierConfig.n_trend:
             ts = np.asarray(self._times)
             ls = np.asarray(self._lams)
             tc = ts - ts.mean()
             slope = float((tc * (ls - ls.mean())).sum() / (tc * tc).sum())
-            self._trend_done = True
             if slope > 0.0 and ls[-1] > ls[0]:
                 self._freeze(UNSTABLE_FIRST_SWING, t)
                 return self.verdict
-        if self._trend_done:
+        if len(self._lams) >= ClassifierConfig.n_trend:
             j = self._scanner.scan(self._avg.smoothed)
             if j is not None:
                 peak = self._lams[j]

@@ -49,6 +49,13 @@ def _positive(value: str) -> float:
     return x
 
 
+def _finite(value: str) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+    return x
+
+
 def _jobs(value: str) -> int:
     n = int(value)
     if n < 1:
@@ -97,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     event.add_argument("--meta", help="event metadata JSON (from `simulate`)")
     event.add_argument("--fault-time", type=float, help="overrides metadata")
     event.add_argument("--clear-time", type=float, help="overrides metadata")
-    event.add_argument("--speed-nominal", type=float, default=0.0,
+    event.add_argument("--speed-nominal", type=_finite, default=0.0,
                        help="subtract this absolute speed (rad/s) at parse time")
     event.add_argument("--dump-distance", metavar="PREFIX",
                        help="write per-pair distance series CSVs")

@@ -1,5 +1,6 @@
 """The settable assessment configuration; every other tunable is derived per
-pair (``w``, ``m_n``) or fixed (``swings.ClassifierConfig``, ``assess.N_TREND``)."""
+pair (``w``, ``m_n``) or fixed (``swings.ClassifierConfig``, which holds the
+swing automaton's counts and thresholds and the trend-test length)."""
 
 import math
 from dataclasses import dataclass

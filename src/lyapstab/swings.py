@@ -35,18 +35,21 @@ MONOTONE_PATTERNS = (SwingPattern.I, SwingPattern.II)
 
 
 class ClassifierConfig:
-    """Fixed constants (not settings) of the automaton, tuned for 120 samples/s.
+    """Fixed constants (not settings) of the automata, tuned for 120 samples/s.
 
     ``eps_v_rel`` scales the band around +/-v0 used for threshold crossings
     (with an absolute floor for near-zero events), ``eps_a_rel`` scales the
     curvature threshold separating sustained growth from decelerated growth,
     and the ``n_*`` counts control smoothing and extremum confirmation.
+    ``n_trend`` is the number of exponent updates the verdict's
+    initial-trend test reads (``assess.PairAssessor``).
     """
 
     __slots__ = ()
     n_confirm = 12      # samples of evidence before the initial branch
     n_peak = 6          # +/- neighbourhood for extremum confirmation
     smooth_width = 5    # centred moving-average width
+    n_trend = 24        # exponent updates for the initial-trend test
     eps_v_rel = 1e-3
     eps_v_floor = 1e-6  # rad/s
     eps_a_rel = 0.02
@@ -155,9 +158,21 @@ class SwingClassifier:
     """Online classifier: feed relative-speed samples in order via ``step``.
 
     The first sample fixes v0 (which must be non-negative: pair traces are
-    sign-oriented upstream).  ``step`` returns a :class:`ClassifierDecision`
-    exactly once, ``None`` before and after.  Near-zero v0 raises
-    :class:`ClassificationRefused`; ``run`` raises
+    sign-oriented upstream); ``n_confirm`` samples later the smoothed curve
+    picks the branch, falling or rising.  Then two rules race:
+
+    * the extremum chain confirms the smoothed curve's first extremum
+      (minimum when falling, maximum when rising), then the opposite one
+      after it: IV when falling, VI when rising, ``w`` at the minimum;
+    * the crossing scan over the raw speeds: reaching -v0 gives III when
+      falling and V when rising, and regaining v0 after a dip below it
+      gives II when falling; ``w`` is the crossing sample.
+
+    A rising branch first waits for the smoothed curve to decelerate,
+    deciding I if it rises above its start before then or if no maximum
+    confirms within ``escape_after`` s after.  ``step`` returns a
+    :class:`ClassifierDecision` exactly once, ``None`` before and after.
+    Near-zero v0 raises :class:`ClassificationRefused`; ``run`` raises
     :class:`ClassificationTimeout` when its series ends without a decision.
     The caller bounds the data by what it feeds.
     """
@@ -172,20 +187,14 @@ class SwingClassifier:
         self.v0: float | None = None
         self.eps_v = 0.0
         self.eps_a = 0.0
-        self.branch: str | None = None   # 'dec' | 'inc'
+        self.falling: bool | None = None  # the branch, once chosen
         self.decision: ClassifierDecision | None = None
-        # decreasing-branch state
-        self._armed_ii = False
-        self._scan_ptr = 0
-        self._dec_min = None
-        self._dec_max = None
-        self._j_min: int | None = None
-        # increasing-branch state
+        self._scanner: _ExtremumScanner | None = None  # current chain link
+        self._first: int | None = None  # the chain's first extremum
+        self._scan_ptr = 0    # next raw sample of the crossing scan
+        self._dipped = False  # a raw sample fell below v0 (arms II)
         self._decelerating_at: int | None = None
         self._kappa_ptr = 1
-        self._inc_peak = None
-        self._peak_at: int | None = None
-        self._inc_min = None
 
     def step(self, v_new: float) -> ClassifierDecision | None:
         if self.decision is not None:
@@ -207,87 +216,64 @@ class SwingClassifier:
         self._avg.push(v_new)
         n_last = len(self._v) - 1
 
-        if self.branch is None and n_last >= ClassifierConfig.n_confirm:
-            self.branch = "dec" if self._sm[-1] < self._sm[0] else "inc"
-            if self.branch == "dec":
-                self._dec_min = _ExtremumScanner(-1, ClassifierConfig.n_peak)
-            else:
-                self._inc_peak = _ExtremumScanner(+1, ClassifierConfig.n_peak)
-        if self.branch == "dec":
-            self._step_decreasing(n_last)
-        elif self.branch == "inc":
-            self._step_increasing(n_last)
-        return self.decision
+        if self.falling is None:
+            if n_last < ClassifierConfig.n_confirm:
+                return None
+            self.falling = self._sm[-1] < self._sm[0]
+            self._scanner = _ExtremumScanner(-1 if self.falling else +1,
+                                             ClassifierConfig.n_peak)
+        if not self.falling:
+            # the deceleration gate: curvature of the smoothed curve, where
+            # kappa index i needs sm[i-1..i+1]
+            sm = self._sm
+            while self._decelerating_at is None and self._kappa_ptr + 1 < len(sm):
+                i = self._kappa_ptr
+                kappa = (sm[i + 1] - 2.0 * sm[i] + sm[i - 1]) / self.dt**2
+                if kappa < -self.eps_a:
+                    self._decelerating_at = n_last
+                self._kappa_ptr += 1
+            if self._decelerating_at is None:
+                # sustained non-decelerating growth: Pattern I once confirmed
+                if sm[-1] > sm[0]:
+                    return self._emit(SwingPattern.I, 1, n_last)
+                return None
 
-    # -- decreasing initial speed: patterns II / III / IV ------------------
+        # extremum confirmations refer to older features, so the chain is
+        # evaluated before the crossing scan reaches the newest sample
+        j = self._scanner.scan(self._sm)
+        if j is not None and self._first is None:
+            self._first = j
+            self._scanner = _ExtremumScanner(+1 if self.falling else -1,
+                                             ClassifierConfig.n_peak,
+                                             start=j + 1)
+            j = self._scanner.scan(self._sm)
+        if j is not None:
+            if self.falling:
+                return self._emit(SwingPattern.IV, self._first, n_last)
+            return self._emit(SwingPattern.VI, j, n_last)
+        if (self._first is None and not self.falling
+                and (n_last - self._decelerating_at) * self.dt
+                >= ClassifierConfig.escape_after):
+            # decelerated but never reversed: first-swing growth after all
+            return self._emit(SwingPattern.I, 1, n_last)
 
-    def _step_decreasing(self, n_last: int) -> None:
-        # extremum confirmations refer to older features, so they are
-        # evaluated before the threshold crossing of the newest sample
-        if self._j_min is None:
-            j = self._dec_min.scan(self._sm)
-            if j is not None:
-                self._j_min = j
-                self._dec_max = _ExtremumScanner(+1, ClassifierConfig.n_peak,
-                                                 start=j + 1)
-        if self._j_min is not None and self.decision is None:
-            j_max = self._dec_max.scan(self._sm)
-            if j_max is not None:
-                self._emit(SwingPattern.IV, self._j_min, n_last)
-                return
-        while self.decision is None and self._scan_ptr <= n_last:
-            j = self._scan_ptr
+        for j in range(self._scan_ptr, n_last + 1):
             v = self._v[j]
             if v <= -self.v0 + self.eps_v:
-                self._emit(SwingPattern.III, j, max(n_last, j))
-            elif self._armed_ii and v >= self.v0 - self.eps_v:
-                self._emit(SwingPattern.II, j, max(n_last, j))
-            elif v < self.v0 - self.eps_v:
-                self._armed_ii = True
-            self._scan_ptr += 1
+                pattern = SwingPattern.III if self.falling else SwingPattern.V
+                return self._emit(pattern, j, n_last)
+            if v < self.v0 - self.eps_v:
+                self._dipped = True
+            elif self._dipped and self.falling:
+                return self._emit(SwingPattern.II, j, n_last)
+        self._scan_ptr = n_last + 1
+        return None
 
-    # -- increasing initial speed: patterns I / V / VI ---------------------
-
-    def _step_increasing(self, n_last: int) -> None:
-        # curvature of the smoothed curve; kappa index i needs sm[i-1..i+1]
-        while self._decelerating_at is None and self._kappa_ptr + 1 < len(self._sm):
-            i = self._kappa_ptr
-            kappa = (self._sm[i + 1] - 2.0 * self._sm[i] + self._sm[i - 1]) / self.dt**2
-            if kappa < -self.eps_a:
-                self._decelerating_at = n_last
-            self._kappa_ptr += 1
-
-        if self._decelerating_at is None:
-            # sustained non-decelerating growth: Pattern I once confirmed
-            if n_last >= ClassifierConfig.n_confirm and self._sm[-1] > self._sm[0]:
-                self._emit(SwingPattern.I, 1, n_last)
-            return
-
-        if self._peak_at is None:
-            j = self._inc_peak.scan(self._sm)
-            if j is not None:
-                self._peak_at = j
-                self._inc_min = _ExtremumScanner(-1, ClassifierConfig.n_peak,
-                                                 start=j + 1)
-            elif ((n_last - self._decelerating_at) * self.dt
-                  >= ClassifierConfig.escape_after):
-                # decelerated but never reversed: first-swing growth after all
-                self._emit(SwingPattern.I, 1, n_last)
-                return
-        if self._peak_at is not None and self.decision is None:
-            j_min = self._inc_min.scan(self._sm)
-            if j_min is not None:
-                self._emit(SwingPattern.VI, j_min, n_last)
-                return
-        while self.decision is None and self._scan_ptr <= n_last:
-            j = self._scan_ptr
-            if j > 0 and self._v[j] <= -self.v0 + self.eps_v:
-                self._emit(SwingPattern.V, j, max(n_last, j))
-            self._scan_ptr += 1
-
-    def _emit(self, pattern: SwingPattern, w: int, decided_at: int) -> None:
+    def _emit(self, pattern: SwingPattern, w: int,
+              decided_at: int) -> ClassifierDecision:
         self.decision = ClassifierDecision(pattern=pattern, w=w,
                                            decided_at=decided_at)
+        return self.decision
 
     def run(self, speeds) -> ClassifierDecision:
         """Feed a whole series; error out if it ends without a decision."""

@@ -160,6 +160,42 @@ def template_suite() -> list[Template]:
     return crt
 
 
+def decision_grid() -> list[tuple[str, float, np.ndarray]]:
+    """Deterministic (name, dt, speeds) grid over the classifier's branches.
+
+    Closed-form families like ``make_template``'s, but with no intended
+    pattern: oscillations that start falling or rising, drifting ramps with
+    a dip, decelerating growth (the escape to Pattern I), slow drifts and
+    short cuts of the oscillations (timeouts), and refused initial speeds.
+    """
+    grid = []
+    for dt in (DT, 1.0 / 30.0):
+        t = _times(6.0, dt)
+        for f in (0.5, 1.0, 1.7):
+            for g in (-4.0, -1.5, -0.5, 0.3):
+                for phi in (-1.2, -0.6, -0.2, 0.2, 0.6):
+                    v = np.exp(g * t) * np.cos(2.0 * math.pi * f * t + phi)
+                    v /= math.cos(phi)
+                    name = f"osc(f={f},g={g},phi={phi},dt={dt:.4f})"
+                    grid.append((name, dt, v))
+                    grid.append((name + "[:0.75s]", dt,
+                                 v[:int(round(0.75 / dt))]))
+        for a in (0.5, 2.0, 6.0):
+            for s in (0.05, 0.3, 0.8):
+                for f in (0.5, 1.0, 2.0):
+                    v = 1.0 + a * t - s * np.sin(2.0 * math.pi * f * t)
+                    grid.append((f"ramp(a={a},s={s},f={f},dt={dt:.4f})", dt, v))
+        for k in (0.5, 4.0):
+            for c in (-0.5, 0.0, 0.3):
+                v = 1.0 + k * np.sqrt(t) + c * t
+                grid.append((f"sqrt(k={k},c={c},dt={dt:.4f})", dt, v))
+        for r in (-0.02, 0.0, 0.02):
+            grid.append((f"drift(r={r},dt={dt:.4f})", dt, 1.0 + r * t))
+        for v0 in (1e-9, 0.0):
+            grid.append((f"still(v0={v0},dt={dt:.4f})", dt, v0 + 0.0 * t))
+    return grid
+
+
 # ---------------------------------------------------------------------------
 # small builders used across test modules
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from lyapstab.assess import (PENDING, SKIPPED, STABLE, SYSTEM_STABLE,
                              UNSTABLE_MULTI_SWING, PairAssessor, PairVerdict,
                              aggregate, run_assessment)
 from lyapstab.errors import NoAssessablePairError
-from lyapstab.ingest import EventMeta, align
+from lyapstab.ingest import ASSESSMENT_RATE, EventMeta, align
 from lyapstab.mle import iter_mle, rls_init, rls_update
 from lyapstab.network import FaultSpec, load_network_file
 from lyapstab.simulator import simulate, stability_oracle
@@ -218,6 +218,8 @@ class CaseResult:
     pair_statuses: tuple
     pair_times: tuple
     pair_params: tuple  # (pattern, w, m_n, peak_lambda) per pair
+    # system verdict of the same simulation re-aligned at each LOW_RATES rate
+    low_rate_verdicts: dict
 
 
 def _battery_cases():
@@ -255,6 +257,16 @@ def _battery_cases():
     return cases
 
 
+LOW_RATES = (60.0, 30.0)  # Hz: PMU reporting rates below the 120 Hz grid
+
+
+def _assess(traces, meta, rate=ASSESSMENT_RATE):
+    dataset = align(traces, meta, rate=rate)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return run_assessment(dataset, meta)
+
+
 def _run_battery():
     results = []
     start = time.perf_counter()
@@ -264,10 +276,7 @@ def _run_battery():
         traces = simulate(model, fault, dt=DT, horizon=horizon)
         oracle = stability_oracle(traces, window=window)
         meta = EventMeta(t_fault=0.1, t_clear=tc, faulted_element=bus)
-        dataset = align(traces, meta)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            report = run_assessment(dataset, meta)
+        report = _assess(traces, meta)
         results.append(CaseResult(
             label=f"{label}@{tc:.3f}", oracle=oracle,
             verdict=report.system.status,
@@ -276,7 +285,9 @@ def _run_battery():
             pair_times=tuple(v.decision_time for v in report.pairs),
             pair_params=tuple((v.pattern.value if v.pattern else None,
                                v.w, v.m_n, v.peak_lambda)
-                              for v in report.pairs)))
+                              for v in report.pairs),
+            low_rate_verdicts={rate: _assess(traces, meta, rate).system.status
+                               for rate in LOW_RATES}))
     return results, time.perf_counter() - start
 
 
@@ -316,6 +327,32 @@ def test_criterion_5_battery_agreement(battery):
          f"{len(undetermined)} undetermined"
          + (f"; disagreements: {disagreements}" if disagreements else ""),
          elapsed)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the automaton's sample counts are tuned at 120 Hz; false alarms at "
+    "60 Hz (38/43 agree): two@0.140, two@0.180, three-b8@0.150, "
+    "four-b7@0.200, four-b7@0.300; at 30 Hz (37/43): smib@0.150, "
+    "two@0.260, three-b5@0.150, three-b5@0.250, four-b7@0.200, "
+    "four-b7@0.300"))
+def test_rate_criterion_battery_agreement_at_low_rates(battery):
+    """Criterion 5's bounds on the battery re-aligned at 60 and 30 Hz."""
+    results, _ = battery
+    start = time.perf_counter()
+    n = len(results)
+    failed, details = False, []
+    for rate in LOW_RATES:
+        verdicts = [(r, r.low_rate_verdicts[rate]) for r in results]
+        undetermined = sum(v == SYSTEM_UNDETERMINED for _, v in verdicts)
+        decided = [(r, v) for r, v in verdicts
+                   if v in (SYSTEM_STABLE, SYSTEM_UNSTABLE)]
+        wrong = [r.label for r, v in decided if v != r.oracle]
+        agree = len(decided) - len(wrong)
+        failed |= (undetermined > 0.05 * n or agree < 0.95 * len(decided))
+        details.append(f"{rate:g} Hz: {agree}/{len(decided)} agree, "
+                       f"{undetermined} undetermined, wrong {wrong}")
+    gate(5, "battery vs oracle at 60 and 30 Hz", not failed,
+         "; ".join(details), time.perf_counter() - start)
 
 
 def test_criterion_6_decision_latencies(battery):

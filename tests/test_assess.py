@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from conftest import DT, two_machine_model
-from lyapstab.assess import (N_TREND, PENDING, SKIPPED, STABLE,
-                             SYSTEM_PENDING, SYSTEM_STABLE, SYSTEM_UNDETERMINED,
+from lyapstab.assess import (PENDING, SKIPPED, STABLE, SYSTEM_PENDING,
+                             SYSTEM_STABLE, SYSTEM_UNDETERMINED,
                              SYSTEM_UNSTABLE, UNDETERMINED_TIMEOUT,
                              UNSTABLE_FIRST_SWING, UNSTABLE_MULTI_SWING,
                              AssessmentReport, PairAssessor, PairVerdict,
@@ -20,6 +20,7 @@ from lyapstab.errors import LyapstabWarning, NoAssessablePairError
 from lyapstab.ingest import AlignedDataset, EventMeta, align
 from lyapstab.network import FaultSpec
 from lyapstab.simulator import simulate
+from lyapstab.swings import ClassifierConfig
 
 
 def feed(lams, start_index=1):
@@ -43,10 +44,11 @@ def tail(n=40, level=0.0, step=-0.005):
 # ---------------------------------------------------------------------------
 
 def test_rising_exponent_is_first_swing_unstable():
-    lams = 0.5 + 0.05 * np.arange(N_TREND + 6)
+    lams = 0.5 + 0.05 * np.arange(ClassifierConfig.n_trend + 6)
     verdict = feed(lams)
     assert verdict.status == UNSTABLE_FIRST_SWING
-    assert verdict.decision_time == pytest.approx(N_TREND * DT)
+    assert verdict.decision_time == pytest.approx(
+        ClassifierConfig.n_trend * DT)
 
 
 def test_positive_first_peak_is_multi_swing_unstable():
@@ -83,7 +85,7 @@ def test_no_peak_times_out():
 
 
 def test_verdict_freezes_after_decision():
-    lams = 0.5 + 0.05 * np.arange(N_TREND)
+    lams = 0.5 + 0.05 * np.arange(ClassifierConfig.n_trend)
     assessor = PairAssessor(PairVerdict("A", "B"))
     for i, lam in enumerate(lams, start=1):
         assessor.push(float(lam), i * DT)
@@ -106,10 +108,11 @@ def test_replay_with_longer_stream_is_identical():
 
 def test_first_swing_latency_is_deterministic():
     for slope in (0.01, 0.05, 0.2):
-        lams = 0.1 + slope * np.arange(N_TREND + 2)
+        lams = 0.1 + slope * np.arange(ClassifierConfig.n_trend + 2)
         verdict = feed(lams)
         assert verdict.status == UNSTABLE_FIRST_SWING
-        assert verdict.decision_time == pytest.approx(N_TREND * DT)
+        assert verdict.decision_time == pytest.approx(
+        ClassifierConfig.n_trend * DT)
 
 
 # ---------------------------------------------------------------------------

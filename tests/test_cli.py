@@ -418,6 +418,9 @@ def test_help_exits_zero(capsys):
     ("assess", ("--fault-time", "nan", "--clear-time", "0.25")),
     ("assess", ("--meta", "nan.meta.json")),
     ("assess", ("--meta", "inf.meta.json")),
+    ("assess", ("--speed-nominal", "nan")),
+    ("assess", ("--speed-nominal", "inf")),
+    ("classify", ("--speed-nominal=-inf",)),
 ])
 def test_non_finite_numbers_are_input_errors(four_b6, tmp_path, monkeypatch,
                                              capsys, command, flags):
@@ -432,6 +435,8 @@ def test_non_finite_numbers_are_input_errors(four_b6, tmp_path, monkeypatch,
     assert code == 1
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
+    if flags[0].startswith("--speed-nominal"):
+        assert "error: argument --speed-nominal: must be finite" in err
 
 
 @pytest.mark.parametrize("text, rule", [

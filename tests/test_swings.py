@@ -1,11 +1,14 @@
 """Swing-pattern automaton, distance series, and fitting-start selection."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import DT, make_template, naive_first_extremum, template_suite
+from conftest import (DT, decision_grid, make_template, naive_first_extremum,
+                      template_suite)
 from lyapstab.errors import (ClassificationRefused, ClassificationTimeout,
                              PeakSearchTimeout)
 from lyapstab.swings import (ClassifierConfig, DistanceSeries, SwingClassifier,
@@ -154,6 +157,46 @@ def test_scale_invariance_of_w_and_m_n():
         assert m_n == ref_m_n
 
 
+PINNED_DECISIONS = (Path(__file__).resolve().parent / "data"
+                    / "classifier_decisions.json")
+
+
+def _classifier_decisions() -> list[dict]:
+    """Decision, or error, of every template and grid series, in order."""
+    rows = []
+    series = [(t.name, DT, t.v) for t in template_suite()] + decision_grid()
+    for name, dt, v in series:
+        try:
+            d = SwingClassifier(dt).run(v)
+        except (ValueError, ClassificationRefused,
+                ClassificationTimeout) as exc:
+            rows.append({"name": name, "error": type(exc).__name__,
+                         "message": str(exc)})
+        else:
+            rows.append({"name": name, "pattern": d.pattern.value, "w": d.w,
+                         "decided_at": d.decided_at})
+    return rows
+
+
+def test_classifier_decisions_match_pinned_file():
+    """Every decision is pinned; rewrite the file with
+    ``PYTHONPATH=src python tests/test_swings.py`` only on purpose."""
+    got = _classifier_decisions()
+    want = json.loads(PINNED_DECISIONS.read_text(encoding="utf-8"))
+    assert [r["name"] for r in got] == [r["name"] for r in want]
+    for g, w in zip(got, want):
+        assert g == w, g["name"]
+    # the grid reaches every pattern, the escape to I and both errors
+    dts = {name: dt for name, dt, _ in decision_grid()}
+    escapes = [r for r in want if r.get("pattern") == "I" and r["name"] in dts
+               and r["decided_at"] * dts[r["name"]]
+               >= ClassifierConfig.escape_after]
+    reached = {r.get("pattern", r.get("error")) for r in want}
+    assert reached >= {p.value for p in SwingPattern} | {
+        "ClassificationTimeout", "ClassificationRefused"}
+    assert escapes
+
+
 def test_pattern_one_escape_after_sustained_decelerating_growth():
     # rises forever but with negative curvature: no peak ever appears, so
     # the automaton falls back to the first-swing call after the escape time
@@ -204,3 +247,10 @@ def test_find_mle_start_timeout_on_monotone_distance():
     d = DistanceSeries(d=np.linspace(0.0, 1.0, 300))
     with pytest.raises(PeakSearchTimeout):
         find_mle_start(SwingPattern.III, 10, d)
+
+
+if __name__ == "__main__":
+    PINNED_DECISIONS.parent.mkdir(exist_ok=True)
+    rows = ",\n".join(json.dumps(r) for r in _classifier_decisions())
+    PINNED_DECISIONS.write_text(f"[\n{rows}\n]\n", encoding="utf-8")
+    print(f"wrote {PINNED_DECISIONS}")
