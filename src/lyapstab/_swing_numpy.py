@@ -43,7 +43,19 @@ the stage state ``x + c_{s-1} k_{s-1}`` (one ``np.add``; none for the first
 stage, which reads ``x`` in place), ``np.sin`` into ``u``, ``Zu``, ``p_s``
 and the scaled slope: at most five calls.  The step ends with
 ``x += [1/3, 2/3, 1/3, 1/6] @ (c k)``, the RK4 weights ``(1, 2, 2, 1) h/6``
-divided by ``c_s``; 21 calls a step in all.
+divided by ``c_s``, as a product into a preallocated ``acc`` and an in-place
+add; 21 calls a step in all.
+
+Each call's cost is almost all NumPy's per-call overhead, so the loop takes
+the cheapest path into the same C routines.  The products are the bound
+``ndarray.dot`` methods of ``Z``, ``h D / 2``, ``h D`` and the weights,
+bound once per call: ``np.dot`` first passes through the
+``__array_function__`` dispatcher, the method does not.  ``np.sin``,
+``np.multiply`` and ``np.add`` are bound as locals and given ``out``
+positionally, which skips keyword parsing.  The same C routines run
+either way, so the results equal those of ``np.dot(..., out=...)`` calls bit
+for bit.  Every buffer and view the loop touches, including the ``delta``
+and ``omega`` slots each block records, is made once per call.
 
 A machine with ``minv == 0`` has an all-zero row of ``Z``, so its ``p``
 entries are zero and its ``omega`` row of ``D`` gives exactly zero
@@ -98,45 +110,49 @@ def rk4_swing(delta, omega, minv, damp, pm, emf, G, B, h, n_blocks, substeps,
     p0, p1, p2, p3 = stages[:, 6 * n:8 * n]
     v0, v1, v2, v3 = stages[:, 5 * n:]
     weights = np.array([1.0 / 3.0, 2.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0])
+    acc = np.empty(3 * n)
     u = np.empty(n, dtype=complex)
     zu = np.empty(n, dtype=complex)
     u_f, zu_f = u.view(float), zu.view(float)
+    x_delta, x_omega = x[1:2 * n:2], x[2 * n:]
+    z_dot, half_dot, full_dot, w_dot = Z.dot, D_half.dot, D_full.dot, weights.dot
+    sin, multiply, add = np.sin, np.multiply, np.add
     # A diverging run overflows to inf and nan; the per-block finiteness check
     # reports it, so NumPy's floating-point warnings would only be noise.
-    # np.dot, not @: less per-call overhead on these small arrays.
     with np.errstate(over="ignore", invalid="ignore"):
         for block in range(n_blocks):
             for _ in range(substeps):
-                np.sin(th0, out=u_f)
-                np.dot(Z, u, out=zu)
-                np.multiply(u_f, zu_f, out=p0)
-                np.dot(D_half, v0, out=ck0)
+                sin(th0, u_f)
+                z_dot(u, zu)
+                multiply(u_f, zu_f, p0)
+                half_dot(v0, ck0)
 
-                np.add(x, ck0, out=y1)
-                np.sin(th1, out=u_f)
-                np.dot(Z, u, out=zu)
-                np.multiply(u_f, zu_f, out=p1)
-                np.dot(D_half, v1, out=ck1)
+                add(x, ck0, y1)
+                sin(th1, u_f)
+                z_dot(u, zu)
+                multiply(u_f, zu_f, p1)
+                half_dot(v1, ck1)
 
-                np.add(x, ck1, out=y2)
-                np.sin(th2, out=u_f)
-                np.dot(Z, u, out=zu)
-                np.multiply(u_f, zu_f, out=p2)
-                np.dot(D_full, v2, out=ck2)
+                add(x, ck1, y2)
+                sin(th2, u_f)
+                z_dot(u, zu)
+                multiply(u_f, zu_f, p2)
+                full_dot(v2, ck2)
 
-                np.add(x, ck2, out=y3)
-                np.sin(th3, out=u_f)
-                np.dot(Z, u, out=zu)
-                np.multiply(u_f, zu_f, out=p3)
-                np.dot(D_full, v3, out=ck3)
+                add(x, ck2, y3)
+                sin(th3, u_f)
+                z_dot(u, zu)
+                multiply(u_f, zu_f, p3)
+                full_dot(v3, ck3)
 
-                x += np.dot(weights, ck)
-            out_delta[block] = x[1:2 * n:2]
-            out_omega[block] = x[2 * n:]
+                w_dot(ck, acc)
+                add(x, acc, x)
+            out_delta[block] = x_delta
+            out_omega[block] = x_omega
             if not np.isfinite(x).all():
                 break
         else:
             block = -1
-    delta[:] = x[1:2 * n:2]
-    omega[:] = x[2 * n:]
+    delta[:] = x_delta
+    omega[:] = x_omega
     return block

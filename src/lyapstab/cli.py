@@ -102,8 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
     event = argparse.ArgumentParser(add_help=False)
     event.add_argument("--traces", required=True)
     event.add_argument("--meta", help="event metadata JSON (from `simulate`)")
-    event.add_argument("--fault-time", type=float, help="overrides metadata")
-    event.add_argument("--clear-time", type=float, help="overrides metadata")
+    event.add_argument("--fault-time", type=_finite, help="overrides metadata")
+    event.add_argument("--clear-time", type=_finite, help="overrides metadata")
     event.add_argument("--speed-nominal", type=_finite, default=0.0,
                        help="subtract this absolute speed (rad/s) at parse time")
     event.add_argument("--dump-distance", metavar="PREFIX",
@@ -112,8 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run a fault case and write traces")
     sim.add_argument("--network", required=True, help="network description file")
     sim.add_argument("--fault-bus", required=True)
-    sim.add_argument("--fault-time", type=float, default=0.1)
-    sim.add_argument("--clear-time", type=float, required=True)
+    sim.add_argument("--fault-time", type=_finite, default=0.1)
+    sim.add_argument("--clear-time", type=_finite, required=True)
     sim.add_argument("--open-branch", action="append", default=[],
                      help="branch removed at clearing; repeatable")
     sim.add_argument("--rate", type=_positive, default=ASSESSMENT_RATE,
@@ -138,9 +138,9 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--network", required=True)
     swp.add_argument("--fault-bus", action="append", required=True,
                      help="repeatable")
-    swp.add_argument("--clear-time", action="append", type=float, required=True,
-                     help="repeatable")
-    swp.add_argument("--fault-time", type=float, default=0.1)
+    swp.add_argument("--clear-time", action="append", type=_finite,
+                     required=True, help="repeatable")
+    swp.add_argument("--fault-time", type=_finite, default=0.1)
     swp.add_argument("--open-branch", default="auto",
                      help="'auto' (first branch at the faulted bus), 'none', "
                           "or a branch id")

@@ -142,6 +142,10 @@ class FaultSpec:
     removed_branches: tuple[str, ...] = ()
 
     def validate(self, model: NetworkModel) -> None:
+        if not (math.isfinite(self.t_fault) and math.isfinite(self.t_clear)):
+            raise NetworkDataError(
+                f"t_fault and t_clear must be finite, got ({self.t_fault}, "
+                f"{self.t_clear})")
         if self.t_fault < 0.0 or self.t_clear < self.t_fault:
             raise NetworkDataError(
                 f"need t_clear >= t_fault >= 0, got ({self.t_fault}, {self.t_clear})")

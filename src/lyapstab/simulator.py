@@ -147,14 +147,20 @@ def simulate(model: NetworkModel, fault: FaultSpec, dt: float, horizon: float,
     the internal RK4 step (``dt / substeps``); the default targets
     ``1/1200`` s.  On numerical blow-up the traces are truncated at the last
     finite sample and flagged ``diverged``.
+
+    Raises ``ValueError`` naming the argument unless ``dt`` and ``horizon``
+    are finite and > 0 and ``substeps`` is an integer >= 1.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    for name, value in (("dt", dt), ("horizon", horizon)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    if substeps is None:
+        substeps = max(1, round(dt * DEFAULT_INTERNAL_RATE))
+    elif not isinstance(substeps, (int, np.integer)) or substeps < 1:
+        raise ValueError(f"substeps must be an integer >= 1, got {substeps!r}")
     fault.validate(model)
     if horizon <= fault.t_clear:
         raise ValueError("horizon must extend past the clearing time")
-    if substeps is None:
-        substeps = max(1, round(dt * DEFAULT_INTERNAL_RATE))
 
     red_pre = reduce_network(model, PRE_FAULT)
     red_fault = reduce_network(model, FAULT_ON, fault)

@@ -435,8 +435,10 @@ def test_non_finite_numbers_are_input_errors(four_b6, tmp_path, monkeypatch,
     assert code == 1
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
-    if flags[0].startswith("--speed-nominal"):
-        assert "error: argument --speed-nominal: must be finite" in err
+    flag = flags[0].split("=")[0]
+    if flag in ("--speed-nominal", "--fault-time", "--clear-time"):
+        assert "usage:" in err
+        assert f"error: argument {flag}: must be finite" in err
 
 
 @pytest.mark.parametrize("text, rule", [
@@ -459,18 +461,21 @@ def test_non_finite_event_times_rejected_before_simulating(tmp_path,
                                                           networks_dir,
                                                           capsys):
     net = networks_dir / "twomachine.net"
-    code = run_cli("simulate", "--network", net, "--fault-bus", "3",
-                   "--clear-time", "nan", "--out", tmp_path / "x.csv")
-    assert code == 1
-    assert "error: fault and clearing times must be finite" in \
-        capsys.readouterr().err
-    out = tmp_path / "sweep.csv"
-    assert run_cli("sweep", "--network", net, "--fault-bus", "3",
-                   "--clear-time", "nan", "--open-branch", "none",
-                   "--out", out) == 0
-    with open(out, encoding="utf-8") as fh:
-        (row,) = csv.DictReader(fh)
-    assert row["error"] == "fault and clearing times must be finite"
+    out = tmp_path / "x.csv"
+    commands = (("simulate", "--network", net, "--fault-bus", "3",
+                 "--out", out),
+                ("sweep", "--network", net, "--fault-bus", "3",
+                 "--open-branch", "none", "--out", out))
+    for command in commands:
+        for flag, value in (("--clear-time", "nan"), ("--fault-time", "inf"),
+                            ("--fault-time", "nan")):
+            times = {"--clear-time": "0.2", flag: value}
+            code = run_cli(*command, *(a for kv in times.items() for a in kv))
+            assert code == 1  # a usage error, not an error row and exit 0
+            err = capsys.readouterr().err
+            assert "usage:" in err
+            assert f"error: argument {flag}: must be finite, got {value}" in err
+            assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,27 @@ def test_clean_run_leaves_final_state_in_place():
     assert np.array_equal(w, out_w[-1])
 
 
+@pytest.mark.parametrize("n", [2, 4, 12])
+def test_blocks_record_every_substeps_th_step_bit_for_bit(n):
+    # Grouping steps into blocks only chooses which states are recorded:
+    # n_blocks=k, substeps=s records rows s-1, 2s-1, ... of one step a block.
+    delta, omega, minv, damp, pm, emf, G, B = example_system(n)
+    k, s = 9, 4
+    finals, records = [], []
+    for n_blocks, substeps in ((k, s), (k * s, 1)):
+        d, w = delta.copy(), omega.copy()
+        out_d, out_w = np.empty((n_blocks, n)), np.empty((n_blocks, n))
+        assert rk4_swing(d, w, minv, damp, pm, emf, G, B, 1.0 / 1200.0,
+                         n_blocks, substeps, out_d, out_w) == -1
+        finals.append((d, w))
+        records.append((out_d, out_w))
+    (grouped_d, grouped_w), (single_d, single_w) = records
+    assert np.array_equal(grouped_d, single_d[s - 1::s])
+    assert np.array_equal(grouped_w, single_w[s - 1::s])
+    for a, b in zip(*finals):
+        assert np.array_equal(a, b)
+
+
 def test_nonfinite_state_reports_block_index():
     state = example_system()
     delta = state[0].copy()

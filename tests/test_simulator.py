@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (DT, chain_model, smib_equal_area_critical_time,
                       smib_fault, two_machine_model)
-from lyapstab.errors import CoverageError, SetupError
+from lyapstab.errors import CoverageError, NetworkDataError, SetupError
 from lyapstab.network import (POST_FAULT, PRE_FAULT, FaultSpec,
                               load_network_file, reduce_network)
 from lyapstab.simulator import (STABLE, UNSTABLE, GeneratorTrace, simulate,
@@ -64,6 +64,32 @@ def test_unsolvable_equilibrium_raises():
     with pytest.raises(SetupError):
         simulate(model, FaultSpec(bus="3", t_fault=0.0, t_clear=0.1),
                  dt=DT, horizon=1.0)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"substeps": -3}, "substeps"),
+    ({"substeps": 0}, "substeps"),
+    ({"substeps": 2.5}, "substeps"),
+    ({"dt": 0.0}, "dt"),
+    ({"dt": math.nan}, "dt"),
+    ({"dt": math.inf}, "dt"),
+    ({"horizon": -1.0}, "horizon"),
+    ({"horizon": math.nan}, "horizon"),
+    ({"horizon": math.inf}, "horizon"),
+])
+def test_simulate_refuses_bad_step_arguments(smib, kwargs, name):
+    args = {"dt": DT, "horizon": 1.0, **kwargs}
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        simulate(smib, smib_fault(t_clear=0.2), **args)
+
+
+@pytest.mark.parametrize("t_fault, t_clear", [
+    (math.nan, 0.2), (0.1, math.nan), (0.1, math.inf), (-math.inf, 0.2),
+])
+def test_fault_times_must_be_finite(smib, t_fault, t_clear):
+    fault = smib_fault(t_clear=t_clear, t_fault=t_fault)
+    with pytest.raises(NetworkDataError, match="must be finite"):
+        fault.validate(smib)
 
 
 # ---------------------------------------------------------------------------
