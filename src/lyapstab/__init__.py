@@ -11,7 +11,7 @@ from .assess import (AssessmentConfig, AssessmentReport, PairAssessor,
                      PairVerdict, SystemVerdict, aggregate, run_assessment)
 from .ingest import (ASSESSMENT_RATE, AlignedDataset, EventMeta, align,
                      parse_traces, write_traces)
-from .mle import RlsState, iter_mle, log_distance, rls_init, rls_update
+from .mle import LineFit, iter_mle, log_distance
 from .network import (FaultSpec, Generator, NetworkModel, ReducedSystem,
                       load_network_file, reduce_network)
 from .pairs import SdgpTrace, build_pair_trace, identify_sdgp

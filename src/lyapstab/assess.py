@@ -22,7 +22,7 @@ from .config import AssessmentConfig
 from .errors import (ClassificationRefused, ClassificationTimeout,
                      LyapstabWarning, NoAssessablePairError, PeakSearchTimeout)
 from .ingest import AlignedDataset, EventMeta
-from .mle import iter_mle
+from .mle import LineFit, iter_mle
 from .pairs import SdgpTrace, build_pair_trace, identify_sdgp
 from .swings import (ClassifierConfig, SwingClassifier, SwingPattern,
                      _ExtremumScanner, _MovingAverage, distance_series,
@@ -77,7 +77,7 @@ class PairAssessor:
     Writes into ``verdict``: the consumed series into ``mle`` as it arrives,
     and ``status``, ``decision_time`` and ``peak_lambda`` once decided.
     The initial-trend test fires on the first ``ClassifierConfig.n_trend``
-    updates: positive fitted slope plus a net rise means first-swing
+    updates: a positive least-squares slope plus a net rise means first-swing
     instability.  Otherwise the first confirmed peak of the (smoothed)
     exponent curve decides by its sign.  Verdicts never change once set.
     """
@@ -87,27 +87,26 @@ class PairAssessor:
         self._avg = _MovingAverage(ClassifierConfig.smooth_width)
         self._times, self._lams = verdict.mle = ([], self._avg.raw)
         self._scanner = _ExtremumScanner(+1, ClassifierConfig.n_peak)
+        self._trend = LineFit()  # over the first n_trend updates
 
     def push(self, lam: float, t: float) -> PairVerdict:
         if self.verdict.status != PENDING:
             return self.verdict
         self._avg.push(lam)
         self._times.append(t)
-
-        if len(self._lams) == ClassifierConfig.n_trend:
-            ts = np.asarray(self._times)
-            ls = np.asarray(self._lams)
-            tc = ts - ts.mean()
-            slope = float((tc * (ls - ls.mean())).sum() / (tc * tc).sum())
-            if slope > 0.0 and ls[-1] > ls[0]:
+        n = len(self._lams)
+        if n <= ClassifierConfig.n_trend:
+            self._trend.push(t, lam)
+            if n < ClassifierConfig.n_trend:
+                return self.verdict
+            if self._trend.slope() > 0.0 and lam > self._lams[0]:
                 self._freeze(UNSTABLE_FIRST_SWING, t)
                 return self.verdict
-        if len(self._lams) >= ClassifierConfig.n_trend:
-            j = self._scanner.scan(self._avg.smoothed)
-            if j is not None:
-                peak = self._lams[j]
-                self.verdict.peak_lambda = float(peak)
-                self._freeze(UNSTABLE_MULTI_SWING if peak > 0.0 else STABLE, t)
+        j = self._scanner.scan(self._avg.smoothed)
+        if j is not None:
+            peak = self._lams[j]
+            self.verdict.peak_lambda = float(peak)
+            self._freeze(UNSTABLE_MULTI_SWING if peak > 0.0 else STABLE, t)
         return self.verdict
 
     def finalize(self, t: float) -> PairVerdict:

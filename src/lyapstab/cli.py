@@ -14,11 +14,12 @@ import functools
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 from . import assess as assess_mod
 from .assess import AssessmentConfig, pair_parameters, run_assessment
-from .errors import LyapstabError
+from .errors import LyapstabError, LyapstabWarning
 from .ingest import (ASSESSMENT_RATE, EventMeta, align, parse_traces,
                      write_traces)
 from .network import FaultSpec, load_network_file
@@ -355,6 +356,14 @@ def cmd_sweep(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+def _show_warning(show, message, category, *where):
+    """Print a package warning as one ``warning:`` line; pass others on."""
+    if issubclass(category, LyapstabWarning):
+        print(f"warning: {message}", file=sys.stderr)
+    else:
+        show(message, category, *where)
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -362,11 +371,15 @@ def main(argv=None) -> int:
         return 1 if exc.code == 2 else exc.code
     handlers = {"simulate": cmd_simulate, "classify": cmd_classify,
                 "assess": cmd_assess, "sweep": cmd_sweep}
-    try:
-        return handlers[args.command](args)
-    except (LyapstabError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():  # restores the filters and the printer
+        warnings.simplefilter("default", LyapstabWarning)  # once per command
+        warnings.showwarning = functools.partial(_show_warning,
+                                                 warnings.showwarning)
+        try:
+            return handlers[args.command](args)
+        except (LyapstabError, OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 def entrypoint() -> None:

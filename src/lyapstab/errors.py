@@ -66,10 +66,6 @@ class PeakSearchTimeout(LyapstabError):
     """No confirmed local maximum found within the allowed observation time."""
 
 
-class SingularInitError(LyapstabError):
-    """Two-point initialisation of the recursive fit has coincident times."""
-
-
 class NoAssessablePairError(LyapstabError):
     """Every identified generator pair was skipped; no verdict is possible."""
 

@@ -65,13 +65,20 @@ class EventMeta:
         for key in ("fault_time_s", "clear_time_s"):
             if key not in raw:
                 raise LyapstabError(f"{path}: missing key {key!r}")
+            value = raw[key]
             try:
-                times.append(float(raw[key]))
-            except (TypeError, ValueError):
+                if type(value) not in (int, float):  # bool, str, null, ...
+                    raise TypeError
+                times.append(float(value))  # a huge int overflows
+            except (TypeError, OverflowError):
                 raise LyapstabError(f"{path}: {key!r} must be a number, got "
-                                    f"{raw[key]!r}") from None
+                                    f"{value!r}") from None
+        element = raw.get("faulted_element")
+        if element is not None and not isinstance(element, str):
+            raise LyapstabError(f"{path}: 'faulted_element' must be a string "
+                                f"or null, got {element!r}")
         try:
-            return cls(*times, faulted_element=raw.get("faulted_element"))
+            return cls(*times, faulted_element=element)
         except ValueError as exc:
             raise LyapstabError(f"{path}: {exc}") from None
 
@@ -127,7 +134,14 @@ def write_traces(traces: list[GeneratorTrace], path) -> None:
 
     Traces sharing one grid produce time-major rows; otherwise each trace is
     written as its own block.  Either layout re-parses into the same data.
+    A generator id the CSV cannot hold raises ``ValueError`` before the file
+    is opened.
     """
+    for tr in traces:
+        if not tr.gen_id or any(c in tr.gen_id for c in ",\r\n"):
+            raise ValueError(f"generator id {tr.gen_id!r} cannot be written "
+                             "to a trace CSV: it must be non-empty, without "
+                             "',' or line breaks")
     same_grid = (
         len({len(tr) for tr in traces}) == 1
         and len({(tr.t0, tr.dt) for tr in traces}) == 1

@@ -203,7 +203,10 @@ class ReducedSystem:
 
 def _assemble_full_admittance(model: NetworkModel, topology: str,
                               fault: FaultSpec | None) -> np.ndarray:
-    """Complex admittance over [machine internal nodes | network buses]."""
+    """Complex admittance over [machine internal nodes | network buses].
+
+    ``reduce_network`` has checked that ``fault`` is set unless pre-fault.
+    """
     n_gen = len(model.generators)
     bus_index = {bus: n_gen + i for i, bus in enumerate(model.buses)}
     n = n_gen + len(model.buses)
@@ -215,9 +218,7 @@ def _assemble_full_admittance(model: NetworkModel, topology: str,
         Y[a, b] -= y
         Y[b, a] -= y
 
-    removed = set()
-    if topology == POST_FAULT and fault is not None:
-        removed = set(fault.removed_branches)
+    removed = set(fault.removed_branches) if topology == POST_FAULT else set()
     for br in model.branches:
         if br.branch_id in removed:
             continue
@@ -228,8 +229,6 @@ def _assemble_full_admittance(model: NetworkModel, topology: str,
     for load in model.loads:
         Y[bus_index[load.bus], bus_index[load.bus]] += complex(load.g, load.b)
     if topology == FAULT_ON:
-        if fault is None:
-            raise NetworkDataError("fault-on topology needs a FaultSpec")
         Y[bus_index[fault.bus], bus_index[fault.bus]] += FAULT_SHUNT_G
     return Y
 

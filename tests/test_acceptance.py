@@ -23,7 +23,7 @@ from lyapstab.assess import (PENDING, SKIPPED, STABLE, SYSTEM_STABLE,
                              aggregate, run_assessment)
 from lyapstab.errors import NoAssessablePairError
 from lyapstab.ingest import ASSESSMENT_RATE, EventMeta, align
-from lyapstab.mle import iter_mle, rls_init, rls_update
+from lyapstab.mle import LineFit, iter_mle
 from lyapstab.network import FaultSpec, load_network_file
 from lyapstab.simulator import simulate, stability_oracle
 from lyapstab.swings import SwingClassifier, distance_series
@@ -50,20 +50,20 @@ def test_criterion_1_rls_matches_batch():
     n_seq = 1000
     for _ in range(n_seq):
         # jittered sampling grids: random spacing and per-step jitter, the
-        # way observations actually arrive (coincident times would make the
-        # two-point initialisation itself ill-posed)
+        # way observations actually arrive (coincident times would leave the
+        # two-point line undefined)
         n = int(rng.integers(3, 501))
         spacing = rng.uniform(0.002, 0.05)
         gaps = rng.uniform(0.5, 1.5, n - 1) * spacing
         times = rng.uniform(-2.0, 2.0) + np.concatenate([[0.0], np.cumsum(gaps)])
         values = (rng.normal(0.0, 1.0) * times + rng.normal(0.0, 1.0)
                   + rng.normal(0.0, 0.3, n))
-        state = rls_init(values[0], values[1], times[0], times[1])
-        for t, y in zip(times[2:], values[2:]):
-            rls_update(state, y, t)
+        fit = LineFit()
+        for t, y in zip(times, values):
+            fit.push(t, y)
         X = np.column_stack([times, np.ones(n)])
         batch = np.linalg.solve(X.T @ X, X.T @ values)
-        rec = np.array([state.lambda_hat, state.c_hat])
+        rec = np.array([fit.slope(), fit.intercept()])
         rel = np.abs(rec - batch).max() / max(np.abs(batch).max(), 1e-12)
         worst = max(worst, rel)
     elapsed = time.perf_counter() - start

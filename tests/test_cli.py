@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +79,20 @@ def test_simulate_zero_duration_fault_keeps_traces_constant(tmp_path,
     assert code == 0
     for tr in parse_traces(out):
         assert np.abs(tr.angles - tr.angles[0]).max() < 1e-8
+
+
+def test_simulate_refuses_an_id_the_csv_cannot_hold(tmp_path, networks_dir,
+                                                    capsys):
+    net = tmp_path / "comma.net"
+    text = (networks_dir / "twomachine.net").read_text(encoding="utf-8")
+    net.write_text(text.replace("G1    1", "G,1   1"), encoding="utf-8")
+    out = tmp_path / "comma.csv"
+    code = run_cli("simulate", "--network", net, "--fault-bus", "3",
+                   "--clear-time", "0.2", "--horizon", "1.0", "--out", out)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "'G,1'" in err
+    assert not out.exists() and not out.with_suffix(".meta.json").exists()
 
 
 def test_simulate_bad_network_path_fails(tmp_path):
@@ -203,6 +218,22 @@ def test_classify_all_identified_pairs(stable_case, capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert isinstance(payload, list) and len(payload) == 1
+
+
+@pytest.mark.parametrize("command", ["assess", "classify"])
+def test_package_warnings_print_as_one_line(stable_case, capsys, command):
+    # the two-machine event's least disturbed generator is itself disturbed
+    traces_path, meta_path = stable_case
+    args = (command, "--traces", traces_path, "--meta", meta_path)
+    with warnings.catch_warnings(record=True) as escaped:
+        warnings.simplefilter("always")
+        code = run_cli(*args)
+    out, err = capsys.readouterr()
+    assert not escaped
+    assert err.splitlines() == [
+        "warning: least disturbed generator 'G1' is itself strongly "
+        "disturbed (|w|/w* = 1.00); pairs may not isolate the event"]
+    assert code == run_cli(*args) and capsys.readouterr() == (out, err)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +389,14 @@ def test_assessment_rate_scales_w_and_m_n(four_b6, capsys, rate, w, m_n):
     ('{"fault_time_s": 0.1, "faulted_element": "6"}', "clear_time_s"),
     ('[0.1, 0.25]', "clear_time_s"),
     ('{"fault_time_s": null, "clear_time_s": 0.25}', "fault_time_s"),
-], ids=["missing-key", "list", "null"])
+    ('{"fault_time_s": false, "clear_time_s": true}', "fault_time_s"),
+    ('{"fault_time_s": 0.1, "clear_time_s": true}', "clear_time_s"),
+    ('{"fault_time_s": "0.1", "clear_time_s": 0.25}', "fault_time_s"),
+    ('{"fault_time_s": 0.1, "clear_time_s": "0.25"}', "clear_time_s"),
+    ('{"fault_time_s": 0.1, "clear_time_s": 0.25, "faulted_element": ["6"]}',
+     "faulted_element"),
+], ids=["missing-key", "list", "null", "bools", "bool", "string",
+        "string-clear", "element-list"])
 def test_malformed_metadata_is_input_error(four_b6, tmp_path, capsys, command,
                                            content, key):
     meta = tmp_path / "bad.meta.json"

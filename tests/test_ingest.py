@@ -89,6 +89,17 @@ def test_simulator_output_round_trips_bit_identically(tmp_path, networks_dir):
     assert first.read_bytes() == second.read_bytes()
 
 
+@pytest.mark.parametrize("gen_id", ["", "G,1", "G\r1", "G\n1"],
+                         ids=["empty", "comma", "cr", "lf"])
+def test_write_refuses_ids_the_csv_cannot_hold(tmp_path, gen_id):
+    path = tmp_path / "bad.csv"
+    traces = [make_trace("G0", duration=0.1), make_trace(gen_id, duration=0.1)]
+    with pytest.raises(ValueError) as exc:
+        write_traces(traces, path)
+    assert repr(gen_id) in str(exc.value)
+    assert not path.exists()
+
+
 def test_parse_speed_offset(tmp_path):
     path = tmp_path / "abs.csv"
     path.write_text(

@@ -1,4 +1,4 @@
-"""Recursive least-squares exponent estimation against batch solutions."""
+"""Growing-window line fit and exponent estimation against batch solutions."""
 
 import math
 
@@ -6,18 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import DT, naive_first_extremum, two_machine_model
-from lyapstab.errors import SingularInitError
 from lyapstab.ingest import EventMeta, align
-from lyapstab.mle import (EPS_DISTANCE, iter_mle, log_distance, rls_init,
-                          rls_update)
+from lyapstab.mle import EPS_DISTANCE, LineFit, iter_mle, log_distance
 from lyapstab.network import FaultSpec
 from lyapstab.simulator import simulate
 from lyapstab.swings import SwingClassifier, distance_series, find_mle_start
-
-
-def cov(state):
-    """The fit's covariance P as a matrix."""
-    return np.array([[state.p00, state.p01], [state.p01, state.p11]])
 
 
 def batch_fit(times, values):
@@ -26,11 +19,11 @@ def batch_fit(times, values):
     return np.linalg.solve(X.T @ X, X.T @ np.asarray(values, float))
 
 
-def run_rls(times, values):
-    state = rls_init(values[0], values[1], times[0], times[1])
-    for t, y in zip(times[2:], values[2:]):
-        rls_update(state, y, t)
-    return state
+def run_fit(times, values):
+    fit = LineFit()
+    for t, y in zip(times, values):
+        fit.push(t, y)
+    return fit
 
 
 def exp_angle(lam, theta0=1.0, duration=2.0, noise=0.0, seed=0):
@@ -54,62 +47,47 @@ def test_log_distance_values():
 
 
 # ---------------------------------------------------------------------------
-# two-point initialisation
+# line fit
 # ---------------------------------------------------------------------------
 
 def test_init_exact_line():
-    state = rls_init(3.0, 5.0, 1.0, 2.0)
-    assert state.lambda_hat == pytest.approx(2.0)
-    assert state.c_hat == pytest.approx(1.0)
-    assert state.k == 1
+    fit = run_fit([1.0, 2.0], [3.0, 5.0])
+    assert fit.slope() == pytest.approx(2.0)
+    assert fit.intercept() == pytest.approx(1.0)
+    assert fit.n == 2
 
 
 def test_init_flat_line():
-    state = rls_init(7.0, 7.0, 0.25, 1.75)
-    assert state.lambda_hat == 0.0
-    assert state.c_hat == 7.0
+    # flat at the log-distance floor: the slope's sign decides verdicts, so
+    # it must be exactly zero, not a rounding residue, at every prefix
+    for level in (7.0, math.log(EPS_DISTANCE)):
+        fit = LineFit()
+        fit.push(0.25, level)
+        for t in np.arange(1, 200) * DT + 0.25:
+            fit.push(t, level)
+            assert fit.slope() == 0.0
+            assert fit.intercept() == level
 
-
-def test_init_covariance_matches_inverse_oracle():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        t0, gap = rng.uniform(-3, 3), rng.uniform(0.1, 4.0)
-        t1 = t0 + gap
-        L0, L1 = rng.normal(size=2)
-        state = rls_init(L0, L1, t0, t1)
-        X = np.array([[t0, 1.0], [t1, 1.0]])
-        oracle = np.linalg.inv(X.T @ X)
-        scale = np.abs(oracle).max()
-        assert np.abs(cov(state) - oracle).max() < 1e-12 * max(scale, 1.0)
-
-
-def test_init_rejects_equal_times():
-    with pytest.raises(SingularInitError):
-        rls_init(1.0, 2.0, 0.5, 0.5)
-
-
-# ---------------------------------------------------------------------------
-# recursive updates
-# ---------------------------------------------------------------------------
 
 def test_exact_line_is_fixed_point():
     times = np.arange(30) * 0.1
     values = 2.0 * times + 3.0
-    state = rls_init(values[0], values[1], times[0], times[1])
+    fit = run_fit(times[:2], values[:2])
     for t, y in zip(times[2:], values[2:]):
-        rls_update(state, y, t)
-        assert state.lambda_hat == pytest.approx(2.0, abs=1e-10)
-        assert state.c_hat == pytest.approx(3.0, abs=1e-10)
+        fit.push(t, y)
+        assert fit.slope() == pytest.approx(2.0, abs=1e-10)
+        assert fit.intercept() == pytest.approx(3.0, abs=1e-10)
 
 
 def test_zero_innovation_leaves_estimates():
-    state = run_rls(np.array([0.0, 0.1, 0.2, 0.35]),
-                    np.array([1.0, 0.8, 0.95, 1.1]))
-    lam, c = state.lambda_hat, state.c_hat
+    # a new point on the current line leaves the line where it was
+    fit = run_fit(np.array([0.0, 0.1, 0.2, 0.35]),
+                  np.array([1.0, 0.8, 0.95, 1.1]))
+    lam, c = fit.slope(), fit.intercept()
     t_new = 0.5
-    rls_update(state, lam * t_new + c, t_new)
-    assert state.lambda_hat == pytest.approx(lam, abs=1e-12)
-    assert state.c_hat == pytest.approx(c, abs=1e-12)
+    fit.push(t_new, lam * t_new + c)
+    assert fit.slope() == pytest.approx(lam, abs=1e-12)
+    assert fit.intercept() == pytest.approx(c, abs=1e-12)
 
 
 def test_recursive_matches_batch_on_noisy_data():
@@ -119,39 +97,38 @@ def test_recursive_matches_batch_on_noisy_data():
         times = np.sort(rng.uniform(0.0, 5.0, n))
         times += np.arange(n) * 1e-6  # strictly increasing
         values = rng.normal(0.0, 1.0, n) + 0.7 * times
-        state = run_rls(times, values)
+        fit = run_fit(times, values)
         lam, c = batch_fit(times, values)
-        assert np.allclose([state.lambda_hat, state.c_hat], [lam, c],
+        assert np.allclose([fit.slope(), fit.intercept()], [lam, c],
                            rtol=1e-9, atol=1e-12)
 
 
-def test_covariance_stays_symmetric_positive_definite():
+def test_long_run_matches_batch_fit():
     rng = np.random.default_rng(5)
     times = np.cumsum(rng.uniform(0.5 * DT, 3 * DT, 10_000))
     values = 0.3 * times + rng.normal(0.0, 0.2, len(times))
-    state = rls_init(values[0], values[1], times[0], times[1])
-    for i, (t, y) in enumerate(zip(times[2:], values[2:])):
-        rls_update(state, y, t)
-        if i % 251 == 0:
-            assert np.abs(cov(state) - cov(state).T).max() < 1e-9
-            assert np.all(np.linalg.eigvalsh(cov(state)) > 0.0)
-    assert np.all(np.linalg.eigvalsh(cov(state)) > 0.0)
+    fit = LineFit()
+    for i, (t, y) in enumerate(zip(times, values)):
+        fit.push(t, y)
+        if i % 251 == 1 or i == len(times) - 1:
+            lam, c = batch_fit(times[:i + 1], values[:i + 1])
+            assert fit.slope() == pytest.approx(lam, rel=1e-9, abs=1e-12)
+            assert fit.intercept() == pytest.approx(c, rel=1e-9, abs=1e-12)
 
 
 def test_fit_state_stays_plain_floats():
-    state = rls_init(0.25, 0.5, 0.0, 0.1)
-    for i in range(2, 20):
-        rls_update(state, 0.3 * i + 0.01 * (-1) ** i, 0.1 * i)
-    fields = (state.lambda_hat, state.c_hat, state.p00, state.p01, state.p11)
-    assert all(type(x) is float for x in fields)
+    fit = LineFit()
+    for i in range(20):
+        fit.push(np.float64(0.1 * i), np.float64(0.3 * i + 0.01 * (-1) ** i))
+    assert type(fit.slope()) is float and type(fit.intercept()) is float
 
 
 def test_time_shift_changes_only_intercept():
     rng = np.random.default_rng(11)
     times = np.sort(rng.uniform(0.0, 4.0, 60))
     values = -0.4 * times + rng.normal(0.0, 0.1, 60)
-    lam0 = run_rls(times, values).lambda_hat
-    lam1 = run_rls(times + 17.0, values).lambda_hat
+    lam0 = run_fit(times, values).slope()
+    lam1 = run_fit(times + 17.0, values).slope()
     assert lam1 == pytest.approx(lam0, rel=1e-9, abs=1e-12)
 
 
@@ -159,19 +136,11 @@ def test_distance_scaling_changes_only_intercept():
     rng = np.random.default_rng(12)
     times = np.sort(rng.uniform(0.0, 4.0, 60))
     dists = np.exp(rng.normal(0.0, 0.5, 60))
-    base = run_rls(times, np.log(dists))
-    scaled = run_rls(times, np.log(50.0 * dists))
-    assert scaled.lambda_hat == pytest.approx(base.lambda_hat, rel=1e-9,
-                                              abs=1e-12)
-    assert scaled.c_hat == pytest.approx(base.c_hat + math.log(50.0), rel=1e-9)
-
-
-def test_update_guards():
-    state = rls_init(0.0, 1.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        rls_update(state, math.nan, 2.0)
-    with pytest.raises(ValueError):
-        rls_update(state, 0.5, 1.0)  # time does not advance
+    base = run_fit(times, np.log(dists))
+    scaled = run_fit(times, np.log(50.0 * dists))
+    assert scaled.slope() == pytest.approx(base.slope(), rel=1e-9, abs=1e-12)
+    assert scaled.intercept() == pytest.approx(base.intercept()
+                                               + math.log(50.0), rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
