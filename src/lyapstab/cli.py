@@ -3,7 +3,8 @@
 Every command is deterministic given its flags; output files are fully
 regenerable, so configs are the only experiment state worth keeping.
 Exit codes: 0 success/stable, 1 input or runtime error, 2 unstable,
-3 undetermined (assess and sweep propagate the assessment outcome).
+3 undetermined.  Only ``assess`` returns its verdict; ``sweep`` exits 0 once
+it has written its files, whatever the cases' verdicts or errors.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import csv
 import functools
 import json
 import math
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -55,13 +57,6 @@ def _finite(value: str) -> float:
     if not math.isfinite(x):
         raise argparse.ArgumentTypeError(f"must be finite, got {value}")
     return x
-
-
-def _jobs(value: str) -> int:
-    n = int(value)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return n
 
 
 def _setting(name: str):
@@ -147,8 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "or a branch id")
     swp.add_argument("--horizon", type=_positive, default=12.0)
     swp.add_argument("--oracle-window", type=_positive, default=5.0)
-    swp.add_argument("--jobs", type=_jobs, default=1,
-                     help="worker processes, at most one per case")
     swp.add_argument("--out", required=True, help="per-case rows CSV")
     swp.add_argument("--summary-out",
                      help="pattern-count table (default: <out stem>_summary.csv)")
@@ -253,67 +246,73 @@ def cmd_assess(args) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
-def _auto_branch(model, bus: str) -> tuple[str, ...]:
-    incident = sorted(br.branch_id for br in model.branches
-                      if bus in (br.from_bus, br.to_bus))
-    return (incident[0],) if incident else ()
-
-
-def _sweep_case(payload) -> dict:
-    (network_path, bus, t_clear, t_fault, open_branch, rate, horizon,
-     oracle_window, config) = payload
-    row = {"bus": bus, "clear_time_s": t_clear, "patterns": "",
-           "verdict": "", "oracle": "", "agree": "", "decision_time_s": "",
-           "error": ""}
-    try:
-        meta = EventMeta(t_fault=t_fault, t_clear=t_clear, faulted_element=bus)
-        model = load_network_file(network_path)
-        if open_branch == "auto":
-            removed = _auto_branch(model, bus)
-        elif open_branch == "none":
-            removed = ()
-        else:
-            removed = (open_branch,)
-        fault = FaultSpec(bus=bus, t_fault=t_fault, t_clear=t_clear,
-                          removed_branches=removed)
-        traces = simulate(model, fault, dt=1.0 / rate, horizon=horizon)
-        oracle = stability_oracle(traces, window=oracle_window)
-        dataset = align(traces, meta, rate=rate)
-        report = run_assessment(dataset, meta, config)
-        patterns = [v.pattern.value for v in report.pairs if v.pattern]
-        row["patterns"] = "|".join(patterns)
-        row["verdict"] = report.system.status
-        row["oracle"] = oracle
-        undetermined = report.system.status == assess_mod.SYSTEM_UNDETERMINED
-        row["agree"] = "" if undetermined else str(report.system.status == oracle)
-        row["decision_time_s"] = (
-            "" if report.system.decision_time is None
-            else repr(report.system.decision_time))
-    except (LyapstabError, ValueError) as exc:
-        row["error"] = str(exc)
-    return row
+def _opened_branches(model, bus: str, open_branch: str) -> tuple[str, ...]:
+    """The branches ``--open-branch`` removes at clearing of a fault at ``bus``."""
+    if open_branch == "auto":  # the first branch at the faulted bus
+        return tuple(sorted(br.branch_id for br in model.branches
+                            if bus in (br.from_bus, br.to_bus))[:1])
+    return () if open_branch == "none" else (open_branch,)
 
 
 SWEEP_FIELDS = ("bus", "clear_time_s", "patterns", "verdict", "oracle",
                 "agree", "decision_time_s", "error")
 
 
+def _sweep_case(model, args, case) -> tuple[dict, list[Warning]]:
+    """Row and warnings of a case ``(bus, opened branches, t_clear)``."""
+    bus, removed, t_clear = case
+    row = dict.fromkeys(SWEEP_FIELDS, "")
+    row.update(bus=bus, clear_time_s=t_clear)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", LyapstabWarning)
+        try:
+            meta = EventMeta(t_fault=args.fault_time, t_clear=t_clear,
+                             faulted_element=bus)
+            fault = FaultSpec(bus=bus, t_fault=args.fault_time,
+                              t_clear=t_clear, removed_branches=removed)
+            traces = simulate(model, fault, dt=1.0 / args.rate,
+                              horizon=args.horizon)
+            oracle = stability_oracle(traces, window=args.oracle_window)
+            dataset = align(traces, meta, rate=args.rate)
+            report = run_assessment(dataset, meta,
+                                    AssessmentConfig(args.sigma, args.t_max))
+            patterns = [v.pattern.value for v in report.pairs if v.pattern]
+            row["patterns"] = "|".join(patterns)
+            row["verdict"] = status = report.system.status
+            row["oracle"] = oracle
+            undetermined = status == assess_mod.SYSTEM_UNDETERMINED
+            row["agree"] = "" if undetermined else str(status == oracle)
+            row["decision_time_s"] = (
+                "" if report.system.decision_time is None
+                else repr(report.system.decision_time))
+        except (LyapstabError, ValueError) as exc:
+            row["error"] = str(exc)
+    return row, [w.message for w in caught]
+
+
 def cmd_sweep(args) -> int:
-    config = AssessmentConfig(args.sigma, args.t_max)
-    payloads = [
-        (args.network, bus, t_c, args.fault_time, args.open_branch, args.rate,
-         args.horizon, args.oracle_window, config)
-        for bus in args.fault_bus
-        for t_c in args.clear_time
-    ]
-    workers = min(args.jobs, len(payloads))
+    model = load_network_file(args.network)
+    cases = []
+    for bus in args.fault_bus:
+        removed = _opened_branches(model, bus, args.open_branch)
+        cases += [(bus, removed, t_c) for t_c in args.clear_time]
+    run_case = functools.partial(_sweep_case, model, args)
+    # one worker per usable CPU, at most one per case; `taskset` caps it
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(cpus, len(cases))
     if workers > 1:
         # imported here: every other command starts faster without it
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_case, payloads))
+            results = list(pool.map(run_case, cases))
     else:
-        rows = [_sweep_case(p) for p in payloads]
+        results = list(map(run_case, cases))
+    rows = [row for row, _ in results]
+    # a case only records its warnings: issued here, after the last case,
+    # each prints once per command, whichever process raised it
+    for message in [m for _, caught in results for m in caught]:
+        warnings.warn(message)
 
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=SWEEP_FIELDS, lineterminator="\n")

@@ -56,8 +56,11 @@ class EventMeta:
 
     @classmethod
     def from_file(cls, path) -> "EventMeta":
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise LyapstabError(f"{path}: {exc}") from None
         if not isinstance(raw, dict):
             raise LyapstabError(f"{path}: event metadata must be a JSON object "
                                 "with 'fault_time_s' and 'clear_time_s'")
@@ -132,20 +135,19 @@ class AlignedDataset:
 def write_traces(traces: list[GeneratorTrace], path) -> None:
     """Emit the CSV schema above, interleaving generators sample by sample.
 
-    Traces sharing one grid produce time-major rows; otherwise each trace is
-    written as its own block.  Either layout re-parses into the same data.
-    A generator id the CSV cannot hold raises ``ValueError`` before the file
-    is opened.
+    Traces with equal sample times produce time-major rows; otherwise each
+    trace is written as its own block.  Either layout re-parses into the same
+    data.  A generator id the CSV cannot hold raises ``ValueError`` before
+    the file is opened.
     """
     for tr in traces:
         if not tr.gen_id or any(c in tr.gen_id for c in ",\r\n"):
             raise ValueError(f"generator id {tr.gen_id!r} cannot be written "
                              "to a trace CSV: it must be non-empty, without "
                              "',' or line breaks")
-    same_grid = (
-        len({len(tr) for tr in traces}) == 1
-        and len({(tr.t0, tr.dt) for tr in traces}) == 1
-    )
+    same_grid = bool(traces) and all(
+        np.array_equal(tr.sample_times(), traces[0].sample_times())
+        for tr in traces[1:])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
         if same_grid:

@@ -264,23 +264,30 @@ def test_pipeline_mixed_skip_uses_live_pairs():
     assert report.system.status in (SYSTEM_STABLE, SYSTEM_UNSTABLE)
 
 
-@pytest.mark.parametrize("speed", [
-    np.linspace(1.0, 0.9, 130),  # the classifier never decides
-    np.exp(-0.3 * np.arange(130) * DT) * np.cos(2 * np.pi * np.arange(130) * DT),
-], ids=["classifier-runs-out", "fit-runs-out"])
-def test_timeout_is_where_the_data_ends(speed):
-    # 130 samples end 1.075 s after clearing, well before t_max = 10 s
+@pytest.mark.parametrize("speed, note", [
+    # the classifier never decides
+    (np.linspace(1.0, 0.9, 130),
+     "series ended after 130 samples without a decision"),
+    (np.exp(-0.3 * np.arange(130) * DT) * np.cos(2 * np.pi * np.arange(130) * DT),
+     "data ended after 39 exponent updates"),
+    # pattern II with w = m_n = 24, decided on the last of 25 samples
+    (1.0 - 0.4 * np.sin(np.pi * np.arange(25) / 24) ** 2,
+     "need at least 26 angle samples to start fitting, have 25"),
+], ids=["classifier-runs-out", "fit-runs-out", "fit-too-short"])
+def test_timeout_is_where_the_data_ends(speed, note):
+    # the data ends well before t_max = 10 s
+    n = len(speed)
     angle = np.concatenate([[0.0], np.cumsum(speed[:-1]) * DT])
     ds = AlignedDataset(gen_ids=("G1", "G2"),
-                        angles=np.stack([angle, np.zeros(130)]),
-                        speeds=np.stack([speed, np.zeros(130)]), grid_offset=0)
+                        angles=np.stack([angle, np.zeros(n)]),
+                        speeds=np.stack([speed, np.zeros(n)]), grid_offset=0)
     report = run_assessment(ds, EventMeta(t_fault=0.0, t_clear=0.0),
                             AssessmentConfig(t_max=10.0))
     (pair,) = report.pairs
     assert pair.status == UNDETERMINED_TIMEOUT
-    assert pair.decision_time == pytest.approx(129 * DT)
-    assert pair.note
-    assert report.system.decision_time == pytest.approx(129 * DT)
+    assert pair.decision_time == pytest.approx((n - 1) * DT)
+    assert pair.note == note
+    assert report.system.decision_time == pytest.approx((n - 1) * DT)
 
 
 def test_off_grid_t_max_times_out_at_the_last_sample_read():

@@ -1,8 +1,11 @@
 """Command-line workflows: simulate, classify, assess, sweep."""
 
+import concurrent.futures
 import csv
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -11,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lyapstab import cli
 from lyapstab.cli import build_parser, main
 from lyapstab.ingest import parse_traces
 
@@ -265,22 +269,47 @@ def test_sweep_rows_and_rerun_identical(tmp_path, networks_dir):
     assert summary[0] == "clear_time_s,I,II,III,IV,V,VI"
 
 
-def test_sweep_parallel_matches_serial(tmp_path, networks_dir):
+def use_cpus(monkeypatch, n):
+    """Make ``sweep`` see ``n`` CPUs that it may run on."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
+@pytest.fixture()
+def pools(monkeypatch):
+    """The size of every real process pool ``sweep`` starts, in order."""
+    real, sizes = concurrent.futures.ProcessPoolExecutor, []
+
+    def recording(max_workers):
+        sizes.append(max_workers)
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
+    return sizes
+
+
+def test_sweep_parallel_matches_serial(tmp_path, networks_dir, monkeypatch,
+                                       pools):
     serial = tmp_path / "serial.csv"
     parallel = tmp_path / "parallel.csv"
     args = ("sweep", "--network", networks_dir / "twomachine.net",
             "--fault-bus", "3", "--clear-time", "0.2", "--clear-time", "0.34",
             "--open-branch", "none", "--horizon", "8.0",
             "--oracle-window", "5.0")
+    use_cpus(monkeypatch, 1)
     assert run_cli(*args, "--out", serial) == 0
-    assert run_cli(*args, "--jobs", "2", "--out", parallel) == 0
+    use_cpus(monkeypatch, 2)
+    assert run_cli(*args, "--out", parallel) == 0
+    assert pools == [2]
     assert serial.read_bytes() == parallel.read_bytes()
 
 
-@pytest.mark.parametrize("jobs, n_cases, pool_size", [
-    ("64", 2, 2), ("2", 3, 2), ("3", 1, None), ("1", 2, None)])
+@pytest.mark.parametrize("cpus, n_cases, pool_size", [
+    (1, 1, None), (1, 2, None), (1, 3, None),
+    (2, 1, None), (2, 2, 2), (2, 3, 2),
+    (64, 1, None), (64, 2, 2), (64, 3, 3), (3, 1, None)])
 def test_sweep_pool_never_exceeds_cases(tmp_path, networks_dir, monkeypatch,
-                                        jobs, n_cases, pool_size):
+                                        cpus, n_cases, pool_size):
     sizes = []
 
     class InProcessPool:
@@ -299,28 +328,105 @@ def test_sweep_pool_never_exceeds_cases(tmp_path, networks_dir, monkeypatch,
             return map(fn, items)
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
+    use_cpus(monkeypatch, cpus)
     clear = [arg for t_c in ("0.2", "0.26", "0.34")[:n_cases]
              for arg in ("--clear-time", t_c)]
     out = tmp_path / "sweep.csv"
     assert run_cli("sweep", "--network", networks_dir / "twomachine.net",
                    "--fault-bus", "3", *clear, "--open-branch", "none",
-                   "--horizon", "6.0", "--jobs", jobs, "--out", out) == 0
+                   "--horizon", "6.0", "--out", out) == 0
     assert sizes == ([] if pool_size is None else [pool_size])
     with open(out, encoding="utf-8") as fh:
         assert len(list(csv.DictReader(fh))) == n_cases
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
-def test_sweep_jobs_must_be_a_positive_integer(tmp_path, networks_dir,
-                                               capsys, jobs):
+def test_sweep_jobs_is_a_usage_error(tmp_path, networks_dir, capsys):
     out = tmp_path / "sweep.csv"
     code = run_cli("sweep", "--network", networks_dir / "twomachine.net",
+                   "--fault-bus", "3", "--clear-time", "0.2", "--jobs", "2",
+                   "--out", out)
+    assert code == 1
+    assert "error: unrecognized arguments: --jobs 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_sweep_prints_each_warning_once(tmp_path, networks_dir, monkeypatch,
+                                        capsys, pools, cpus):
+    # both cases warn, in this process or in one worker each
+    use_cpus(monkeypatch, cpus)
+    code = run_cli("sweep", "--network", networks_dir / "twomachine.net",
                    "--fault-bus", "3", "--clear-time", "0.2",
-                   "--jobs", jobs, "--out", out)
+                   "--clear-time", "0.22", "--open-branch", "none",
+                   "--horizon", "6.0", "--out", tmp_path / "sweep.csv")
+    assert code == 0
+    assert pools == ([] if cpus == 1 else [2])
+    warned = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("warning:")]
+    assert warned == [
+        "warning: least disturbed generator 'G1' is itself strongly "
+        "disturbed (|w|/w* = 1.00); pairs may not isolate the event"]
+
+
+def test_sweep_loads_the_network_once(tmp_path, networks_dir, monkeypatch):
+    loads = []
+    real = cli.load_network_file
+    monkeypatch.setattr(cli, "load_network_file",
+                        lambda path: loads.append(path) or real(path))
+    use_cpus(monkeypatch, 1)
+    assert run_cli("sweep", "--network", networks_dir / "twomachine.net",
+                   "--fault-bus", "3", "--fault-bus", "1",
+                   "--clear-time", "0.2", "--clear-time", "0.26",
+                   "--open-branch", "none", "--horizon", "6.0",
+                   "--out", tmp_path / "sweep.csv") == 0
+    assert len(loads) == 1
+
+
+def test_sweep_malformed_network_is_input_error(tmp_path, networks_dir,
+                                                capsys):
+    net = tmp_path / "one.net"  # one generator and no infinite bus
+    net.write_text((networks_dir / "twomachine.net").read_text().replace(
+        "G2    2    0.0159155  0.038  0.25  1.05  slack\n", ""))
+    out = tmp_path / "sweep.csv"
+    code = run_cli("sweep", "--network", net, "--fault-bus", "3",
+                   "--clear-time", "0.2", "--clear-time", "0.3",
+                   "--out", out)
     assert code == 1
     err = capsys.readouterr().err
-    assert "usage:" in err and "error:" in err and "--jobs" in err
-    assert not out.exists()
+    assert err == (f"error: {net}: a single machine is only allowed against "
+                   "an infinite bus\n")
+    assert not out.exists() and not (tmp_path / "sweep_summary.csv").exists()
+
+
+def sweep_rows(tmp_path, networks_dir, network, bus, open_branch):
+    out = tmp_path / f"{network}_{bus}_{open_branch}.csv"
+    assert run_cli("sweep", "--network", networks_dir / f"{network}.net",
+                   "--fault-bus", bus, "--clear-time", "0.2",
+                   "--clear-time", "0.3", "--open-branch", open_branch,
+                   "--horizon", "6.0", "--out", out) == 0
+    with open(out, encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    summary = out.with_name(out.stem + "_summary.csv").read_text()
+    return rows, summary.splitlines()
+
+
+def test_sweep_auto_opens_the_first_branch_at_the_bus(tmp_path, networks_dir):
+    auto = sweep_rows(tmp_path, networks_dir, "fourmachine", "6", "auto")
+    assert auto == sweep_rows(tmp_path, networks_dir, "fourmachine", "6",
+                              "T56A")
+    assert auto != sweep_rows(tmp_path, networks_dir, "fourmachine", "6",
+                              "none")
+    assert all(row["verdict"] and not row["error"] for row in auto[0])
+
+
+def test_sweep_islanding_cases_are_error_rows(tmp_path, networks_dir):
+    # on the two-machine fixture, auto opens LA and so cuts G1 off
+    rows, summary = sweep_rows(tmp_path, networks_dir, "twomachine", "3",
+                               "auto")
+    assert [row["error"].startswith("post-fault network splits")
+            for row in rows] == [True, True]
+    assert summary[-2:] == ["cases,agreements,undetermined,errors,success_rate",
+                            "2,0,0,2,n/a"]
 
 
 @pytest.mark.parametrize("pair", ["G9,G4", "G1,G4,G2"])
@@ -395,12 +501,15 @@ def test_assessment_rate_scales_w_and_m_n(four_b6, capsys, rate, w, m_n):
     ('{"fault_time_s": 0.1, "clear_time_s": "0.25"}', "clear_time_s"),
     ('{"fault_time_s": 0.1, "clear_time_s": 0.25, "faulted_element": ["6"]}',
      "faulted_element"),
+    ('{"fault_time_s": 0.1, ', "Expecting property name"),
+    (b'\xff{"fault_time_s": 0.1, "clear_time_s": 0.25}', "byte 0xff"),
 ], ids=["missing-key", "list", "null", "bools", "bool", "string",
-        "string-clear", "element-list"])
+        "string-clear", "element-list", "truncated", "not-utf8"])
 def test_malformed_metadata_is_input_error(four_b6, tmp_path, capsys, command,
                                            content, key):
     meta = tmp_path / "bad.meta.json"
-    meta.write_text(content, encoding="utf-8")
+    meta.write_bytes(content if isinstance(content, bytes)
+                     else content.encode("utf-8"))
     code = run_cli(command, "--traces", four_b6[0], "--meta", meta)
     err = capsys.readouterr().err
     assert code == 1
@@ -558,6 +667,21 @@ def test_usage_error_and_help_leave_later_runs_unchanged(stable_case, capsys):
     assert run_cli("assess", "--help") == 0
     capsys.readouterr()
     assert (run_cli(*event), capsys.readouterr().out) == first
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_commands_parse():
+    # every `lyapstab ...` line of README's bash blocks, continuations joined
+    blocks = re.findall(r"```bash\n(.*?)```", README.read_text("utf-8"), re.S)
+    lines = "".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line, comments=True)[1:] for line in lines
+                if line.startswith("lyapstab ")]
+    assert sorted({argv[0] for argv in commands}) == [
+        "assess", "classify", "simulate", "sweep"]
+    for argv in commands:
+        build_parser().parse_args(argv)  # a usage error exits
 
 
 # ---------------------------------------------------------------------------

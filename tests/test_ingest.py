@@ -89,6 +89,18 @@ def test_simulator_output_round_trips_bit_identically(tmp_path, networks_dir):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_traces_sharing_a_grid_but_not_stamps_round_trip(tmp_path):
+    # same length, t0 and dt; B's fifth sample arrived 1 ms late
+    a, b = make_trace("A", duration=9 / 120), make_trace("B", duration=9 / 120)
+    b.stamps = b.stamps.copy()
+    b.stamps[4] += 0.001
+    path = tmp_path / "jittered.csv"
+    write_traces([a, b], path)
+    back = {tr.gen_id: tr.sample_times() for tr in parse_traces(path)}
+    assert np.array_equal(back["A"], a.stamps)
+    assert np.array_equal(back["B"], b.stamps)
+
+
 @pytest.mark.parametrize("gen_id", ["", "G,1", "G\r1", "G\n1"],
                          ids=["empty", "comma", "cr", "lf"])
 def test_write_refuses_ids_the_csv_cannot_hold(tmp_path, gen_id):

@@ -178,6 +178,15 @@ def test_reduced_matrix_symmetric(networks_dir):
         assert np.abs(red.G - red.G.T).max() < 1e-9 * scale
 
 
+def test_bus_without_branch_or_load_is_singular():
+    pair = lossless_pair()  # plus bus 3, which nothing connects
+    model = NetworkModel(buses=("1", "2", "3"), branches=pair.branches,
+                         generators=pair.generators)
+    with pytest.raises(TopologyError,
+                       match=r"singular bus admittance block \(pre_fault\)"):
+        reduce_network(model, PRE_FAULT)
+
+
 def test_fault_on_requires_fault_spec():
     with pytest.raises(NetworkDataError, match="FaultSpec"):
         reduce_network(lossless_pair(), FAULT_ON)
