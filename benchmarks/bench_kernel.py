@@ -8,10 +8,20 @@ host's speed spreads over all sizes instead of reading as a size effect.
 Prints the best and the median round per size.  Run from the repository
 root:
 
-    python3 benchmarks/bench_kernel.py [--repeats ROUNDS]
+    python3 benchmarks/bench_kernel.py [--repeats ROUNDS] [--against FILE]
+
+``--against FILE`` loads a second kernel from a copy of ``_swing_numpy.py``
+(say, the one of an earlier commit) and times both in the same process:
+in every round each size runs both kernels back to back, the order
+swapping from round to round.  Per size it prints both kernels' best and
+the median, quartiles and win count of the per-round ratio, this kernel's
+time over the other's.  The host's speed drifts between processes far more
+than within one pair of back-to-back runs, so only these ratios can carry
+a per-size comparison.
 """
 
 import argparse
+import importlib.util
 import sys
 import time
 from pathlib import Path
@@ -42,30 +52,41 @@ def synthetic_system(n, seed=0):
     return delta, omega, minv, damp, pm, emf, G, B
 
 
-KERNEL_CASES = ((2, 10.0), (4, 10.0), (10, 10.0), (12, 10.0), (48, 10.0),
-                (4, 60.0))  # (machines, seconds of 120 Hz output)
+KERNEL_CASES = ((2, 10.0), (4, 10.0), (10, 10.0), (12, 10.0), (24, 10.0),
+                (48, 10.0), (4, 60.0))  # (machines, seconds of 120 Hz output)
 
 
-def time_kernel(n, seconds):
-    """Seconds for one rk4_swing call: n machines, 10 substeps per sample."""
+def load_kernel(path):
+    """``rk4_swing`` of the kernel module at ``path``."""
+    spec = importlib.util.spec_from_file_location("other_kernel", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.rk4_swing
+
+
+def time_kernel(kernel, n, seconds):
+    """Seconds for one kernel call: n machines, 10 substeps per sample."""
     h = 1.0 / 1200.0
     n_blocks = int(seconds * 120)
     delta, omega, minv, damp, pm, emf, G, B = synthetic_system(n)
     out_d = np.empty((n_blocks, n))
     out_w = np.empty((n_blocks, n))
     start = time.perf_counter()
-    rk4_swing(delta, omega, minv, damp, pm, emf, G, B, h, n_blocks, 10,
-              out_d, out_w)
+    kernel(delta, omega, minv, damp, pm, emf, G, B, h, n_blocks, 10,
+           out_d, out_w)
     return time.perf_counter() - start
 
 
-def time_kernel_rounds(rounds):
-    """Per case, its time in each round; round r starts at case r."""
-    times = {case: [] for case in KERNEL_CASES}
+def time_kernel_rounds(rounds, kernels):
+    """Per case, each kernel's time in each round; round r starts at case r
+    and runs the kernels in reversed order when r is odd."""
+    times = {case: [[] for _ in kernels] for case in KERNEL_CASES}
     for r in range(rounds):
         k = r % len(KERNEL_CASES)
+        order = list(enumerate(kernels))[::-1 if r % 2 else 1]
         for case in KERNEL_CASES[k:] + KERNEL_CASES[:k]:
-            times[case].append(time_kernel(*case))
+            for i, kernel in order:
+                times[case][i].append(time_kernel(kernel, *case))
     return times
 
 
@@ -85,12 +106,29 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeats", type=int, default=3,
                         help="rounds over all kernel sizes; simulate() repeats")
+    parser.add_argument("--against", metavar="FILE",
+                        help="a second kernel module to time in alternation")
     args = parser.parse_args()
 
-    print(f"{'workload':<28}{'best':>12}{'median':>12}")
-    for (n, seconds), t in time_kernel_rounds(args.repeats).items():
+    kernels = (rk4_swing,)
+    if args.against:
+        kernels += (load_kernel(args.against),)
+        print(f"{'workload':<28}{'best':>12}{'other best':>12}"
+              f"{'ratio median (quartiles)':>30}{'faster':>9}")
+    else:
+        print(f"{'workload':<28}{'best':>12}{'median':>12}")
+    for (n, seconds), (t, *other) in time_kernel_rounds(args.repeats,
+                                                        kernels).items():
         label = f"rk4 n={n}, {seconds:.0f} s horizon"
-        print(f"{label:<28}{min(t) * 1e3:>10.1f}ms{np.median(t) * 1e3:>10.1f}ms")
+        line = f"{label:<28}{min(t) * 1e3:>10.1f}ms"
+        if other:
+            ratio = np.array(t) / np.array(other[0])
+            q1, med, q3 = np.percentile(ratio, (25, 50, 75))
+            line += (f"{min(other[0]) * 1e3:>10.1f}ms{med:>14.3f} "
+                     f"({q1:.3f}-{q3:.3f}){(ratio < 1).sum():>6}/{len(ratio)}")
+        else:
+            line += f"{np.median(t) * 1e3:>10.1f}ms"
+        print(line)
 
     print()
     t = time_simulate(args.repeats)

@@ -11,57 +11,71 @@ is evaluated in phasor form.  Expanding the angle differences with
     pe_i = Re(conj(u_i) * (Y u)_i),    Y = E[:, None] * (G + jB) * E[None, :]
 
 and ``minv_i * pe_i = Re(conj(u_i) * (Z u)_i)`` for ``Z`` = ``Y`` with its
-rows scaled by ``minv``.  ``Z`` is formed once per call.
+rows scaled by ``minv``.  Written over real blocks, ``Zu`` is
+
+    [Re Zu | Im Zu] = Zr @ [cos delta | sin delta],
+    Zr = [[Re Z, -Im Z], [Im Z, Re Z]]
+
+and ``minv * pe = cos(delta) * Re Zu + sin(delta) * Im Zu``.  ``Zr`` is
+formed once per call.
 
 NumPy call overhead, not arithmetic, dominates at the machine counts
-simulated, so each RK4 stage is laid out to need as few calls as possible.
-The integrated state is ``x = [theta (2n) | omega (n)]``, where ``theta``
-interleaves ``(delta_i + pi/2, delta_i)``: one ``np.sin`` of ``theta``
-gives ``(cos delta_i, sin delta_i)``, which is ``u`` written as
-interleaved (re, im) floats.  Stage ``s`` owns one row of a
-``(4, 8n + 1)`` buffer:
+simulated, so each RK4 stage is laid out to need as few calls as possible
+and no product wider than the coupling itself.  The integrated state keeps
+each angle twice, in blocks: ``x = [theta_a | theta_b | omega]`` with
+``theta_a = delta + pi/2`` and ``theta_b = delta``, so one ``np.sin`` of
+``[theta_a | theta_b]`` gives ``[cos delta | sin delta]``.  Stage ``s`` owns
+one row, ``9n`` wide, of a ``(4, 9n)`` buffer:
 
-    row = [ c_s k_s (3n) | theta_s (2n) | omega_s (n) | p_s (2n) | 1 ]
+    row = [ theta_a | theta_b | omega | c | s | q (3n) | g ]
 
-where ``y_s = [theta_s, omega_s]`` is the stage state, ``k_s`` its slope
-and ``c_s`` in ``(h/2, h/2, h, h)`` the step the next stage takes along it
-(the last one is never stepped along, only summed).  With ``u`` and ``Zu``
-as float views, ``p_s = u * Zu`` elementwise (one ``np.multiply``) holds
-``[Re u_0 Re(Zu)_0, Im u_0 Im(Zu)_0, ...]``, and the sum of each
-consecutive pair is ``Re(conj(u_i) (Zu)_i) = minv_i * pe_i``.  The slope of
-``theta`` is ``omega_i`` twice and that of ``omega`` is
-``pm * minv - minv * pe - damp * minv * omega``, so
+where ``row[:3n]`` is the stage state, ``(c, s)`` its ``(cos, sin)(delta)``
+and ``g = pm * minv`` a constant.  The product ``Zr @ [c | s]`` lands in the
+last ``2n`` slots of ``zbuf = [-damp minv | Re Zu | Im Zu]``, whose first
+``n`` are fixed, so one ``np.multiply`` of ``row[2n:5n] = [omega | c | s]``
+with ``zbuf`` writes
 
-    c_s k_s = c_s D @ row[5n:],    row[5n:] = [ omega_s | p_s | 1 ]
+    q = [ -damp minv omega | c Re Zu | s Im Zu ]
 
-    D = [ R          | 0  | 0         ]    (2n rows: R[2i, i] = R[2i + 1, i] = 1)
-        [ -damp minv | -S | pm * minv ]    (n rows: S[i, 2i] = S[i, 2i + 1] = 1)
+and the damping term rides on the product that forms the power terms.
+Both angle blocks have slope ``omega``, and ``omega`` has slope
+``pm minv - minv pe - damp minv omega = q_0 - q_1 - q_2 + g``.  Read as a
+``(7, n)`` matrix, ``row[2n:]`` is ``[omega, c, s, q_0, q_1, q_2, g]``, so a
+constant ``3 x 7`` stencil gives the slope ``k_s`` of all three blocks:
 
-with ``-damp minv`` diagonal.  ``h D / 2`` and ``h D`` are formed once per
-call, so one ``np.dot`` writes the already scaled slope.  A stage is then:
-the stage state ``x + c_{s-1} k_{s-1}`` (one ``np.add``; none for the first
-stage, which reads ``x`` in place), ``np.sin`` into ``u``, ``Zu``, ``p_s``
-and the scaled slope: at most five calls.  The step ends with
-``x += [1/3, 2/3, 1/3, 1/6] @ (c k)``, the RK4 weights ``(1, 2, 2, 1) h/6``
-divided by ``c_s``, as a product into a preallocated ``acc`` and an in-place
-add; 21 calls a step in all.
+    c_s k_s = c_s A @ row[2n:].reshape(7, n)
+
+        A = [ 1  0  0  0   0   0  0 ]    theta_a
+            [ 1  0  0  0   0   0  0 ]    theta_b
+            [ 0  0  0  1  -1  -1  1 ]    omega
+
+where ``c_s`` in ``(h/2, h/2, h, h)`` is the step the next stage takes
+along ``k_s`` (the last one is never stepped along, only summed).
+``h A / 2`` and ``h A`` are formed once per call, so one ``np.dot`` writes
+the already scaled slope into a ``(3, n)`` view of row ``s`` of a
+``(4, 3n)`` buffer ``ck``.  A stage is then: the stage state
+``x + c_{s-1} k_{s-1}`` (one ``np.add``; none for the first stage, which
+reads ``x`` in place), ``np.sin``, ``Zr @ [c | s]``, ``q`` and the scaled
+slope: at most five calls and ``4n^2 + 21n`` multiply-adds.  The step ends
+with ``x += [1/3, 2/3, 1/3, 1/6] @ ck``, the RK4 weights ``(1, 2, 2, 1) h/6``
+divided by ``c_s``, as a product into a preallocated ``acc`` and an
+in-place add; 21 calls a step in all.
 
 Each call's cost is almost all NumPy's per-call overhead, so the loop takes
 the cheapest path into the same C routines.  The products are the bound
-``ndarray.dot`` methods of ``Z``, ``h D / 2``, ``h D`` and the weights,
+``ndarray.dot`` methods of ``Zr``, ``h A / 2``, ``h A`` and the weights,
 bound once per call: ``np.dot`` first passes through the
 ``__array_function__`` dispatcher, the method does not.  ``np.sin``,
 ``np.multiply`` and ``np.add`` are bound as locals and given ``out``
-positionally, which skips keyword parsing.  The same C routines run
-either way, so the results equal those of ``np.dot(..., out=...)`` calls bit
-for bit.  Every buffer and view the loop touches, including the ``delta``
-and ``omega`` slots each block records, is made once per call.
+positionally, which skips keyword parsing.  Every buffer and view the loop
+touches, including the ``delta`` and ``omega`` blocks each block records,
+is made once per call.
 
-A machine with ``minv == 0`` has an all-zero row of ``Z``, so its ``p``
-entries are zero and its ``omega`` row of ``D`` gives exactly zero
-acceleration: it never moves.  Its ``delta`` is read back from the
-``delta_i`` slot of ``theta``, so it is returned exactly; the ``+ pi/2``
-slot only feeds ``np.sin``.
+A machine with ``minv == 0`` has all-zero rows in ``Zr`` and zero
+``-damp minv`` and ``g`` entries, so its ``q`` and ``g`` entries are zero
+and the stencil gives it exactly zero acceleration: it never moves.  Its
+``delta`` is read back from ``theta_b``, so it is returned exactly;
+``theta_a`` only feeds ``np.sin``.
 """
 
 import numpy as np
@@ -86,64 +100,63 @@ def rk4_swing(delta, omega, minv, damp, pm, emf, G, B, h, n_blocks, substeps,
     Machines with ``minv == 0`` (infinite inertia) never move.
     """
     n = len(delta)
-    Z = (minv * emf)[:, None] * (G + 1j * B) * emf[None, :]
-    machines = np.arange(n)
-    D = np.zeros((3 * n, 3 * n + 1))
-    D[2 * machines, machines] = 1.0
-    D[2 * machines + 1, machines] = 1.0
-    omega_rows = 2 * n + machines
-    D[omega_rows, machines] = -(damp * minv)
-    D[omega_rows, n + 2 * machines] = -1.0
-    D[omega_rows, n + 2 * machines + 1] = -1.0
-    D[omega_rows, -1] = pm * minv
-    D_half, D_full = (0.5 * h) * D, h * D
-    stages = np.empty((4, 8 * n + 1))
-    stages[:, -1] = 1.0
-    x = stages[0, 3 * n:6 * n]  # the integrated state [theta, omega]
-    x[0:2 * n:2] = delta + np.pi / 2
-    x[1:2 * n:2] = delta
+    scale = (minv * emf)[:, None] * emf[None, :]
+    re_z, im_z = scale * G, scale * B
+    Zr = np.block([[re_z, -im_z], [im_z, re_z]])
+    A = np.zeros((3, 7))
+    A[0:2, 0] = 1.0
+    A[2, 3:] = (1.0, -1.0, -1.0, 1.0)
+    A_half, A_full = (0.5 * h) * A, h * A
+    stages = np.empty((4, 9 * n))
+    stages[:, 8 * n:] = pm * minv
+    x = stages[0, :3 * n]  # the integrated state [theta_a, theta_b, omega]
+    x[:n] = delta + np.pi / 2
+    x[n:2 * n] = delta
     x[2 * n:] = omega
-    ck = stages[:, :3 * n]
+    _, y1, y2, y3 = stages[:, :3 * n]
+    th0, th1, th2, th3 = stages[:, :2 * n]
+    cs0, cs1, cs2, cs3 = stages[:, 3 * n:5 * n]
+    v0, v1, v2, v3 = stages[:, 2 * n:5 * n]
+    q0, q1, q2, q3 = stages[:, 5 * n:8 * n]
+    m0, m1, m2, m3 = stages[:, 2 * n:].reshape(4, 7, n)
+    ck = np.empty((4, 3 * n))
     ck0, ck1, ck2, ck3 = ck
-    _, y1, y2, y3 = stages[:, 3 * n:6 * n]
-    th0, th1, th2, th3 = stages[:, 3 * n:5 * n]
-    p0, p1, p2, p3 = stages[:, 6 * n:8 * n]
-    v0, v1, v2, v3 = stages[:, 5 * n:]
+    k0, k1, k2, k3 = ck.reshape(4, 3, n)
+    zbuf = np.empty(3 * n)
+    zbuf[:n] = -(damp * minv)
+    zu = zbuf[n:]
     weights = np.array([1.0 / 3.0, 2.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0])
     acc = np.empty(3 * n)
-    u = np.empty(n, dtype=complex)
-    zu = np.empty(n, dtype=complex)
-    u_f, zu_f = u.view(float), zu.view(float)
-    x_delta, x_omega = x[1:2 * n:2], x[2 * n:]
-    z_dot, half_dot, full_dot, w_dot = Z.dot, D_half.dot, D_full.dot, weights.dot
+    x_delta, x_omega = x[n:2 * n], x[2 * n:]
+    z_dot, half_dot, full_dot, w_dot = Zr.dot, A_half.dot, A_full.dot, weights.dot
     sin, multiply, add = np.sin, np.multiply, np.add
     # A diverging run overflows to inf and nan; the per-block finiteness check
     # reports it, so NumPy's floating-point warnings would only be noise.
     with np.errstate(over="ignore", invalid="ignore"):
         for block in range(n_blocks):
             for _ in range(substeps):
-                sin(th0, u_f)
-                z_dot(u, zu)
-                multiply(u_f, zu_f, p0)
-                half_dot(v0, ck0)
+                sin(th0, cs0)
+                z_dot(cs0, zu)
+                multiply(v0, zbuf, q0)
+                half_dot(m0, k0)
 
                 add(x, ck0, y1)
-                sin(th1, u_f)
-                z_dot(u, zu)
-                multiply(u_f, zu_f, p1)
-                half_dot(v1, ck1)
+                sin(th1, cs1)
+                z_dot(cs1, zu)
+                multiply(v1, zbuf, q1)
+                half_dot(m1, k1)
 
                 add(x, ck1, y2)
-                sin(th2, u_f)
-                z_dot(u, zu)
-                multiply(u_f, zu_f, p2)
-                full_dot(v2, ck2)
+                sin(th2, cs2)
+                z_dot(cs2, zu)
+                multiply(v2, zbuf, q2)
+                full_dot(m2, k2)
 
                 add(x, ck2, y3)
-                sin(th3, u_f)
-                z_dot(u, zu)
-                multiply(u_f, zu_f, p3)
-                full_dot(v3, ck3)
+                sin(th3, cs3)
+                z_dot(cs3, zu)
+                multiply(v3, zbuf, q3)
+                full_dot(m3, k3)
 
                 w_dot(ck, acc)
                 add(x, acc, x)

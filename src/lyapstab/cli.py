@@ -117,7 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--horizon", type=_positive, default=12.0,
                      help="simulated seconds from t=0")
     sim.add_argument("--out", required=True, help="trace CSV path")
-    sim.add_argument("--meta-out", help="metadata path (default: <out>.meta.json)")
+    sim.add_argument("--meta-out", help="metadata path (default: <out> with its "
+                     "suffix replaced by .meta.json, e.g. e.csv -> e.meta.json)")
 
     cls = sub.add_parser("classify", parents=[event, settings],
                          help="swing pattern and fit parameters")

@@ -554,6 +554,14 @@ def test_help_exits_zero(capsys):
     assert "--dump-mle" in capsys.readouterr().out
 
 
+def test_simulate_help_names_the_meta_path_it_writes(capsys):
+    # test_simulate_writes_traces_and_meta checks that smib.csv gets
+    # smib.meta.json: the suffix is replaced, not appended to
+    assert run_cli("simulate", "--help") == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "e.csv -> e.meta.json" in help_text
+
+
 @pytest.mark.parametrize("command, flags", [
     ("classify", ("--t-max", "inf")),
     ("assess", ("--t-max", "inf")),

@@ -93,11 +93,14 @@ def assert_matches_reference(state, n_blocks, substeps, tol):
     return ref_d
 
 
-# (machines, indices of the infinite machines); "n4-inf0" puts an infinite
-# machine in the first interleaved phase slot of the kernel's state
+# (machines, indices of the infinite machines); machine 0 fills the first
+# slot and machine -1 the last of each block of the kernel's state
+# [theta_a | theta_b | omega], so "n4-inf0" and "n24" put an infinite
+# machine at a block's start, and "n24" one at its end too
 SIZES = [pytest.param(2, (-1,), id="n2"), pytest.param(4, (-1,), id="n4"),
          pytest.param(4, (0,), id="n4-inf0"),
-         pytest.param(12, (4, -1), id="n12")]
+         pytest.param(12, (4, -1), id="n12"),
+         pytest.param(24, (0, -1), id="n24")]
 
 
 @pytest.mark.parametrize("n, infinite", SIZES)
@@ -109,8 +112,9 @@ def test_kernels_match_reference(n_blocks, substeps, tol, n, infinite):
                              substeps, tol)
 
 
-def test_one_step_matches_reference_at_n24():
-    assert_matches_reference(example_system(24, infinite=(0, 11, -1)), 1, 1,
+@pytest.mark.parametrize("n", [24, 48])
+def test_one_step_matches_reference_at_large_n(n):
+    assert_matches_reference(example_system(n, infinite=(0, 11, -1)), 1, 1,
                              1e-13)
 
 
@@ -147,7 +151,7 @@ def test_clean_run_leaves_final_state_in_place():
     assert np.array_equal(w, out_w[-1])
 
 
-@pytest.mark.parametrize("n", [2, 4, 12])
+@pytest.mark.parametrize("n", [2, 4, 12, 24])
 def test_blocks_record_every_substeps_th_step_bit_for_bit(n):
     # Grouping steps into blocks only chooses which states are recorded:
     # n_blocks=k, substeps=s records rows s-1, 2s-1, ... of one step a block.
