@@ -1,12 +1,14 @@
 """Benchmark: the swing kernel.
 
 Times the dominant workload (fixed-step RK4 over the reduced network) for a
-few system sizes and horizons, then a full simulate() call on the shipped
-four-machine fixture.  The sizes are timed in rounds: each round runs every
-size once, starting one size later than the round before, so drift in the
-host's speed spreads over all sizes instead of reading as a size effect.
-Prints the best and the median round per size.  Run from the repository
-root:
+few system sizes and horizons, at 10 steps a sample of 120 Hz output and at
+one step a sample of 240 Hz output (as the ``assess-files`` benchmark
+workload simulates its input traces), then a full simulate() call on the
+shipped four-machine fixture.  The sizes are timed in rounds: each round
+runs every size once, starting one size later than the round before, so
+drift in the host's speed spreads over all sizes instead of reading as a
+size effect.  Prints the best and the median round per size.  Run from the
+repository root:
 
     python3 benchmarks/bench_kernel.py [--repeats ROUNDS] [--against FILE]
 
@@ -52,8 +54,10 @@ def synthetic_system(n, seed=0):
     return delta, omega, minv, damp, pm, emf, G, B
 
 
-KERNEL_CASES = ((2, 10.0), (4, 10.0), (10, 10.0), (12, 10.0), (24, 10.0),
-                (48, 10.0), (4, 60.0))  # (machines, seconds of 120 Hz output)
+# (machines, seconds of output, output rate in Hz, RK4 steps a sample)
+KERNEL_CASES = ((2, 10.0, 120, 10), (4, 10.0, 120, 10), (10, 10.0, 120, 10),
+                (12, 10.0, 120, 10), (24, 10.0, 120, 10), (48, 10.0, 120, 10),
+                (4, 60.0, 120, 10), (4, 50.0, 240, 1))
 
 
 def load_kernel(path):
@@ -64,15 +68,16 @@ def load_kernel(path):
     return module.rk4_swing
 
 
-def time_kernel(kernel, n, seconds):
-    """Seconds for one kernel call: n machines, 10 substeps per sample."""
-    h = 1.0 / 1200.0
-    n_blocks = int(seconds * 120)
+def time_kernel(kernel, n, seconds, rate, substeps):
+    """Seconds for one kernel call: n machines, ``substeps`` RK4 steps per
+    sample of ``rate`` Hz output."""
+    h = 1.0 / (rate * substeps)
+    n_blocks = int(seconds * rate)
     delta, omega, minv, damp, pm, emf, G, B = synthetic_system(n)
     out_d = np.empty((n_blocks, n))
     out_w = np.empty((n_blocks, n))
     start = time.perf_counter()
-    kernel(delta, omega, minv, damp, pm, emf, G, B, h, n_blocks, 10,
+    kernel(delta, omega, minv, damp, pm, emf, G, B, h, n_blocks, substeps,
            out_d, out_w)
     return time.perf_counter() - start
 
@@ -113,14 +118,14 @@ def main():
     kernels = (rk4_swing,)
     if args.against:
         kernels += (load_kernel(args.against),)
-        print(f"{'workload':<28}{'best':>12}{'other best':>12}"
+        print(f"{'workload':<32}{'best':>12}{'other best':>12}"
               f"{'ratio median (quartiles)':>30}{'faster':>9}")
     else:
-        print(f"{'workload':<28}{'best':>12}{'median':>12}")
-    for (n, seconds), (t, *other) in time_kernel_rounds(args.repeats,
-                                                        kernels).items():
-        label = f"rk4 n={n}, {seconds:.0f} s horizon"
-        line = f"{label:<28}{min(t) * 1e3:>10.1f}ms"
+        print(f"{'workload':<32}{'best':>12}{'median':>12}")
+    for (n, seconds, rate, substeps), (t, *other) in time_kernel_rounds(
+            args.repeats, kernels).items():
+        label = f"rk4 n={n}, {seconds:.0f} s, {rate} Hz x {substeps}"
+        line = f"{label:<32}{min(t) * 1e3:>10.1f}ms"
         if other:
             ratio = np.array(t) / np.array(other[0])
             q1, med, q3 = np.percentile(ratio, (25, 50, 75))

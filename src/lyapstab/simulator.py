@@ -215,7 +215,11 @@ def stability_oracle(traces: list[GeneratorTrace], window: float = 5.0) -> str:
     pi at the end of the data while still growing over the final second, or
     when any trace carries a divergence flag.  Intended for simulator output
     sampled well past the event (at least ``window`` seconds of data).
+
+    Raises ``ValueError`` naming ``window`` unless it is finite and > 0.
     """
+    if not 0.0 < window < math.inf:
+        raise ValueError(f"window must be finite and > 0, got {window!r}")
     if not traces:
         raise ValueError("no traces")
     if any(tr.diverged for tr in traces):

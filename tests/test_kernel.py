@@ -104,9 +104,11 @@ SIZES = [pytest.param(2, (-1,), id="n2"), pytest.param(4, (-1,), id="n4"),
 
 
 @pytest.mark.parametrize("n, infinite", SIZES)
+# "odd-substeps" runs each block's last step out of the second stage
+# buffer, whose state is copied back before it is recorded
 @pytest.mark.parametrize("n_blocks, substeps, tol",
-                         [(1, 1, 1e-13), (60, 10, 1e-9)],
-                         ids=["one-step", "half-second"])
+                         [(1, 1, 1e-13), (60, 10, 1e-9), (20, 3, 1e-12)],
+                         ids=["one-step", "half-second", "odd-substeps"])
 def test_kernels_match_reference(n_blocks, substeps, tol, n, infinite):
     assert_matches_reference(example_system(n, infinite=infinite), n_blocks,
                              substeps, tol)
@@ -140,23 +142,29 @@ def test_infinite_machine_never_moves(n, infinite):
 
 
 def test_clean_run_leaves_final_state_in_place():
+    # an odd substeps ends each block in the second stage buffer
     delta, omega, minv, damp, pm, emf, G, B = example_system()
-    d, w = delta.copy(), omega.copy()
-    out_d = np.empty((7, len(d)))
-    out_w = np.empty((7, len(d)))
-    bad = rk4_swing(d, w, minv, damp, pm, emf, G, B, 1.0 / 1200.0, 7, 3,
-                    out_d, out_w)
-    assert bad == -1
-    assert np.array_equal(d, out_d[-1])
-    assert np.array_equal(w, out_w[-1])
+    for substeps in (1, 3, 4):
+        d, w = delta.copy(), omega.copy()
+        out_d = np.empty((7, len(d)))
+        out_w = np.empty((7, len(d)))
+        bad = rk4_swing(d, w, minv, damp, pm, emf, G, B, 1.0 / 1200.0, 7,
+                        substeps, out_d, out_w)
+        assert bad == -1
+        assert np.array_equal(d, out_d[-1])
+        assert np.array_equal(w, out_w[-1])
 
 
-@pytest.mark.parametrize("n", [2, 4, 12, 24])
-def test_blocks_record_every_substeps_th_step_bit_for_bit(n):
+@pytest.mark.parametrize("n, s", [
+    pytest.param(n, s, id=f"{n}" if s == 4 else f"{n}-s{s}")
+    for n in (2, 4, 12, 24) for s in (4, 3)])
+def test_blocks_record_every_substeps_th_step_bit_for_bit(n, s):
     # Grouping steps into blocks only chooses which states are recorded:
     # n_blocks=k, substeps=s records rows s-1, 2s-1, ... of one step a block.
+    # An odd s ends each block in the second stage buffer, as s = 1 ends
+    # every step.
     delta, omega, minv, damp, pm, emf, G, B = example_system(n)
-    k, s = 9, 4
+    k = 9
     finals, records = [], []
     for n_blocks, substeps in ((k, s), (k * s, 1)):
         d, w = delta.copy(), omega.copy()
@@ -181,7 +189,6 @@ def test_nonfinite_state_reports_block_index():
     assert bad == 0
 
 
-
 def test_overflow_reports_first_nonfinite_block():
     # Damping -60 / (minv h) on machine 0 makes omega_0' = (60 / h) omega_0,
     # so each RK4 step multiplies omega_0 by R = sum_{k <= 4} 60^k / k!.  The
@@ -201,6 +208,7 @@ def test_overflow_reports_first_nonfinite_block():
     assert bad == blocks_to_overflow[0]
     assert np.isfinite(d[:bad]).all() and np.isfinite(w[:bad]).all()
     assert not (np.isfinite(d[bad]).all() and np.isfinite(w[bad]).all())
+
 
 def test_backend_name_reports_active_kernel():
     assert lyapstab.backend_name() == "numpy"

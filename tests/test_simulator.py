@@ -260,6 +260,16 @@ def test_oracle_requires_window_coverage():
         stability_oracle([a, b], window=5.0)
 
 
+@pytest.mark.parametrize("window", [math.nan, math.inf, 0.0, -1.0])
+def test_oracle_refuses_bad_window(window):
+    # checked before the data: 1 s of traces would otherwise read STABLE
+    t = np.arange(0, 1.0, DT)
+    a = _trace("A", np.zeros_like(t) + 0.1)
+    b = _trace("B", np.zeros_like(t))
+    with pytest.raises(ValueError, match="^window must be finite and > 0"):
+        stability_oracle([a, b], window=window)
+
+
 def test_oracle_tolerates_large_stable_swing():
     # near-critical midpoint fault on the chain model: the generator/motor
     # pair separates beyond pi (about 3.4 rad) yet the system stays in step
