@@ -273,7 +273,11 @@ def test_pipeline_mixed_skip_uses_live_pairs():
     # pattern II with w = m_n = 24, decided on the last of 25 samples
     (1.0 - 0.4 * np.sin(np.pi * np.arange(25) / 24) ** 2,
      "need at least 26 angle samples to start fitting, have 25"),
-], ids=["classifier-runs-out", "fit-runs-out", "fit-too-short"])
+    # pattern III with w = 74: the crest search runs out of distances
+    (np.cos(2 * np.pi * 0.8 * np.arange(100) * DT),
+     "no confirmed crest in 26 distance samples"),
+], ids=["classifier-runs-out", "fit-runs-out", "fit-too-short",
+        "crest-search-runs-out"])
 def test_timeout_is_where_the_data_ends(speed, note):
     # the data ends well before t_max = 10 s
     n = len(speed)
