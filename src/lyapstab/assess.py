@@ -143,26 +143,18 @@ def aggregate(verdicts: list[PairVerdict]) -> SystemVerdict:
     return SystemVerdict(SYSTEM_UNDETERMINED, t)
 
 
-def _samples_read(trace: SdgpTrace, t_max: float) -> int:
-    """Samples of the pair at or before ``t_max`` after clearing."""
-    return min(len(trace), int(t_max / trace.dt + 1e-9) + 1)
+def assess_pair(trace: SdgpTrace, t_max: float) -> PairVerdict:
+    """Assess one pair on its samples at or before ``t_max`` after clearing.
 
-
-def _end_of_data(trace: SdgpTrace, t_max: float) -> float:
-    """Time of the last sample the pair reads: every timeout's time."""
-    return (_samples_read(trace, t_max) - 1) * trace.dt
-
-
-def pair_parameters(trace: SdgpTrace, t_max: float) -> PairVerdict:
-    """Build the pair's verdict: swing pattern, ``w``, ``m_n`` and distances.
-
-    Reads only the samples at or before ``t_max``: this is where a pair's
-    data budget is applied, and everything downstream reads the slices taken
-    here.  Returns a PENDING verdict ready to fit, or a SKIPPED /
-    UNDETERMINED_TIMEOUT verdict whose ``note`` says why there is no fit.
+    Runs the swing classifier, the distance series, the crest search, the
+    exponent fit and :class:`PairAssessor` in that order, each on the slices
+    taken here: this is where a pair's data budget is applied.  Builds the
+    pair's only verdict.  A pair too quiet to classify is SKIPPED; a pair
+    whose data ends before some stage decides times out at its last sample
+    read, with that stage's ``note``.
     """
     verdict = PairVerdict(trace.severe, trace.least)
-    n = _samples_read(trace, t_max)
+    n = min(len(trace), int(t_max / trace.dt + 1e-9) + 1)
     try:
         decision = SwingClassifier(trace.dt).run(trace.rel_speed[:n])
         verdict.pattern, verdict.w = decision.pattern, decision.w
@@ -172,30 +164,21 @@ def pair_parameters(trace: SdgpTrace, t_max: float) -> PairVerdict:
         verdict.m_n = find_mle_start(decision.pattern, decision.w, d)
     except ClassificationRefused as exc:
         verdict.status, verdict.note = SKIPPED, str(exc)
-    except (ClassificationTimeout, PeakSearchTimeout) as exc:
-        verdict.status, verdict.note = UNDETERMINED_TIMEOUT, str(exc)
-        verdict.decision_time = _end_of_data(trace, t_max)
-    return verdict
-
-
-def _assess_pair(trace: SdgpTrace, t_max: float) -> PairVerdict:
-    verdict = pair_parameters(trace, t_max)
-    if verdict.status == SKIPPED:
-        warnings.warn(f"pair ({verdict.severe}, {verdict.least}) skipped: "
-                      f"{verdict.note}", LyapstabWarning, stacklevel=3)
-    if verdict.status != PENDING:
         return verdict
-    assessor = PairAssessor(verdict)
-    try:
-        for t, lam in iter_mle(verdict.distance, verdict.w, verdict.m_n,
-                               trace.dt):
-            if assessor.push(lam, t).status != PENDING:
-                return verdict
-        note = f"data ended after {len(verdict.mle[1])} exponent updates"
-    except ValueError as exc:  # too few samples to start the fit
+    except (ClassificationTimeout, PeakSearchTimeout) as exc:
         note = str(exc)
-    assessor.finalize(_end_of_data(trace, t_max))
-    verdict.note = note
+    else:
+        assessor = PairAssessor(verdict)
+        try:
+            for t, lam in iter_mle(verdict.distance, verdict.w, verdict.m_n,
+                                   trace.dt):
+                if assessor.push(lam, t).status != PENDING:
+                    return verdict
+            note = f"data ended after {len(verdict.mle[1])} exponent updates"
+        except ValueError as exc:  # too few samples to start the fit
+            note = str(exc)
+    verdict.status, verdict.note = UNDETERMINED_TIMEOUT, note
+    verdict.decision_time = (n - 1) * trace.dt
     return verdict
 
 
@@ -240,8 +223,12 @@ def run_assessment(dataset: AlignedDataset, meta: EventMeta,
     Per-pair failures are recorded in that pair's verdict without aborting
     the others; pair-selection failures propagate (there is nothing to run).
     """
-    pairs = identify_sdgp(dataset, config.sigma)
-    verdicts = [_assess_pair(build_pair_trace(dataset, pair), config.t_max)
-                for pair in pairs]
+    verdicts = []
+    for pair in identify_sdgp(dataset, config.sigma):
+        verdict = assess_pair(build_pair_trace(dataset, pair), config.t_max)
+        if verdict.status == SKIPPED:
+            warnings.warn(f"pair ({verdict.severe}, {verdict.least}) skipped: "
+                          f"{verdict.note}", LyapstabWarning, stacklevel=2)
+        verdicts.append(verdict)
     system = aggregate(verdicts)
     return AssessmentReport(system=system, pairs=verdicts)

@@ -20,7 +20,7 @@ import warnings
 from pathlib import Path
 
 from . import assess as assess_mod
-from .assess import AssessmentConfig, pair_parameters, run_assessment
+from .assess import AssessmentConfig, assess_pair, run_assessment
 from .errors import LyapstabError, LyapstabWarning
 from .ingest import (ASSESSMENT_RATE, EventMeta, align, parse_traces,
                      write_traces)
@@ -179,8 +179,14 @@ def _load_aligned(args):
     return align(traces, meta, rate=args.rate), meta
 
 
+def _file_id(gen_id: str) -> str:
+    """``gen_id`` as part of a file name: ``%``, ``/`` and NUL escaped."""
+    return gen_id.replace("%", "%25").replace("/", "%2F").replace("\0", "%00")
+
+
 def _dump_series(prefix: str, kind: str, verdict, header: str, rows) -> None:
-    path = Path(f"{prefix}{kind}_{verdict.severe}-{verdict.least}.csv")
+    path = Path(f"{prefix}{kind}_{_file_id(verdict.severe)}-"
+                f"{_file_id(verdict.least)}.csv")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         for row in rows:
@@ -209,8 +215,8 @@ def cmd_classify(args) -> int:
 
     results = []
     for pair in pair_list:
-        verdict = pair_parameters(build_pair_trace(dataset, pair), args.t_max)
-        if verdict.status != assess_mod.PENDING:
+        verdict = assess_pair(build_pair_trace(dataset, pair), args.t_max)
+        if verdict.m_n is None:
             raise LyapstabError(f"pair ({pair[0]}, {pair[1]}) has no fit "
                                 f"parameters: {verdict.note}")
         results.append({"severe": pair[0], "least": pair[1],

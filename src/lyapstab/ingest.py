@@ -106,6 +106,9 @@ class AlignedDataset:
             raise ValueError("angle/speed arrays must have the same shape")
         if self.angles.shape[0] != len(self.gen_ids):
             raise ValueError("one series per generator id required")
+        if len(set(self.gen_ids)) < len(self.gen_ids):
+            dup = next(g for g in self.gen_ids if self.gen_ids.count(g) > 1)
+            raise ValueError(f"generator id {dup!r} appears more than once")
 
     @property
     def dt(self) -> float:

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -16,7 +17,7 @@ import pytest
 
 from lyapstab import cli
 from lyapstab.cli import build_parser, main
-from lyapstab.ingest import parse_traces
+from lyapstab.ingest import parse_traces, write_traces
 
 
 def run_cli(*args):
@@ -166,6 +167,25 @@ def test_assess_dumps_series(stable_case, tmp_path, capsys):
     (pair,) = json.loads(capsys.readouterr().out)["pairs"]
     mle = read_dump(tmp_path / f"dump_mle_{pair['severe']}-{pair['least']}.csv")
     assert mle[-1][0] == pair["decision_time_s"]
+
+
+def test_dump_names_escape_slashes_and_percents(four_b6, tmp_path, capsys):
+    # ids may hold '/' (a path separator) and '%' (the escape character)
+    traces_path, meta_path = four_b6
+    renamed = tmp_path / "renamed.csv"
+    write_traces([dataclasses.replace(tr, gen_id=f"a%2F/{tr.gen_id}")
+                  for tr in parse_traces(traces_path)], renamed)
+    prefix = str(tmp_path / "out_")
+    code = run_cli("assess", "--traces", renamed, "--meta", meta_path,
+                   "--dump-mle", prefix, "--dump-distance", prefix)
+    assert code in (0, 2, 3)
+    pairs = json.loads(capsys.readouterr().out)["pairs"]
+    assert pairs
+    for p in pairs:
+        severe, least = (p[k].replace("a%2F/", "a%252F%2F")
+                         for k in ("severe", "least"))
+        for kind in ("mle", "distance"):
+            assert (tmp_path / f"out_{kind}_{severe}-{least}.csv").is_file()
 
 
 def test_dumps_hold_the_series_each_verdict_used(four_b6, tmp_path, capsys,
@@ -711,7 +731,19 @@ def test_module_entry_point():
     bare = run_module("-m", "lyapstab", "assess")
     assert bare.returncode == 1
     assert "error:" in bare.stderr and "Traceback" not in bare.stderr
-    # importing the CLI must not build the parser
-    imported = run_module("-c", "import lyapstab.cli as cli; "
-                                "print(cli.build_parser.cache_info().currsize)")
-    assert imported.stdout.strip() == "0"
+    # importing the CLI must not build the parser, nor load the process
+    # pool that only a sweep with more than one worker needs
+    imported = run_module("-c", "import sys, lyapstab.cli as cli; "
+                                "print(cli.build_parser.cache_info().currsize, "
+                                "'concurrent.futures' in sys.modules)")
+    assert imported.stdout.split() == ["0", "False"]
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), ([], 1)],
+                         ids=["help", "no-command"])
+def test_console_script_exits_with_main_code(monkeypatch, capsys, argv, code):
+    # cli.entrypoint is the [project.scripts] target
+    monkeypatch.setattr(sys, "argv", ["lyapstab", *argv])
+    with pytest.raises(SystemExit) as exc:
+        cli.entrypoint()
+    assert exc.value.code == code

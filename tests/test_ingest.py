@@ -389,6 +389,16 @@ def test_align_mixed_rates_share_the_grid():
     assert ds.angles.shape[0] == 2
 
 
+def test_align_refuses_duplicate_generator_ids():
+    # with two G1 rows, index('G1') and clearing_speeds() would disagree
+    # on which machine G1 is
+    traces = [make_trace("G1"), make_trace("G1", amp=0.1), make_trace("G3")]
+    meta = EventMeta(t_fault=0.2, t_clear=0.5)
+    with pytest.raises(ValueError, match="generator id 'G1' appears more "
+                                         "than once"):
+        align(traces, meta)
+
+
 def test_align_idempotent():
     traces = [make_trace("G1"), make_trace("G2", amp=0.05)]
     meta = EventMeta(t_fault=0.2, t_clear=0.5)
