@@ -207,6 +207,8 @@ class AssessmentReport:
                     "status": v.status,
                     "decision_time_s": v.decision_time,
                     "peak_lambda": v.peak_lambda,
+                    "decided_at": v.decided_at,
+                    "note": v.note,
                 }
                 for v in self.pairs
             ],
@@ -217,14 +219,18 @@ class AssessmentReport:
 
 
 def run_assessment(dataset: AlignedDataset, meta: EventMeta,
-                   config: AssessmentConfig = AssessmentConfig()) -> AssessmentReport:
+                   config: AssessmentConfig = AssessmentConfig(),
+                   pairs: list[tuple[str, str]] | None = None) -> AssessmentReport:
     """End-to-end pipeline: pair selection, classification, exponent, verdicts.
 
+    Only ``pairs`` are assessed (default: those :func:`identify_sdgp` picks).
     Per-pair failures are recorded in that pair's verdict without aborting
     the others; pair-selection failures propagate (there is nothing to run).
     """
+    if pairs is None:
+        pairs = identify_sdgp(dataset, config.sigma)
     verdicts = []
-    for pair in identify_sdgp(dataset, config.sigma):
+    for pair in pairs:
         verdict = assess_pair(build_pair_trace(dataset, pair), config.t_max)
         if verdict.status == SKIPPED:
             warnings.warn(f"pair ({verdict.severe}, {verdict.least}) skipped: "

@@ -1,4 +1,4 @@
-"""Command-line front end: simulate, classify, assess, sweep.
+"""Command-line front end: simulate, assess, sweep.
 
 Every command is deterministic given its flags; output files are fully
 regenerable, so configs are the only experiment state worth keeping.
@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import json
 import math
 import os
 import sys
@@ -20,29 +19,15 @@ import warnings
 from pathlib import Path
 
 from . import assess as assess_mod
-from .assess import AssessmentConfig, assess_pair, run_assessment
+from .assess import AssessmentConfig, run_assessment
 from .errors import LyapstabError, LyapstabWarning
 from .ingest import (ASSESSMENT_RATE, EventMeta, align, parse_traces,
                      write_traces)
 from .network import FaultSpec, load_network_file
-from .pairs import build_pair_trace, identify_sdgp
 from .simulator import simulate, stability_oracle
 from .swings import SwingPattern
 
 PATTERN_NAMES = tuple(p.value for p in SwingPattern)
-
-
-def _resolve_meta(args) -> EventMeta:
-    meta = EventMeta.from_file(args.meta) if args.meta else None
-    t_f = args.fault_time if args.fault_time is not None else (
-        meta.t_fault if meta else None)
-    t_c = args.clear_time if args.clear_time is not None else (
-        meta.t_clear if meta else None)
-    if t_f is None or t_c is None:
-        raise LyapstabError(
-            "need --meta or both --fault-time and --clear-time")
-    return EventMeta(t_fault=t_f, t_clear=t_c,
-                     faulted_element=meta.faulted_element if meta else None)
 
 
 def _positive(value: str) -> float:
@@ -85,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "traces, plus a classical swing-equation simulator.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    # flags shared by the assessing commands, each declared once
+    # flags shared by assess and sweep, each declared once
     settings = argparse.ArgumentParser(add_help=False)
     settings.add_argument("--rate", type=_positive, default=ASSESSMENT_RATE,
                           help="sample rate the assessment runs at, Hz")
@@ -95,15 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     settings.add_argument("--t-max", type=_setting("t_max"),
                           default=AssessmentConfig.t_max,
                           help="seconds of data per pair after clearing")
-    event = argparse.ArgumentParser(add_help=False)
-    event.add_argument("--traces", required=True)
-    event.add_argument("--meta", help="event metadata JSON (from `simulate`)")
-    event.add_argument("--fault-time", type=_finite, help="overrides metadata")
-    event.add_argument("--clear-time", type=_finite, help="overrides metadata")
-    event.add_argument("--speed-nominal", type=_finite, default=0.0,
-                       help="subtract this absolute speed (rad/s) at parse time")
-    event.add_argument("--dump-distance", metavar="PREFIX",
-                       help="write per-pair distance series CSVs")
 
     sim = sub.add_parser("simulate", help="run a fault case and write traces")
     sim.add_argument("--network", required=True, help="network description file")
@@ -120,14 +96,17 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--meta-out", help="metadata path (default: <out> with its "
                      "suffix replaced by .meta.json, e.g. e.csv -> e.meta.json)")
 
-    cls = sub.add_parser("classify", parents=[event, settings],
-                         help="swing pattern and fit parameters")
-    cls.add_argument("--pair", help="SEVERE,LEAST ids; default: all identified")
-
-    ass = sub.add_parser("assess", parents=[event, settings],
+    ass = sub.add_parser("assess", parents=[settings],
                          help="full stability assessment, JSON report")
-    ass.add_argument("--dump-mle", metavar="PREFIX",
-                     help="write per-pair exponent series CSVs")
+    ass.add_argument("--traces", required=True)
+    ass.add_argument("--meta", help="event metadata JSON (from `simulate`)")
+    ass.add_argument("--fault-time", type=_finite, help="overrides metadata")
+    ass.add_argument("--clear-time", type=_finite, help="overrides metadata")
+    ass.add_argument("--speed-nominal", type=_finite, default=0.0,
+                     help="subtract this absolute speed (rad/s) at parse time")
+    ass.add_argument("--pair", help="SEVERE,LEAST ids; default: all identified")
+    ass.add_argument("--dump", metavar="PREFIX",
+                     help="write per-pair distance and exponent series CSVs")
     ass.add_argument("--out", help="also write the JSON report here")
 
     swp = sub.add_parser("sweep", parents=[settings],
@@ -170,14 +149,8 @@ def cmd_simulate(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# classify
+# assess
 # ---------------------------------------------------------------------------
-
-def _load_aligned(args):
-    traces = parse_traces(args.traces, speed_offset=args.speed_nominal)
-    meta = _resolve_meta(args)
-    return align(traces, meta, rate=args.rate), meta
-
 
 def _file_id(gen_id: str) -> str:
     """``gen_id`` as part of a file name: ``%``, ``/`` and NUL escaped."""
@@ -193,59 +166,49 @@ def _dump_series(prefix: str, kind: str, verdict, header: str, rows) -> None:
             fh.write(",".join(repr(float(x)) for x in row) + "\n")
 
 
-def _dump_distance(prefix: str, verdict, dt: float) -> None:
-    _dump_series(prefix, "distance", verdict, "t,d",
-                 ((j * dt, dj) for j, dj in enumerate(verdict.distance)))
-
-
-def cmd_classify(args) -> int:
-    """Report the pattern, ``w`` and ``m_n`` that ``assess`` fits with."""
-    dataset, _ = _load_aligned(args)
+def cmd_assess(args) -> int:
+    traces = parse_traces(args.traces, speed_offset=args.speed_nominal)
+    given = EventMeta.from_file(args.meta) if args.meta else None
+    t_f = args.fault_time if args.fault_time is not None else (
+        given.t_fault if given else None)
+    t_c = args.clear_time if args.clear_time is not None else (
+        given.t_clear if given else None)
+    if t_f is None or t_c is None:
+        raise LyapstabError(
+            "need --meta or both --fault-time and --clear-time")
+    meta = EventMeta(t_fault=t_f, t_clear=t_c,
+                     faulted_element=given.faulted_element if given else None)
+    dataset = align(traces, meta, rate=args.rate)
+    pairs = None  # run_assessment's default: every identified pair
     if args.pair:
         severe, _, least = args.pair.partition(",")
         if not least:
             raise LyapstabError("--pair wants SEVERE,LEAST")
-        pair_list = [(severe.strip(), least.strip())]
-        unknown = [g for g in pair_list[0] if g not in dataset.gen_ids]
+        pairs = [(severe.strip(), least.strip())]
+        unknown = [g for g in pairs[0] if g not in dataset.gen_ids]
         if unknown:
             raise LyapstabError(f"unknown generator id {unknown[0]!r}; the "
                                 f"traces have {', '.join(dataset.gen_ids)}")
-    else:
-        pair_list = identify_sdgp(dataset, args.sigma)
-
-    results = []
-    for pair in pair_list:
-        verdict = assess_pair(build_pair_trace(dataset, pair), args.t_max)
-        if verdict.m_n is None:
-            raise LyapstabError(f"pair ({pair[0]}, {pair[1]}) has no fit "
-                                f"parameters: {verdict.note}")
-        results.append({"severe": pair[0], "least": pair[1],
-                        "pattern": verdict.pattern.value, "w": verdict.w,
-                        "m_n": verdict.m_n, "decided_at": verdict.decided_at})
-        if args.dump_distance:
-            _dump_distance(args.dump_distance, verdict, dataset.dt)
-    payload = results[0] if args.pair else results
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# assess
-# ---------------------------------------------------------------------------
-
-def cmd_assess(args) -> int:
-    dataset, meta = _load_aligned(args)
-    report = run_assessment(dataset, meta, AssessmentConfig(args.sigma, args.t_max))
+    report = run_assessment(dataset, meta,
+                            AssessmentConfig(args.sigma, args.t_max), pairs)
     for verdict in report.pairs:
-        if args.dump_distance and verdict.distance is not None:
-            _dump_distance(args.dump_distance, verdict, dataset.dt)
-        if args.dump_mle and verdict.mle is not None:
-            _dump_series(args.dump_mle, "mle", verdict, "t,lambda",
+        if args.dump and verdict.distance is not None:
+            _dump_series(args.dump, "distance", verdict, "t,d",
+                         ((j * dataset.dt, dj)
+                          for j, dj in enumerate(verdict.distance)))
+        if args.dump and verdict.mle is not None:
+            _dump_series(args.dump, "mle", verdict, "t,lambda",
                          zip(*verdict.mle))
     text = report.to_json()
-    print(text)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader left early: keep the verdict's exit code, and point
+        # stdout at the null device so that the flush at exit cannot fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
     return report.exit_code
 
 
@@ -375,8 +338,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # usage error: argparse's 2 would read UNSTABLE
         return 1 if exc.code == 2 else exc.code
-    handlers = {"simulate": cmd_simulate, "classify": cmd_classify,
-                "assess": cmd_assess, "sweep": cmd_sweep}
+    handlers = {"simulate": cmd_simulate, "assess": cmd_assess,
+                "sweep": cmd_sweep}
     with warnings.catch_warnings():  # restores the filters and the printer
         warnings.simplefilter("default", LyapstabWarning)  # once per command
         warnings.showwarning = functools.partial(_show_warning,

@@ -331,7 +331,8 @@ def test_report_json_schema():
     assert set(payload["system"]) == {"status", "decision_time_s"}
     (pair,) = payload["pairs"]
     assert set(pair) == {"severe", "least", "pattern", "w", "m_n", "status",
-                         "decision_time_s", "peak_lambda"}
+                         "decision_time_s", "peak_lambda", "decided_at",
+                         "note"}
     assert pair["pattern"] in ("I", "II", "III", "IV", "V", "VI")
 
 

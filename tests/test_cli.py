@@ -1,4 +1,4 @@
-"""Command-line workflows: simulate, classify, assess, sweep."""
+"""Command-line workflows: simulate, assess, sweep."""
 
 import concurrent.futures
 import csv
@@ -158,7 +158,7 @@ def test_assess_dumps_series(stable_case, tmp_path, capsys):
     traces_path, meta_path = stable_case
     prefix = str(tmp_path / "dump_")
     run_cli("assess", "--traces", traces_path, "--meta", meta_path,
-            "--dump-mle", prefix, "--dump-distance", prefix)
+            "--dump", prefix)
     dump_files = list(tmp_path.glob("dump_*csv"))
     assert len(dump_files) == 2  # one exponent + one distance file per pair
     headers = {p.read_text().splitlines()[0] for p in dump_files}
@@ -177,7 +177,7 @@ def test_dump_names_escape_slashes_and_percents(four_b6, tmp_path, capsys):
                   for tr in parse_traces(traces_path)], renamed)
     prefix = str(tmp_path / "out_")
     code = run_cli("assess", "--traces", renamed, "--meta", meta_path,
-                   "--dump-mle", prefix, "--dump-distance", prefix)
+                   "--dump", prefix)
     assert code in (0, 2, 3)
     pairs = json.loads(capsys.readouterr().out)["pairs"]
     assert pairs
@@ -202,13 +202,11 @@ def test_dumps_hold_the_series_each_verdict_used(four_b6, tmp_path, capsys,
     traces_path, meta_path = four_b6
     event = ("--traces", traces_path, "--meta", meta_path, "--t-max", "1.5")
     a_prefix, c_prefix = str(tmp_path / "a_"), str(tmp_path / "c_")
-    run_cli("assess", *event, "--dump-mle", a_prefix,
-            "--dump-distance", a_prefix)
+    run_cli("assess", *event, "--dump", a_prefix)
     pairs = json.loads(capsys.readouterr().out)["pairs"]
     fitted = [p["w"] for p in pairs if p["m_n"] is not None]
     assert len(set(fitted)) == 2 and fits == fitted  # one fit per fitted pair
 
-    assert run_cli("classify", *event, "--dump-distance", c_prefix) == 0
     for p in pairs:
         name = f"{p['severe']}-{p['least']}.csv"
         mle = read_dump(tmp_path / f"a_mle_{name}")
@@ -216,35 +214,32 @@ def test_dumps_hold_the_series_each_verdict_used(four_b6, tmp_path, capsys,
         assert max(t for t, _ in mle) <= 1.5
         distance = tmp_path / f"a_distance_{name}"
         assert len(read_dump(distance)) == round(1.5 * 120) + 1 - p["w"]
-        assert (tmp_path / f"c_distance_{name}").read_bytes() == \
-            distance.read_bytes()
+        # one pair alone writes the same files, byte for byte
+        run_cli("assess", *event, "--pair", f"{p['severe']},{p['least']}",
+                "--dump", c_prefix)
+        for kind in ("mle", "distance"):
+            assert (tmp_path / f"c_{kind}_{name}").read_bytes() == \
+                (tmp_path / f"a_{kind}_{name}").read_bytes()
 
 
 # ---------------------------------------------------------------------------
-# classify
+# assess --pair
 # ---------------------------------------------------------------------------
 
-def test_classify_reports_parameters(stable_case, capsys):
+def test_assess_pair_reports_parameters(stable_case, capsys):
     traces_path, meta_path = stable_case
-    code = run_cli("classify", "--traces", traces_path, "--meta", meta_path,
+    code = run_cli("assess", "--traces", traces_path, "--meta", meta_path,
                    "--pair", "G2,G1")
     assert code == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["severe"] == "G2"
-    assert payload["pattern"] in ("I", "II", "III", "IV", "V", "VI")
-    assert payload["m_n"] >= payload["w"] >= 1
-    assert payload["decided_at"] >= 0
+    (pair,) = json.loads(capsys.readouterr().out)["pairs"]
+    assert pair["severe"] == "G2"
+    assert pair["pattern"] in ("I", "II", "III", "IV", "V", "VI")
+    assert pair["m_n"] >= pair["w"] >= 1
+    assert pair["decided_at"] >= 0
+    assert pair["note"] is None
 
 
-def test_classify_all_identified_pairs(stable_case, capsys):
-    traces_path, meta_path = stable_case
-    code = run_cli("classify", "--traces", traces_path, "--meta", meta_path)
-    assert code == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert isinstance(payload, list) and len(payload) == 1
-
-
-@pytest.mark.parametrize("command", ["assess", "classify"])
+@pytest.mark.parametrize("command", ["assess"])
 def test_package_warnings_print_as_one_line(stable_case, capsys, command):
     # the two-machine event's least disturbed generator is itself disturbed
     traces_path, meta_path = stable_case
@@ -449,33 +444,47 @@ def test_sweep_islanding_cases_are_error_rows(tmp_path, networks_dir):
                             "2,0,0,2,n/a"]
 
 
-@pytest.mark.parametrize("pair", ["G9,G4", "G1,G4,G2"])
-def test_classify_unknown_generator_is_input_error(four_b6, capsys, pair):
+PAIR_ERRORS = {
+    "G9,G4": "unknown generator id 'G9'; the traces have G1, G2, G3, G4",
+    "G1,G4,G2": "unknown generator id 'G4,G2'; the traces have G1, G2, G3, G4",
+    "G1": "--pair wants SEVERE,LEAST",
+}
+
+
+@pytest.mark.parametrize("pair", list(PAIR_ERRORS))
+def test_assess_bad_pair_is_input_error(four_b6, capsys, pair):
     traces_path, meta_path = four_b6
-    code = run_cli("classify", "--traces", traces_path, "--meta", meta_path,
+    code = run_cli("assess", "--traces", traces_path, "--meta", meta_path,
                    "--pair", pair)
     assert code == 1
-    assert "error: unknown generator id" in capsys.readouterr().err
+    assert capsys.readouterr() == ("", f"error: {PAIR_ERRORS[pair]}\n")
 
 
-def test_classify_reports_what_assess_fits_with(four_b6, capsys):
+def test_assess_pair_reproduces_the_pairs_record(four_b6, capsys):
     traces_path, meta_path = four_b6
     event = ("--traces", traces_path, "--meta", meta_path)
-    assert run_cli("classify", *event, "--t-max", "1.5") == 0
-    classified = json.loads(capsys.readouterr().out)
-    run_cli("assess", *event, "--t-max", "1.5")
+    assert run_cli("assess", *event, "--t-max", "1.5") == 0
     assessed = json.loads(capsys.readouterr().out)["pairs"]
-    key = lambda p: (p["severe"], p["least"], p["pattern"], p["w"], p["m_n"])
-    assert [key(p) for p in classified] == [key(p) for p in assessed]
-    assert [(p["pattern"], p["w"], p["m_n"]) for p in classified] == [
+    assert [(p["pattern"], p["w"], p["m_n"]) for p in assessed] == [
         ("IV", 41, 66), ("IV", 55, 83)]
+    for record in assessed:
+        pair = f"{record['severe']},{record['least']}"
+        assert run_cli("assess", *event, "--t-max", "1.5",
+                       "--pair", pair) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["pairs"] == [record]
+        # the system verdict covers that pair only
+        assert report["system"] == {"status": "STABLE",
+                                    "decision_time_s": record["decision_time_s"]}
 
-    # one second is too short for the first crest: neither command fits
-    assert run_cli("classify", *event, "--t-max", "1.0") == 1
-    capsys.readouterr()
+    # one second is too short for G1's first swing: no pair decides
     run_cli("assess", *event, "--t-max", "1.0")
     assessed = json.loads(capsys.readouterr().out)["pairs"]
     assert [p["status"] for p in assessed] == ["UNDETERMINED_TIMEOUT"] * 2
+    assert run_cli("assess", *event, "--t-max", "1.0", "--pair", "G1,G4") == 3
+    (pair,) = json.loads(capsys.readouterr().out)["pairs"]
+    assert (pair["m_n"], pair["decision_time_s"]) == (None, 1.0)
+    assert pair["note"] == "series ended after 121 samples without a decision"
 
 
 def test_t_max_off_the_grid_bounds_every_series(four_b6, tmp_path, capsys):
@@ -483,15 +492,12 @@ def test_t_max_off_the_grid_bounds_every_series(four_b6, tmp_path, capsys):
     # the distance series and the fit all stop at the sample at 1.0 s
     traces_path, meta_path = four_b6
     event = ("--traces", traces_path, "--meta", meta_path, "--t-max", "1.005")
-    c_prefix, a_prefix = str(tmp_path / "c_"), str(tmp_path / "a_")
-    assert run_cli("classify", *event, "--pair", "G2,G4",
-                   "--dump-distance", c_prefix) == 0
-    assert json.loads(capsys.readouterr().out)["w"] == 55
-    distance = read_dump(tmp_path / "c_distance_G2-G4.csv")
+    run_cli("assess", *event, "--dump", tmp_path / "a_")
+    pairs = json.loads(capsys.readouterr().out)["pairs"]
+    assert [p["w"] for p in pairs if p["severe"] == "G2"] == [55]
+    distance = read_dump(tmp_path / "a_distance_G2-G4.csv")
     assert len(distance) == int(1.005 * 120) + 1 - 55 == 66
 
-    run_cli("assess", *event, "--dump-mle", a_prefix)
-    capsys.readouterr()
     mle_dumps = list(tmp_path.glob("a_mle_*.csv"))
     assert mle_dumps
     for path in mle_dumps:
@@ -510,7 +516,7 @@ def test_assessment_rate_scales_w_and_m_n(four_b6, capsys, rate, w, m_n):
     assert (g1["least"], g1["w"], g1["m_n"]) == ("G4", w, m_n)
 
 
-@pytest.mark.parametrize("command", ["assess", "classify"])
+@pytest.mark.parametrize("command", ["assess"])
 @pytest.mark.parametrize("content,key", [
     ('{"fault_time_s": 0.1, "faulted_element": "6"}', "clear_time_s"),
     ('[0.1, 0.25]', "clear_time_s"),
@@ -554,7 +560,6 @@ def test_usage_errors_exit_one(four_b6, capsys, flags):
 
 
 @pytest.mark.parametrize("command", [
-    ("classify", "--traces", "t.csv"),
     ("assess", "--traces", "t.csv"),
     ("sweep", "--network", "n.net", "--fault-bus", "3", "--clear-time", "0.2",
      "--out", "o.csv"),
@@ -571,7 +576,16 @@ def test_config_flags_use_the_config_rules(capsys, command, flag, value, rule):
 
 def test_help_exits_zero(capsys):
     assert run_cli("assess", "--help") == 0
-    assert "--dump-mle" in capsys.readouterr().out
+    help_text = capsys.readouterr().out
+    assert "--dump PREFIX" in help_text and "--dump-" not in help_text
+
+
+def test_classify_is_a_usage_error(four_b6, capsys):
+    # assess --pair reports what the deleted classify command did
+    traces_path, meta_path = four_b6
+    assert run_cli("classify", "--traces", traces_path, "--meta",
+                   meta_path) == 1
+    assert "invalid choice: 'classify'" in capsys.readouterr().err
 
 
 def test_simulate_help_names_the_meta_path_it_writes(capsys):
@@ -583,11 +597,11 @@ def test_simulate_help_names_the_meta_path_it_writes(capsys):
 
 
 @pytest.mark.parametrize("command, flags", [
-    ("classify", ("--t-max", "inf")),
+    ("assess", ("--sigma", "nan")),
     ("assess", ("--t-max", "inf")),
-    ("classify", ("--rate", "inf")),
+    ("assess", ("--rate", "nan")),
     ("assess", ("--rate", "inf")),
-    ("classify", ("--clear-time", "inf")),
+    ("assess", ("--clear-time", "nan")),
     ("assess", ("--clear-time", "inf")),
     ("assess", ("--t-max", "nan")),
     ("assess", ("--fault-time", "nan", "--clear-time", "0.25")),
@@ -595,7 +609,7 @@ def test_simulate_help_names_the_meta_path_it_writes(capsys):
     ("assess", ("--meta", "inf.meta.json")),
     ("assess", ("--speed-nominal", "nan")),
     ("assess", ("--speed-nominal", "inf")),
-    ("classify", ("--speed-nominal=-inf",)),
+    ("assess", ("--speed-nominal=-inf",)),
 ])
 def test_non_finite_numbers_are_input_errors(four_b6, tmp_path, monkeypatch,
                                              capsys, command, flags):
@@ -707,7 +721,7 @@ def test_readme_commands_parse():
     commands = [shlex.split(line, comments=True)[1:] for line in lines
                 if line.startswith("lyapstab ")]
     assert sorted({argv[0] for argv in commands}) == [
-        "assess", "classify", "simulate", "sweep"]
+        "assess", "simulate", "sweep"]
     for argv in commands:
         build_parser().parse_args(argv)  # a usage error exits
 
@@ -737,6 +751,32 @@ def test_module_entry_point():
                                 "print(cli.build_parser.cache_info().currsize, "
                                 "'concurrent.futures' in sys.modules)")
     assert imported.stdout.split() == ["0", "False"]
+
+
+@pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
+def test_closed_stdout_keeps_the_verdict(four_b6, tmp_path, buffering):
+    # the reader of stdout is gone before assess prints its report
+    traces_path, meta_path = four_b6
+    argv = ("-m", "lyapstab", "assess", "--traces", str(traces_path),
+            "--meta", str(meta_path))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONUNBUFFERED", None)
+    if buffering == "unbuffered":
+        env["PYTHONUNBUFFERED"] = "1"
+    piped = subprocess.run([sys.executable, *argv], env=env,
+                           capture_output=True, text=True, timeout=60)
+    report = tmp_path / "report.json"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        closed = subprocess.run([sys.executable, *argv, "--out", str(report)],
+                                env=env, stdout=write_end,
+                                stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert closed.returncode == piped.returncode == 0
+    assert closed.stderr == ""
+    assert report.read_text() == piped.stdout
 
 
 @pytest.mark.parametrize("argv, code", [(["--help"], 0), ([], 1)],
