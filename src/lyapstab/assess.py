@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import AssessmentConfig
 from .errors import (ClassificationRefused, ClassificationTimeout,
-                     LyapstabWarning, NoAssessablePairError, PeakSearchTimeout)
+                     LyapstabWarning, NoAssessablePairError)
 from .ingest import AlignedDataset, EventMeta
 from .mle import LineFit, iter_mle
 from .pairs import SdgpTrace, build_pair_trace, identify_sdgp
@@ -165,7 +165,7 @@ def assess_pair(trace: SdgpTrace, t_max: float) -> PairVerdict:
     except ClassificationRefused as exc:
         verdict.status, verdict.note = SKIPPED, str(exc)
         return verdict
-    except (ClassificationTimeout, PeakSearchTimeout) as exc:
+    except ClassificationTimeout as exc:
         note = str(exc)
     else:
         assessor = PairAssessor(verdict)

@@ -104,7 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
     ass.add_argument("--clear-time", type=_finite, help="overrides metadata")
     ass.add_argument("--speed-nominal", type=_finite, default=0.0,
                      help="subtract this absolute speed (rad/s) at parse time")
-    ass.add_argument("--pair", help="SEVERE,LEAST ids; default: all identified")
+    ass.add_argument("--pair", help="assess SEVERE,LEAST alone; skips pair "
+                     "selection, so no --sigma and no common-mode warning")
     ass.add_argument("--dump", metavar="PREFIX",
                      help="write per-pair distance and exponent series CSVs")
     ass.add_argument("--out", help="also write the JSON report here")
@@ -185,10 +186,6 @@ def cmd_assess(args) -> int:
         if not least:
             raise LyapstabError("--pair wants SEVERE,LEAST")
         pairs = [(severe.strip(), least.strip())]
-        unknown = [g for g in pairs[0] if g not in dataset.gen_ids]
-        if unknown:
-            raise LyapstabError(f"unknown generator id {unknown[0]!r}; the "
-                                f"traces have {', '.join(dataset.gen_ids)}")
     report = run_assessment(dataset, meta,
                             AssessmentConfig(args.sigma, args.t_max), pairs)
     for verdict in report.pairs:

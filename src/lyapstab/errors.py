@@ -42,10 +42,6 @@ class CoverageError(LyapstabError):
     """One or more traces do not cover the required time span."""
 
 
-class RangeError(LyapstabError):
-    """Requested sample times fall outside the source trace span."""
-
-
 class NoDisturbanceError(LyapstabError):
     """All clearing-instant speeds are zero; there is no event to assess."""
 
@@ -59,11 +55,7 @@ class ClassificationRefused(LyapstabError):
 
 
 class ClassificationTimeout(LyapstabError):
-    """The swing-pattern automaton ran out of data before deciding."""
-
-
-class PeakSearchTimeout(LyapstabError):
-    """No confirmed local maximum found within the allowed observation time."""
+    """A pair stage (swing automaton, crest search) ran out of data."""
 
 
 class NoAssessablePairError(LyapstabError):

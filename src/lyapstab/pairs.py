@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import AssessmentConfig
-from .errors import DegenerateEventError, LyapstabWarning, NoDisturbanceError
+from .errors import (DegenerateEventError, LyapstabError, LyapstabWarning,
+                     NoDisturbanceError)
 from .ingest import AlignedDataset
 
 # When the "least disturbed" machine is itself strongly disturbed the event
@@ -85,6 +86,9 @@ def build_pair_trace(data: AlignedDataset, pair: tuple[str, str]) -> SdgpTrace:
     severe, least = pair
     i = data.index(severe)
     j = data.index(least)
+    if i == j:
+        raise LyapstabError(f"a pair needs two different generators, got "
+                            f"{severe!r} twice")
     rel_angle = data.angles[i] - data.angles[j]
     rel_speed = data.speeds[i] - data.speeds[j]
     flipped = rel_speed[0] < 0.0

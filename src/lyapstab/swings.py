@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ClassificationRefused, ClassificationTimeout,
-                     PeakSearchTimeout)
+from .errors import ClassificationRefused, ClassificationTimeout
 
 
 class SwingPattern(enum.Enum):
@@ -132,7 +131,7 @@ def find_mle_start(pattern: SwingPattern, w: int, d: DistanceSeries) -> int:
     Growing patterns start immediately (m_n = w); oscillating patterns wait
     for the first confirmed crest of the distance series at index j* and use
     m_n = w + j*, reading the series only up to where j* confirms.  Raises
-    :class:`PeakSearchTimeout` when no crest confirms within the data.
+    :class:`ClassificationTimeout` when no crest confirms within the data.
     """
     if pattern in MONOTONE_PATTERNS:
         return w
@@ -143,7 +142,7 @@ def find_mle_start(pattern: SwingPattern, w: int, d: DistanceSeries) -> int:
         j_star = crest.scan(avg.smoothed)
         if j_star is not None:
             return w + j_star
-    raise PeakSearchTimeout(
+    raise ClassificationTimeout(
         f"no confirmed crest in {len(d.d)} distance samples")
 
 

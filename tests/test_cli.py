@@ -448,6 +448,7 @@ PAIR_ERRORS = {
     "G9,G4": "unknown generator id 'G9'; the traces have G1, G2, G3, G4",
     "G1,G4,G2": "unknown generator id 'G4,G2'; the traces have G1, G2, G3, G4",
     "G1": "--pair wants SEVERE,LEAST",
+    "G4,G4": "a pair needs two different generators, got 'G4' twice",
 }
 
 
@@ -514,6 +515,34 @@ def test_assessment_rate_scales_w_and_m_n(four_b6, capsys, rate, w, m_n):
     assert code == 0 and report["system"]["status"] == "STABLE"
     (g1,) = [p for p in report["pairs"] if p["severe"] == "G1"]
     assert (g1["least"], g1["w"], g1["m_n"]) == ("G4", w, m_n)
+
+
+def test_assess_jittered_240hz_stamps_keep_the_verdict(tmp_path, networks_dir,
+                                                       capsys):
+    # every stamp 5e-12 s early: within the coverage rule's 1e-9 of a 120 Hz
+    # grid step, so the grid still reaches the last sample's nominal time
+    out = tmp_path / "four240.csv"
+    assert run_cli("simulate", "--network", networks_dir / "fourmachine.net",
+                   "--fault-bus", "6", "--fault-time", "0.1",
+                   "--clear-time", "0.25", "--open-branch", "T56B",
+                   "--rate", "240", "--horizon", "3.0", "--out", out) == 0
+    meta = tmp_path / "four240.meta.json"
+    jittered = tmp_path / "jittered.csv"
+    write_traces([dataclasses.replace(tr, t0=tr.t0 - 5e-12,
+                                      stamps=tr.stamps - 5e-12)
+                  for tr in parse_traces(out)], jittered)
+    capsys.readouterr()
+    reports = []
+    for path in (out, jittered):
+        code = run_cli("assess", "--traces", path, "--meta", meta)
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        reports.append((code, report["system"]["status"],
+                        [(p["pattern"], p["w"], p["m_n"], p["status"],
+                          p["decided_at"], p["decision_time_s"])
+                         for p in report["pairs"]]))
+    assert reports[1] == reports[0]
 
 
 @pytest.mark.parametrize("command", ["assess"])

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from conftest import run_smib
 from lyapstab.errors import (CoverageError, LyapstabError, OrderingError,
-                             RangeError, TraceParseError)
-from lyapstab.ingest import (CSV_HEADER, EventMeta, _parse_bulk, _parse_lines,
-                             align, parse_traces, write_traces)
+                             TraceParseError)
+from lyapstab.ingest import (CSV_HEADER, MIN_HORIZON, EventMeta, _parse_bulk,
+                             _parse_lines, align, parse_traces, write_traces)
 from lyapstab.network import FaultSpec, load_network_file
 from lyapstab.simulator import GeneratorTrace, simulate
 
@@ -412,11 +412,30 @@ def test_align_idempotent():
     assert np.array_equal(once.speeds, twice.speeds)
 
 
-def test_align_interp_out_of_span_is_range_error():
-    tr = make_trace("G1", duration=1.0, t0=1.0)
-    from lyapstab.ingest import _interp
-    with pytest.raises(RangeError):
-        _interp(tr, np.array([0.5, 1.5]))
+@pytest.mark.parametrize("rate", [60.0, 120.0, 240.0])
+@pytest.mark.parametrize("shift", [-5e-12, 5e-12], ids=["early", "late"])
+def test_align_accepts_stamps_within_the_coverage_tolerance(rate, shift):
+    # the traces span exactly [t_clear, t_clear + 2 s]; a shift of 5e-12 s
+    # is 6e-10 of a 120 Hz grid step, inside the 1e-9 of the coverage rule,
+    # but 1.2e-9 of a 240 Hz trace step
+    meta = EventMeta(t_fault=0.1, t_clear=0.25)
+    base = make_trace("G1", rate=rate, t0=0.25)
+    moved = GeneratorTrace("G1", base.t0 + shift, base.dt, base.angles,
+                           base.speeds, stamps=base.stamps + shift)
+    want, got = align([base], meta), align([moved], meta)
+    assert got.n_samples == want.n_samples == 241
+    assert got.grid_offset == want.grid_offset
+    assert np.allclose(got.angles, want.angles, rtol=0.0, atol=1e-9)
+    assert np.allclose(got.speeds, want.speeds, rtol=0.0, atol=1e-9)
+
+
+def test_align_refuses_a_trace_just_short_of_the_horizon():
+    meta = EventMeta(t_fault=0.1, t_clear=0.25)
+    stamps = np.linspace(0.0, meta.t_clear + MIN_HORIZON - 1e-6, 200)
+    short = GeneratorTrace("G2", 0.0, float(stamps[1]), np.zeros(200),
+                           np.zeros(200), stamps=stamps)
+    with pytest.raises(CoverageError, match=r"offenders: \['G2'\]"):
+        align([make_trace("G1"), short, make_trace("G3")], meta)
 
 
 def test_event_meta_roundtrip(tmp_path):

@@ -7,8 +7,8 @@ import pytest
 
 from conftest import DT, two_machine_model
 from lyapstab.config import AssessmentConfig
-from lyapstab.errors import (DegenerateEventError, LyapstabWarning,
-                             NoDisturbanceError)
+from lyapstab.errors import (DegenerateEventError, LyapstabError,
+                             LyapstabWarning, NoDisturbanceError)
 from lyapstab.ingest import AlignedDataset, EventMeta, align
 from lyapstab.network import FaultSpec
 from lyapstab.pairs import build_pair_trace, identify_sdgp
@@ -99,8 +99,15 @@ def test_pair_trace_orientation():
 
 def test_pair_trace_unknown_id():
     ds = dataset({"G1": 2.0, "G2": 0.1})
-    with pytest.raises(KeyError):
+    with pytest.raises(LyapstabError, match="unknown generator id 'G9'"):
         build_pair_trace(ds, ("G9", "G1"))
+
+
+def test_pair_trace_refuses_a_self_pair():
+    ds = dataset({"G1": 2.0, "G2": 0.1})
+    with pytest.raises(LyapstabError, match="a pair needs two different "
+                                            "generators, got 'G2' twice"):
+        build_pair_trace(ds, ("G2", "G2"))
 
 
 def test_pair_trace_matches_direct_subtraction():

@@ -9,8 +9,7 @@ import pytest
 
 from conftest import (DT, decision_grid, make_template, naive_first_extremum,
                       template_suite)
-from lyapstab.errors import (ClassificationRefused, ClassificationTimeout,
-                             PeakSearchTimeout)
+from lyapstab.errors import ClassificationRefused, ClassificationTimeout
 from lyapstab.swings import (ClassifierConfig, DistanceSeries, SwingClassifier,
                              SwingPattern, _MovingAverage, distance_series,
                              find_mle_start)
@@ -239,13 +238,13 @@ def test_find_mle_start_needs_no_tail_past_the_crest(f, gamma):
     assert cut < len(d.d) // 4
     assert find_mle_start(SwingPattern.IV, w, DistanceSeries(d=d.d[:cut])) == m_n
     # one sample fewer and the crest is not yet confirmed
-    with pytest.raises(PeakSearchTimeout):
+    with pytest.raises(ClassificationTimeout):
         find_mle_start(SwingPattern.IV, w, DistanceSeries(d=d.d[:cut - 1]))
 
 
 def test_find_mle_start_timeout_on_monotone_distance():
     d = DistanceSeries(d=np.linspace(0.0, 1.0, 300))
-    with pytest.raises(PeakSearchTimeout):
+    with pytest.raises(ClassificationTimeout):
         find_mle_start(SwingPattern.III, 10, d)
 
 
