@@ -13,11 +13,13 @@ repository root:
     python3 benchmarks/bench_kernel.py [--repeats ROUNDS] [--against FILE]
 
 ``--against FILE`` loads a second kernel from a copy of ``_swing_numpy.py``
-(say, the one of an earlier commit) and times both in the same process:
-in every round each size runs both kernels back to back, the order
-swapping from round to round.  Per size it prints both kernels' best and
-the median, quartiles and win count of the per-round ratio, this kernel's
-time over the other's.  The host's speed drifts between processes far more
+(say, the one of an earlier commit) and times both in the same process.
+That kernel must take the same arguments as this one, a single
+``(n_blocks, 2, n)`` output array last; across a change of signature,
+compare ``simulate()`` instead.  In every round each size runs both
+kernels back to back, the order swapping from round to round.  Per size
+it prints both kernels' best and the median, quartiles and win count of
+the per-round ratio, this kernel's time over the other's.  The host's speed drifts between processes far more
 than within one pair of back-to-back runs, so only these ratios can carry
 a per-size comparison.
 """
@@ -74,11 +76,9 @@ def time_kernel(kernel, n, seconds, rate, substeps):
     h = 1.0 / (rate * substeps)
     n_blocks = int(seconds * rate)
     delta, omega, minv, damp, pm, emf, G, B = synthetic_system(n)
-    out_d = np.empty((n_blocks, n))
-    out_w = np.empty((n_blocks, n))
+    out = np.empty((n_blocks, 2, n))
     start = time.perf_counter()
-    kernel(delta, omega, minv, damp, pm, emf, G, B, h, n_blocks, substeps,
-           out_d, out_w)
+    kernel(delta, omega, minv, damp, pm, emf, G, B, h, n_blocks, substeps, out)
     return time.perf_counter() - start
 
 

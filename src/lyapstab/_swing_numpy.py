@@ -69,7 +69,9 @@ small ``n``.  So two stage buffers take turns: a step that reads one
 writes the new state into the other's first row, and the next step reads
 that one.  After an odd number of steps the state sits in the second
 buffer, so an odd ``substeps`` copies it back once per block (one
-``np.copyto``) before it is recorded.
+``np.copyto``) before it is recorded.  The record ``[delta | omega]`` is
+the state's last two blocks, ``[theta_b | omega]``, read as ``(2, n)``:
+one row assignment into ``out`` a block.
 
 Each call's cost is almost all NumPy's per-call overhead, so the loop takes
 the cheapest path into the same C routines.  The products are the bound
@@ -77,16 +79,15 @@ the cheapest path into the same C routines.  The products are the bound
 per call: ``np.dot`` first passes through the ``__array_function__``
 dispatcher, the method does not.  ``np.sin`` and ``np.multiply`` are
 bound as locals and given ``out`` positionally, which skips keyword
-parsing.  Every buffer and view the loop touches, including the ``delta``
-and ``omega`` blocks each block records, is made once per call, and the
-loop runs over both buffers' prebuilt stage arguments: at n = 2 to 24 on
-one vCPU of a 2-vCPU Xeon that cost 1-2 % against writing the step out
-twice.
+parsing.  Every buffer and view the loop touches, including the record
+view, is made once per call, and the loop runs over both buffers' prebuilt
+stage arguments: at n = 2 to 24 on one vCPU of a 2-vCPU Xeon that cost
+1-2 % against writing the step out twice.
 
 A machine with ``minv == 0`` has all-zero rows in ``Zr`` and zero
 ``-damp minv`` and ``g`` entries, so its ``q`` and ``g`` entries are zero
 and the stencil gives it exactly zero acceleration: it never moves.  Its
-``delta`` is read back from ``theta_b``, so it is returned exactly;
+``delta`` is recorded from ``theta_b``, so it stays exact;
 ``theta_a`` only feeds ``np.sin``.
 """
 
@@ -121,15 +122,15 @@ def backend_name() -> str:
 
 
 def rk4_swing(delta, omega, minv, damp, pm, emf, G, B, h, n_blocks, substeps,
-              out_delta, out_omega):
+              out):
     """Integrate the classical swing equations with fixed-step RK4.
 
-    ``delta`` and ``omega`` are modified in place and hold the final state.
-    After every ``substeps`` internal steps of size ``h`` the state is written
-    to the next row of ``out_delta`` / ``out_omega`` (``n_blocks`` rows total).
-
-    Returns -1 if every recorded state is finite, otherwise the index of the
-    first non-finite record; rows before that index are valid.
+    ``delta`` and ``omega`` are the initial state and are left unchanged.
+    After every ``substeps`` internal steps of size ``h`` the state
+    ``[delta, omega]`` is written to the next row of ``out``, of shape
+    ``(n_blocks, 2, n)``.  The kernel tests nothing: a run that overflows
+    goes on with non-finite values, and the caller finds the first
+    non-finite row.
 
     Machines with ``minv == 0`` (infinite inertia) never move.
     """
@@ -149,7 +150,7 @@ def rk4_swing(delta, omega, minv, damp, pm, emf, G, B, h, n_blocks, substeps,
     x[:n] = delta + np.pi / 2
     x[n:2 * n] = delta
     x[2 * n:] = omega
-    x_delta, x_omega = x[n:2 * n], x[2 * n:]
+    record = x[n:].reshape(2, n)
     rows = bufs.reshape(8, 9 * n)
     heads = list(rows[:, :3 * n].reshape(8, 3, n))
     reads = bufs.reshape(2, 36, n)
@@ -168,8 +169,9 @@ def rk4_swing(delta, omega, minv, damp, pm, emf, G, B, h, n_blocks, substeps,
     zu = zbuf[n:]
     z_dot = Zr.dot
     sin, multiply = np.sin, np.multiply
-    # A diverging run overflows to inf and nan; the per-block finiteness check
-    # reports it, so NumPy's floating-point warnings would only be noise.
+    # A diverging run overflows to inf and nan; the caller truncates the
+    # record at its first non-finite row, so NumPy's floating-point warnings
+    # would only be noise.
     with np.errstate(over="ignore", invalid="ignore"):
         for block in range(n_blocks):
             for step in plan:
@@ -180,12 +182,4 @@ def rk4_swing(delta, omega, minv, damp, pm, emf, G, B, h, n_blocks, substeps,
                     stage_dot(read, write)
             if odd:
                 np.copyto(x, x_other)
-            out_delta[block] = x_delta
-            out_omega[block] = x_omega
-            if not np.isfinite(x).all():
-                break
-        else:
-            block = -1
-    delta[:] = x_delta
-    omega[:] = x_omega
-    return block
+            out[block] = record

@@ -145,8 +145,9 @@ def simulate(model: NetworkModel, fault: FaultSpec, dt: float, horizon: float,
 
     ``horizon`` is the total simulated time from t = 0.  ``substeps`` controls
     the internal RK4 step (``dt / substeps``); the default targets
-    ``1/1200`` s.  On numerical blow-up the traces are truncated at the last
-    finite sample and flagged ``diverged``.
+    ``1/1200`` s.  After each phase its samples are checked at once: on
+    numerical blow-up the traces end before the first non-finite sample,
+    are flagged ``diverged``, and later phases are not run.
 
     Raises ``ValueError`` naming the argument unless ``dt`` and ``horizon``
     are finite and > 0 and ``substeps`` is an integer >= 1.
@@ -172,14 +173,12 @@ def simulate(model: NetworkModel, fault: FaultSpec, dt: float, horizon: float,
     k_end = math.ceil(horizon / dt - 1e-9)
     n = red_pre.n
 
-    out_delta = np.empty((k_end + 1, n))
-    out_omega = np.empty((k_end + 1, n))
-    out_delta[0] = delta0
-    out_omega[0] = 0.0
-
-    delta = delta0.copy()
-    omega = np.zeros(n)
-    minv = np.where(np.isinf(red_pre.m), 0.0, 1.0 / red_pre.m)
+    # one [delta, omega] row per output sample; each phase starts from the
+    # row before its own
+    record = np.empty((k_end + 1, 2, n))
+    record[0, 0] = delta0
+    record[0, 1] = 0.0
+    minv = 1.0 / red_pre.m  # an infinite machine's 1 / inf is exactly 0.0
     h = dt / substeps
 
     n_samples = k_end + 1
@@ -188,21 +187,24 @@ def simulate(model: NetworkModel, fault: FaultSpec, dt: float, horizon: float,
     phases = ((red_pre, k_fault), (red_fault, k_clear - k_fault),
               (red_post, k_end - k_clear))
     for red, n_blocks in phases:
-        if n_blocks <= 0 or diverged:
+        if n_blocks <= 0:
             continue
-        bad = rk4_swing(delta, omega, minv, red.d, pm, red.emf, red.G, red.B,
-                        h, n_blocks, substeps,
-                        out_delta[cursor:cursor + n_blocks],
-                        out_omega[cursor:cursor + n_blocks])
-        if bad >= 0:
-            n_samples = cursor + bad  # keep samples strictly before the bad one
+        start = record[cursor - 1]
+        rows = record[cursor:cursor + n_blocks]
+        rk4_swing(start[0], start[1], minv, red.d, pm, red.emf, red.G, red.B,
+                  h, n_blocks, substeps, rows)
+        finite = np.isfinite(rows).all(axis=(1, 2))
+        if not finite.all():
+            # keep samples strictly before the first bad one
+            n_samples = cursor + int(finite.argmin())
             diverged = True
+            break
         cursor += n_blocks
 
     return [
         GeneratorTrace(gen_id=red_pre.gen_ids[i], t0=0.0, dt=dt,
-                       angles=out_delta[:n_samples, i].copy(),
-                       speeds=out_omega[:n_samples, i].copy(),
+                       angles=record[:n_samples, 0, i].copy(),
+                       speeds=record[:n_samples, 1, i].copy(),
                        diverged=diverged)
         for i in range(n)
     ]

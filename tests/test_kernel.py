@@ -31,14 +31,16 @@ def example_system(n=4, seed=3, infinite=(-1,)):
 
 
 def run(state, h, n_blocks, substeps):
+    """The recorded angles and speeds, one row a block."""
     delta, omega, minv, damp, pm, emf, G, B = state
-    d = delta.copy()
-    w = omega.copy()
-    out_d = np.empty((n_blocks, len(d)))
-    out_w = np.empty((n_blocks, len(d)))
-    bad = rk4_swing(d, w, minv, damp, pm, emf, G, B, h, n_blocks, substeps,
-                    out_d, out_w)
-    return bad, out_d, out_w
+    out = np.empty((n_blocks, 2, len(delta)))
+    rk4_swing(delta, omega, minv, damp, pm, emf, G, B, h, n_blocks, substeps,
+              out)
+    return out[:, 0], out[:, 1]
+
+
+def finite_rows(d, w):
+    return np.isfinite(d).all(axis=1) & np.isfinite(w).all(axis=1)
 
 
 def reference_rk4(state, h, n_blocks, substeps):
@@ -86,8 +88,7 @@ def assert_matches_reference(state, n_blocks, substeps, tol):
     """Run the kernel and the reference at h = 1/1200 s; returns the
     reference angles."""
     ref_d, ref_w = reference_rk4(state, 1.0 / 1200.0, n_blocks, substeps)
-    bad, d, w = run(state, 1.0 / 1200.0, n_blocks, substeps)
-    assert bad == -1
+    d, w = run(state, 1.0 / 1200.0, n_blocks, substeps)
     assert np.abs(d - ref_d).max() < tol
     assert np.abs(w - ref_w).max() < tol
     return ref_d
@@ -134,25 +135,40 @@ def test_pole_slipping_machine_matches_reference():
 @pytest.mark.parametrize("n, infinite", SIZES)
 def test_infinite_machine_never_moves(n, infinite):
     state = example_system(n, infinite=infinite)
-    bad, d, w = run(state, 1.0 / 1200.0, 30, 10)
-    assert bad == -1
+    d, w = run(state, 1.0 / 1200.0, 30, 10)
     for i in infinite:
         assert np.all(d[:, i] == state[0][i])
         assert np.all(w[:, i] == state[1][i])
 
 
-def test_clean_run_leaves_final_state_in_place():
-    # an odd substeps ends each block in the second stage buffer
-    delta, omega, minv, damp, pm, emf, G, B = example_system()
+def test_call_leaves_start_state_and_hands_off_from_a_record_row():
+    # simulate starts each phase from a view of the record's previous row,
+    # and writes the phase into the rows after it.  The kernel must only read
+    # that start state, and a hand-off from it must be a plain restart from
+    # the recorded values.  A restart derives theta_a = delta + pi/2 afresh,
+    # where one long run carries theta_a on, so it matches one run of
+    # k + m blocks to rounding, not bit for bit.  An odd substeps ends each
+    # block in the second stage buffer.
+    state = example_system()
+    delta, omega, rest = state[0].copy(), state[1].copy(), state[2:]
+    k, m = 4, 3
     for substeps in (1, 3, 4):
-        d, w = delta.copy(), omega.copy()
-        out_d = np.empty((7, len(d)))
-        out_w = np.empty((7, len(d)))
-        bad = rk4_swing(d, w, minv, damp, pm, emf, G, B, 1.0 / 1200.0, 7,
-                        substeps, out_d, out_w)
-        assert bad == -1
-        assert np.array_equal(d, out_d[-1])
-        assert np.array_equal(w, out_w[-1])
+        whole_d, whole_w = run(state, 1.0 / 1200.0, k + m, substeps)
+        assert np.array_equal(state[0], delta)
+        assert np.array_equal(state[1], omega)
+        record = np.empty((k + m, 2, len(delta)))
+        rk4_swing(delta, omega, *rest, 1.0 / 1200.0, k, substeps, record[:k])
+        start = record[k - 1]
+        restart_d, restart_w = run((start[0].copy(), start[1].copy()) + rest,
+                                   1.0 / 1200.0, m, substeps)
+        rk4_swing(start[0], start[1], *rest, 1.0 / 1200.0, m, substeps,
+                  record[k:])
+        assert np.array_equal(record[:k, 0], whole_d[:k])
+        assert np.array_equal(record[:k, 1], whole_w[:k])
+        assert np.array_equal(record[k:, 0], restart_d)
+        assert np.array_equal(record[k:, 1], restart_w)
+        assert np.abs(record[:, 0] - whole_d).max() < 1e-13
+        assert np.abs(record[:, 1] - whole_w).max() < 1e-13
 
 
 @pytest.mark.parametrize("n, s", [
@@ -163,30 +179,22 @@ def test_blocks_record_every_substeps_th_step_bit_for_bit(n, s):
     # n_blocks=k, substeps=s records rows s-1, 2s-1, ... of one step a block.
     # An odd s ends each block in the second stage buffer, as s = 1 ends
     # every step.
-    delta, omega, minv, damp, pm, emf, G, B = example_system(n)
+    state = example_system(n)
     k = 9
-    finals, records = [], []
-    for n_blocks, substeps in ((k, s), (k * s, 1)):
-        d, w = delta.copy(), omega.copy()
-        out_d, out_w = np.empty((n_blocks, n)), np.empty((n_blocks, n))
-        assert rk4_swing(d, w, minv, damp, pm, emf, G, B, 1.0 / 1200.0,
-                         n_blocks, substeps, out_d, out_w) == -1
-        finals.append((d, w))
-        records.append((out_d, out_w))
-    (grouped_d, grouped_w), (single_d, single_w) = records
+    grouped_d, grouped_w = run(state, 1.0 / 1200.0, k, s)
+    single_d, single_w = run(state, 1.0 / 1200.0, k * s, 1)
     assert np.array_equal(grouped_d, single_d[s - 1::s])
     assert np.array_equal(grouped_w, single_w[s - 1::s])
-    for a, b in zip(*finals):
-        assert np.array_equal(a, b)
 
 
 def test_nonfinite_state_reports_block_index():
+    # a non-finite start state is non-finite from the first record on
     state = example_system()
     delta = state[0].copy()
     delta[0] = np.nan
     broken = (delta,) + state[1:]
-    bad, _, _ = run(broken, 1.0 / 1200.0, 5, 2)
-    assert bad == 0
+    finite = finite_rows(*run(broken, 1.0 / 1200.0, 5, 2))
+    assert not finite[0]
 
 
 def test_overflow_reports_first_nonfinite_block():
@@ -204,10 +212,10 @@ def test_overflow_reports_first_nonfinite_block():
                           + substeps * (k + 1) * log_r > math.log10(np.finfo(float).max)]
     assert blocks_to_overflow[0] == 5
     with np.errstate(over="ignore", invalid="ignore"):
-        bad, d, w = run(tuple(state), h, 12, substeps)
-    assert bad == blocks_to_overflow[0]
-    assert np.isfinite(d[:bad]).all() and np.isfinite(w[:bad]).all()
-    assert not (np.isfinite(d[bad]).all() and np.isfinite(w[bad]).all())
+        finite = finite_rows(*run(tuple(state), h, 12, substeps))
+    bad = blocks_to_overflow[0]
+    assert finite[:bad].all()
+    assert not finite[bad]
 
 
 def test_backend_name_reports_active_kernel():

@@ -202,29 +202,35 @@ def test_oracle_divergence_flag_is_unstable():
 
 
 def test_simulate_truncates_before_divergence():
-    # negative damping on G1 amplifies the post-fault swing until it overflows;
-    # the kernel reports that through ``diverged`` and prints no NumPy warning
+    # negative damping on G1 amplifies the post-fault swing until it overflows
+    # at every step size; simulate reports that through ``diverged`` and
+    # prints no NumPy warning.  Substeps 1 and 3 end each sample in the
+    # kernel's second stage buffer, the default 10 in its first.
     model = two_machine_model(d1=-20.0)
     fault = FaultSpec(bus="3", t_fault=0.1, t_clear=0.2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        traces = simulate(model, fault, dt=DT, horizon=8.0)
-        n_kept = len(traces[0])
-        assert round(0.2 / DT) < n_kept < round(8.0 / DT)
-        for tr in traces:
-            assert tr.diverged
-            assert len(tr) == n_kept
-            assert np.isfinite(tr.angles).all() and np.isfinite(tr.speeds).all()
-        assert stability_oracle(traces, window=5.0) == UNSTABLE
-        # sample n_kept is the first bad one: a run ending just before it is
-        # clean and identical, a run ending on it diverges
-        clean = simulate(model, fault, dt=DT, horizon=(n_kept - 1) * DT)
-        assert not any(tr.diverged for tr in clean)
-        for tr, ref in zip(clean, traces):
-            assert np.array_equal(tr.angles, ref.angles)
-            assert np.array_equal(tr.speeds, ref.speeds)
-        last = simulate(model, fault, dt=DT, horizon=n_kept * DT)
-        assert all(tr.diverged and len(tr) == n_kept for tr in last)
+        for substeps in (None, 1, 3):
+            traces = simulate(model, fault, dt=DT, horizon=8.0,
+                              substeps=substeps)
+            n_kept = len(traces[0])
+            assert round(0.2 / DT) < n_kept < round(8.0 / DT)
+            for tr in traces:
+                assert tr.diverged
+                assert len(tr) == n_kept
+                assert np.isfinite(tr.angles).all() and np.isfinite(tr.speeds).all()
+            assert stability_oracle(traces, window=5.0) == UNSTABLE
+            # sample n_kept is the first bad one: a run ending just before it
+            # is clean and identical, a run ending on it diverges
+            clean = simulate(model, fault, dt=DT, horizon=(n_kept - 1) * DT,
+                             substeps=substeps)
+            assert not any(tr.diverged for tr in clean)
+            for tr, ref in zip(clean, traces):
+                assert np.array_equal(tr.angles, ref.angles)
+                assert np.array_equal(tr.speeds, ref.speeds)
+            last = simulate(model, fault, dt=DT, horizon=n_kept * DT,
+                            substeps=substeps)
+            assert all(tr.diverged and len(tr) == n_kept for tr in last)
 
 
 def test_divergence_during_the_fault_skips_later_phases():
