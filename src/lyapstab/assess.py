@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import AssessmentConfig
 from .errors import (ClassificationRefused, ClassificationTimeout,
-                     LyapstabWarning, NoAssessablePairError)
+                     LyapstabError, LyapstabWarning)
 from .ingest import AlignedDataset, EventMeta
 from .mle import LineFit, iter_mle
 from .pairs import SdgpTrace, build_pair_trace, identify_sdgp
@@ -124,11 +124,11 @@ def aggregate(verdicts: list[PairVerdict]) -> SystemVerdict:
     """Combine pair verdicts: any unstable pair decides; stability needs all.
 
     Skipped pairs are excluded; if every pair was skipped there is nothing to
-    say and :class:`NoAssessablePairError` is raised.
+    say and :class:`LyapstabError` is raised.
     """
     live = [v for v in verdicts if v.status != SKIPPED]
     if not live:
-        raise NoAssessablePairError("every pair was skipped")
+        raise LyapstabError("every pair was skipped")
     unstable = [v for v in live if v.status in UNSTABLE_STATUSES]
     if unstable:
         t = min(v.decision_time for v in unstable)
@@ -151,7 +151,7 @@ def assess_pair(trace: SdgpTrace, t_max: float) -> PairVerdict:
     taken here: this is where a pair's data budget is applied.  Builds the
     pair's only verdict.  A pair too quiet to classify is SKIPPED; a pair
     whose data ends before some stage decides times out at its last sample
-    read, with that stage's ``note``.
+    read, with that stage's ``note``.  Any other exception propagates.
     """
     verdict = PairVerdict(trace.severe, trace.least)
     n = min(len(trace), int(t_max / trace.dt + 1e-9) + 1)
@@ -162,21 +162,16 @@ def assess_pair(trace: SdgpTrace, t_max: float) -> PairVerdict:
         d = distance_series(trace.rel_angle[:n], decision.w)
         verdict.distance = d.d
         verdict.m_n = find_mle_start(decision.pattern, decision.w, d)
+        assessor = PairAssessor(verdict)
+        for t, lam in iter_mle(d.d, decision.w, verdict.m_n, trace.dt):
+            if assessor.push(lam, t).status != PENDING:
+                return verdict
+        note = f"data ended after {len(verdict.mle[1])} exponent updates"
     except ClassificationRefused as exc:
         verdict.status, verdict.note = SKIPPED, str(exc)
         return verdict
     except ClassificationTimeout as exc:
         note = str(exc)
-    else:
-        assessor = PairAssessor(verdict)
-        try:
-            for t, lam in iter_mle(verdict.distance, verdict.w, verdict.m_n,
-                                   trace.dt):
-                if assessor.push(lam, t).status != PENDING:
-                    return verdict
-            note = f"data ended after {len(verdict.mle[1])} exponent updates"
-        except ValueError as exc:  # too few samples to start the fit
-            note = str(exc)
     verdict.status, verdict.note = UNDETERMINED_TIMEOUT, note
     verdict.decision_time = (n - 1) * trace.dt
     return verdict

@@ -1,53 +1,18 @@
 """Exception and warning types raised across the package.
 
+One type per decision a caller makes.  A pair the swing classifier refuses
+is SKIPPED (:class:`ClassificationRefused`); a pair whose data ends before
+the classifier, the crest search or the exponent fit decides is
+UNDETERMINED_TIMEOUT (:class:`ClassificationTimeout`); every other fault in
+outside input raises :class:`LyapstabError`, and the command fails.
+
 Also the UTF-8 check that both file readers (traces and networks) apply to
 each line they read.
 """
 
 
 class LyapstabError(Exception):
-    """Base class for all package-specific errors."""
-
-
-class NetworkDataError(LyapstabError):
-    """Network description violates the documented schema or its invariants."""
-
-
-class TopologyError(LyapstabError):
-    """Network reduction failed (disconnected island, singular bus block)."""
-
-
-class SetupError(LyapstabError):
-    """Simulation setup failed (e.g. pre-fault equilibrium did not converge)."""
-
-
-class TraceParseError(LyapstabError):
-    """Malformed trace file row.
-
-    Carries the 1-based line number of the offending row when known.
-    """
-
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
-
-
-class OrderingError(TraceParseError):
-    """Timestamps within one generator are not strictly increasing."""
-
-
-class CoverageError(LyapstabError):
-    """One or more traces do not cover the required time span."""
-
-
-class NoDisturbanceError(LyapstabError):
-    """All clearing-instant speeds are zero; there is no event to assess."""
-
-
-class DegenerateEventError(LyapstabError):
-    """No severely disturbed generator remains after excluding the reference."""
+    """Outside input the package cannot use; the message names the fault."""
 
 
 class ClassificationRefused(LyapstabError):
@@ -55,11 +20,7 @@ class ClassificationRefused(LyapstabError):
 
 
 class ClassificationTimeout(LyapstabError):
-    """A pair stage (swing automaton, crest search) ran out of data."""
-
-
-class NoAssessablePairError(LyapstabError):
-    """Every identified generator pair was skipped; no verdict is possible."""
+    """A pair stage (swing automaton, crest search, fit) ran out of data."""
 
 
 class LyapstabWarning(UserWarning):

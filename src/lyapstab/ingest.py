@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (CoverageError, LyapstabError, OrderingError,
-                     TraceParseError, utf8_fault)
+from .errors import LyapstabError, utf8_fault
 from .simulator import GeneratorTrace
 
 CSV_HEADER = "t,gen_id,delta_rad,omega_rad_per_s"
@@ -244,11 +243,11 @@ def _trace(gid: str, times: np.ndarray, angles: np.ndarray,
     Refuses fewer than 2 samples and gaps larger than twice the median step.
     """
     if len(times) < 2:
-        raise TraceParseError(f"generator {gid!r} has fewer than 2 samples")
+        raise LyapstabError(f"generator {gid!r} has fewer than 2 samples")
     diffs = np.diff(times)
     dt = float(np.median(diffs))
     if diffs.max() > MAX_GAP_FACTOR * dt:
-        raise TraceParseError(
+        raise LyapstabError(
             f"generator {gid!r} has a gap of {diffs.max():.6g} s "
             f"(> {MAX_GAP_FACTOR} * {dt:.6g} s)")
     return GeneratorTrace(gen_id=gid, t0=float(times[0]), dt=dt, angles=angles,
@@ -258,7 +257,7 @@ def _trace(gid: str, times: np.ndarray, angles: np.ndarray,
 def _check_utf8(raw: str, lineno: int) -> None:
     fault = utf8_fault(raw)
     if fault:
-        raise TraceParseError(fault, line=lineno)
+        raise LyapstabError(f"line {lineno}: {fault}")
 
 
 def _parse_lines(path, speed_offset: float = 0.0) -> list[GeneratorTrace]:
@@ -273,7 +272,7 @@ def _parse_lines(path, speed_offset: float = 0.0) -> list[GeneratorTrace]:
         header = fh.readline()
         _check_utf8(header, 1)
         if header.rstrip("\n") != CSV_HEADER:
-            raise TraceParseError(f"expected header {CSV_HEADER!r}", line=1)
+            raise LyapstabError(f"line 1: expected header {CSV_HEADER!r}")
         for lineno, raw in enumerate(fh, start=2):
             _check_utf8(raw, lineno)
             line = raw.strip()
@@ -281,36 +280,36 @@ def _parse_lines(path, speed_offset: float = 0.0) -> list[GeneratorTrace]:
                 continue
             parts = line.split(",")
             if len(parts) != 4:
-                raise TraceParseError(f"expected 4 fields, got {len(parts)}",
-                                      line=lineno)
+                raise LyapstabError(
+                    f"line {lineno}: expected 4 fields, got {len(parts)}")
             try:
                 t = float(parts[0])
                 angle = float(parts[2])
                 speed = float(parts[3])
             except ValueError:
-                raise TraceParseError(f"non-numeric field in {line!r}",
-                                      line=lineno) from None
+                raise LyapstabError(
+                    f"line {lineno}: non-numeric field in {line!r}") from None
             if not (math.isfinite(t) and math.isfinite(angle) and math.isfinite(speed)):
-                raise TraceParseError("non-finite value", line=lineno)
+                raise LyapstabError(f"line {lineno}: non-finite value")
             gid = parts[1]
             if not gid:
-                raise TraceParseError("empty generator id", line=lineno)
+                raise LyapstabError(f"line {lineno}: empty generator id")
             rows = per_gen.get(gid)
             if rows is None:
                 per_gen[gid] = rows = []  # insertion order: first seen
             elif rows:
                 if t == rows[-1][0]:
-                    raise TraceParseError(
-                        f"duplicate sample for generator {gid!r} at t={t!r}",
-                        line=lineno)
+                    raise LyapstabError(
+                        f"line {lineno}: duplicate sample for generator "
+                        f"{gid!r} at t={t!r}")
                 if t < rows[-1][0]:
-                    raise OrderingError(
-                        f"timestamps for generator {gid!r} go backwards",
-                        line=lineno)
+                    raise LyapstabError(
+                        f"line {lineno}: timestamps for generator {gid!r} "
+                        "go backwards")
             rows.append((t, angle, speed))
 
     if not per_gen:
-        raise TraceParseError("no samples after the header")
+        raise LyapstabError("no samples after the header")
     return [_trace(gid, np.array([r[0] for r in rows]),
                    np.array([r[1] for r in rows]),
                    np.array([r[2] for r in rows]) - speed_offset)
@@ -328,7 +327,7 @@ def align(traces: list[GeneratorTrace], meta: EventMeta,
     Index 0 is the first point of the absolute grid ``k / rate`` at or after
     ``meta.t_clear``; all series are truncated to the longest span every
     trace can cover.  Traces missing ``[t_clear, t_clear + MIN_HORIZON]``
-    raise :class:`CoverageError` naming the offenders.
+    raise :class:`LyapstabError` naming the offenders.
     """
     if not traces:
         raise ValueError("no traces to align")
@@ -342,7 +341,7 @@ def align(traces: list[GeneratorTrace], meta: EventMeta,
              if tr.sample_times()[0] > meta.t_clear + 1e-9 * dt
              or tr.t_end < meta.t_clear + MIN_HORIZON - 1e-9 * dt]
     if short:
-        raise CoverageError(
+        raise LyapstabError(
             f"traces must cover [{meta.t_clear:.4f}, "
             f"{meta.t_clear + MIN_HORIZON:.4f}] s; offenders: {short}")
 

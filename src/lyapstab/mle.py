@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import math
 
+from .errors import ClassificationTimeout
+
 # Distances can hit exact zero at oscillation nodes; clamp before the log.
 EPS_DISTANCE = 1e-12  # rad
 
@@ -66,14 +68,15 @@ def iter_mle(d, w: int, m_n: int, dt: float):
     L_i = log d_{m_n - w + i} at absolute times (m_n + i) * dt, to the end
     of ``d``.  The fit runs on times ``i * dt`` from the fitting start, which
     leaves the slope unchanged.  The first value arrives with the second
-    point.
+    point; with fewer than two points to fit, the first ``next()`` raises
+    :class:`ClassificationTimeout`.
     """
     if w < 1:
         raise ValueError(f"w must be at least 1, got {w}")
     if m_n < w:
         raise ValueError(f"m_n must be at least w={w}, got {m_n}")
     if len(d) + w < m_n + 2:
-        raise ValueError(
+        raise ClassificationTimeout(
             f"need at least {m_n + 2} angle samples to start fitting, "
             f"have {len(d) + w}")
     fit = LineFit()

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NetworkDataError, TopologyError, utf8_fault
+from .errors import LyapstabError, utf8_fault
 
 PRE_FAULT = "pre_fault"
 FAULT_ON = "fault_on"
@@ -68,50 +68,50 @@ class NetworkModel:
 
     def validate(self) -> None:
         if not (self.base_mva > 0.0 and self.frequency_hz > 0.0):
-            raise NetworkDataError("base_mva and frequency_hz must be > 0")
+            raise LyapstabError("base_mva and frequency_hz must be > 0")
         bus_set = set(self.buses)
         if len(bus_set) != len(self.buses):
             dup = next(b for i, b in enumerate(self.buses) if b in self.buses[:i])
-            raise NetworkDataError(f"duplicate bus id {dup!r}")
+            raise LyapstabError(f"duplicate bus id {dup!r}")
         seen = set()
         for br in self.branches:
             if br.branch_id in seen:
-                raise NetworkDataError(f"duplicate branch id {br.branch_id!r}")
+                raise LyapstabError(f"duplicate branch id {br.branch_id!r}")
             seen.add(br.branch_id)
             if math.hypot(br.r, br.x) <= 0.0:
-                raise NetworkDataError(f"branch {br.branch_id!r} has zero impedance")
+                raise LyapstabError(f"branch {br.branch_id!r} has zero impedance")
             if br.r < 0.0:
-                raise NetworkDataError(f"branch {br.branch_id!r} needs r >= 0")
+                raise LyapstabError(f"branch {br.branch_id!r} needs r >= 0")
             for bus in (br.from_bus, br.to_bus):
                 if bus not in bus_set:
-                    raise NetworkDataError(
+                    raise LyapstabError(
                         f"branch {br.branch_id!r} references unknown bus {bus!r}")
         gen_ids = set()
         for gen in self.generators:
             if gen.gen_id in gen_ids:
-                raise NetworkDataError(f"duplicate generator id {gen.gen_id!r}")
+                raise LyapstabError(f"duplicate generator id {gen.gen_id!r}")
             gen_ids.add(gen.gen_id)
             if gen.bus not in bus_set:
-                raise NetworkDataError(
+                raise LyapstabError(
                     f"generator {gen.gen_id!r} at unknown bus {gen.bus!r}")
             if not gen.m > 0.0:
-                raise NetworkDataError(f"generator {gen.gen_id!r} needs m > 0")
+                raise LyapstabError(f"generator {gen.gen_id!r} needs m > 0")
             if gen.xd <= 0.0:
-                raise NetworkDataError(f"generator {gen.gen_id!r} needs xd > 0")
+                raise LyapstabError(f"generator {gen.gen_id!r} needs xd > 0")
             if gen.emf <= 0.0:
-                raise NetworkDataError(f"generator {gen.gen_id!r} needs emf > 0")
+                raise LyapstabError(f"generator {gen.gen_id!r} needs emf > 0")
         for load in self.loads:
             if load.bus not in bus_set:
-                raise NetworkDataError(f"load at unknown bus {load.bus!r}")
+                raise LyapstabError(f"load at unknown bus {load.bus!r}")
         if not self.generators:
-            raise NetworkDataError("model has no generators")
+            raise LyapstabError("model has no generators")
         if len(self.generators) < 2 and not any(
                 math.isinf(g.m) for g in self.generators):
-            raise NetworkDataError(
+            raise LyapstabError(
                 "a single machine is only allowed against an infinite bus")
         slacks = [g.gen_id for g in self.generators if g.pm is None]
         if len(slacks) != 1:
-            raise NetworkDataError(
+            raise LyapstabError(
                 "exactly one generator must have its mechanical power left to "
                 f"the equilibrium solve (found {len(slacks)}: {slacks})")
 
@@ -129,7 +129,7 @@ class NetworkModel:
         for br in self.branches:
             if br.branch_id == branch_id:
                 return br
-        raise NetworkDataError(f"unknown branch id {branch_id!r}")
+        raise LyapstabError(f"unknown branch id {branch_id!r}")
 
 
 @dataclass(frozen=True)
@@ -143,14 +143,14 @@ class FaultSpec:
 
     def validate(self, model: NetworkModel) -> None:
         if not (math.isfinite(self.t_fault) and math.isfinite(self.t_clear)):
-            raise NetworkDataError(
+            raise LyapstabError(
                 f"t_fault and t_clear must be finite, got ({self.t_fault}, "
                 f"{self.t_clear})")
         if self.t_fault < 0.0 or self.t_clear < self.t_fault:
-            raise NetworkDataError(
+            raise LyapstabError(
                 f"need t_clear >= t_fault >= 0, got ({self.t_fault}, {self.t_clear})")
         if self.bus not in model.buses:
-            raise NetworkDataError(f"faulted bus {self.bus!r} not in model")
+            raise LyapstabError(f"faulted bus {self.bus!r} not in model")
         for bid in self.removed_branches:
             model.branch(bid)
         _check_connected(model, self.removed_branches)
@@ -175,7 +175,7 @@ def _check_connected(model: NetworkModel, removed: tuple[str, ...]) -> None:
             parent[ra] = rb
     roots = {find(g.bus) for g in model.generators}
     if len(roots) > 1:
-        raise TopologyError(
+        raise LyapstabError(
             "post-fault network splits the generator buses into "
             f"{len(roots)} islands (removed: {sorted(removed_set)})")
 
@@ -238,13 +238,13 @@ def reduce_network(model: NetworkModel, topology: str,
     """Eliminate all network buses, keeping the machine internal nodes.
 
     Standard Schur complement ``Ygg - Ygb Ybb^{-1} Ybg``.  Raises
-    :class:`TopologyError` when the bus block is singular (an island with no
+    :class:`LyapstabError` when the bus block is singular (an island with no
     path to any machine).
     """
     if topology not in TOPOLOGIES:
-        raise NetworkDataError(f"unknown topology {topology!r}")
+        raise LyapstabError(f"unknown topology {topology!r}")
     if topology != PRE_FAULT and fault is None:
-        raise NetworkDataError(f"{topology} reduction needs a FaultSpec")
+        raise LyapstabError(f"{topology} reduction needs a FaultSpec")
     n_gen = len(model.generators)
     Y = _assemble_full_admittance(model, topology, fault)
     Ygg = Y[:n_gen, :n_gen]
@@ -253,13 +253,13 @@ def reduce_network(model: NetworkModel, topology: str,
     try:
         Yred = Ygg - Ygb @ np.linalg.solve(Ybb, Ygb.T)
     except np.linalg.LinAlgError as exc:
-        raise TopologyError(f"singular bus admittance block ({topology})") from exc
+        raise LyapstabError(f"singular bus admittance block ({topology})") from exc
     if not np.isfinite(Yred).all():
-        raise TopologyError(f"non-finite reduced admittance ({topology})")
+        raise LyapstabError(f"non-finite reduced admittance ({topology})")
     asym = np.abs(Yred - Yred.T).max()
     scale = max(np.abs(Yred).max(), 1.0)
     if asym > 1e-9 * scale:
-        raise TopologyError(f"reduced admittance asymmetric by {asym:.3e}")
+        raise LyapstabError(f"reduced admittance asymmetric by {asym:.3e}")
 
     gens = model.generators
     return ReducedSystem(
@@ -297,7 +297,7 @@ def load_network_file(path) -> NetworkModel:
     """Parse a network description file into a validated :class:`NetworkModel`.
 
     A fault in one row (encoding, unknown section, field count, a number that
-    is missing or not finite) raises :class:`NetworkDataError` naming
+    is missing or not finite) raises :class:`LyapstabError` naming
     ``path:line``; a fault of the model as a whole names ``path``.
     """
     sections: dict[str, list[tuple[int, list[str]]]] = {s: [] for s in SECTIONS}
@@ -306,19 +306,19 @@ def load_network_file(path) -> NetworkModel:
         for lineno, raw in enumerate(fh, start=1):
             fault = utf8_fault(raw)
             if fault:
-                raise NetworkDataError(f"{path}:{lineno}: {fault}")
+                raise LyapstabError(f"{path}:{lineno}: {fault}")
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if line.startswith("[") and line.endswith("]"):
                 current = line[1:-1].strip().lower()
                 if current not in sections:
-                    raise NetworkDataError(
+                    raise LyapstabError(
                         f"{path}:{lineno}: unknown section [{current}]; "
                         f"expected one of {', '.join(SECTIONS)}")
                 continue
             if current is None:
-                raise NetworkDataError(
+                raise LyapstabError(
                     f"{path}:{lineno}: data before any [section] header")
             sections[current].append((lineno, line.split()))
 
@@ -326,34 +326,34 @@ def load_network_file(path) -> NetworkModel:
         try:
             x = float(tok)
         except ValueError:
-            raise NetworkDataError(f"{path}:{lineno}: not a number: {tok!r}") from None
+            raise LyapstabError(f"{path}:{lineno}: not a number: {tok!r}") from None
         if not math.isfinite(x):
-            raise NetworkDataError(f"{path}:{lineno}: not a finite number: {tok!r}")
+            raise LyapstabError(f"{path}:{lineno}: not a finite number: {tok!r}")
         return x
 
     base_mva, freq = 100.0, 60.0
     for lineno, toks in sections["system"]:
         joined = " ".join(toks)
         if "=" not in joined:
-            raise NetworkDataError(f"{path}:{lineno}: expected key = value")
+            raise LyapstabError(f"{path}:{lineno}: expected key = value")
         key, val = (part.strip() for part in joined.split("=", 1))
         if key == "base_mva":
             base_mva = fval(val, lineno)
         elif key == "frequency_hz":
             freq = fval(val, lineno)
         else:
-            raise NetworkDataError(f"{path}:{lineno}: unknown system key {key!r}")
+            raise LyapstabError(f"{path}:{lineno}: unknown system key {key!r}")
 
     buses = []
     for lineno, toks in sections["buses"]:
         if len(toks) != 1:
-            raise NetworkDataError(f"{path}:{lineno}: one bus id per line")
+            raise LyapstabError(f"{path}:{lineno}: one bus id per line")
         buses.append(toks[0])
 
     branches = []
     for lineno, toks in sections["branches"]:
         if len(toks) != 5:
-            raise NetworkDataError(
+            raise LyapstabError(
                 f"{path}:{lineno}: branch rows need: id from to r_pu x_pu")
         branches.append(Branch(toks[0], toks[1], toks[2],
                                fval(toks[3], lineno), fval(toks[4], lineno)))
@@ -361,7 +361,7 @@ def load_network_file(path) -> NetworkModel:
     generators = []
     for lineno, toks in sections["generators"]:
         if len(toks) != 7:
-            raise NetworkDataError(
+            raise LyapstabError(
                 f"{path}:{lineno}: generator rows need: id bus m d xd emf pm")
         pm = None if toks[6].lower() == "slack" else fval(toks[6], lineno)
         generators.append(Generator(toks[0], toks[1], fval(toks[2], lineno),
@@ -370,10 +370,10 @@ def load_network_file(path) -> NetworkModel:
 
     inf_rows = sections["infinite_bus"]
     if len(inf_rows) > 1:
-        raise NetworkDataError(f"{path}:{inf_rows[1][0]}: at most one infinite bus")
+        raise LyapstabError(f"{path}:{inf_rows[1][0]}: at most one infinite bus")
     for lineno, toks in inf_rows:
         if len(toks) != 3:
-            raise NetworkDataError(
+            raise LyapstabError(
                 f"{path}:{lineno}: infinite_bus rows need: bus emf xs")
         generators.append(Generator(INFINITE_BUS_ID, toks[0], math.inf, 0.0,
                                     fval(toks[2], lineno), fval(toks[1], lineno),
@@ -382,12 +382,12 @@ def load_network_file(path) -> NetworkModel:
     loads = []
     for lineno, toks in sections["loads"]:
         if len(toks) != 3:
-            raise NetworkDataError(f"{path}:{lineno}: load rows need: bus g_pu b_pu")
+            raise LyapstabError(f"{path}:{lineno}: load rows need: bus g_pu b_pu")
         loads.append(Load(toks[0], fval(toks[1], lineno), fval(toks[2], lineno)))
 
     try:
         return NetworkModel(buses=tuple(buses), branches=tuple(branches),
                             generators=tuple(generators), loads=tuple(loads),
                             base_mva=base_mva, frequency_hz=freq)
-    except NetworkDataError as exc:
-        raise NetworkDataError(f"{path}: {exc}") from None
+    except LyapstabError as exc:
+        raise LyapstabError(f"{path}: {exc}") from None

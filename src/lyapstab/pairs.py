@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import AssessmentConfig
-from .errors import (DegenerateEventError, LyapstabError, LyapstabWarning,
-                     NoDisturbanceError)
+from .errors import LyapstabError, LyapstabWarning
 from .ingest import AlignedDataset
 
 # When the "least disturbed" machine is itself strongly disturbed the event
@@ -61,17 +60,17 @@ def identify_sdgp(data: AlignedDataset,
     generator is never its own pair partner.
     """
     if len(data.gen_ids) < 2:
-        raise DegenerateEventError("need at least two generators to form a pair")
+        raise LyapstabError("need at least two generators to form a pair")
     speeds = data.clearing_speeds()
     w_star = max(abs(v) for v in speeds.values())
     if w_star == 0.0:
-        raise NoDisturbanceError("all clearing-instant speeds are zero")
+        raise LyapstabError("all clearing-instant speeds are zero")
 
     ids = sorted(speeds, key=_id_key)
     least = min(ids, key=lambda g: (abs(speeds[g]), _id_key(g)))
     severe = [g for g in ids if abs(speeds[g]) / w_star > sigma and g != least]
     if not severe:
-        raise DegenerateEventError(
+        raise LyapstabError(
             "no severely disturbed generator left after excluding the reference")
     if abs(speeds[least]) / w_star > COMMON_MODE_RATIO:
         warnings.warn(

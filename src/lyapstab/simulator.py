@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._swing_numpy import rk4_swing
-from .errors import CoverageError, SetupError
+from .errors import LyapstabError
 from .network import (FAULT_ON, POST_FAULT, PRE_FAULT, FaultSpec, NetworkModel,
                       ReducedSystem, reduce_network)
 
@@ -96,7 +96,7 @@ def solve_equilibrium(red: ReducedSystem) -> tuple[np.ndarray, np.ndarray]:
 
     The slack machine (the one whose pm is NaN) provides the angle reference
     (delta = 0) and absorbs the network losses.  Damped Newton iteration;
-    raises :class:`SetupError` if it does not converge.
+    raises :class:`LyapstabError` if it does not converge.
     """
     n = red.n
     slack = int(np.flatnonzero(np.isnan(red.pm))[0])
@@ -118,7 +118,7 @@ def solve_equilibrium(red: ReducedSystem) -> tuple[np.ndarray, np.ndarray]:
             try:
                 step = np.linalg.solve(J, r)
             except np.linalg.LinAlgError as exc:
-                raise SetupError("singular Jacobian in equilibrium solve") from exc
+                raise LyapstabError("singular Jacobian in equilibrium solve") from exc
             # damped update: back off until the residual actually shrinks
             scale = 1.0
             base = np.abs(r).max()
@@ -131,9 +131,9 @@ def solve_equilibrium(red: ReducedSystem) -> tuple[np.ndarray, np.ndarray]:
                     break
                 scale *= 0.5
             else:
-                raise SetupError("equilibrium iteration stalled")
+                raise LyapstabError("equilibrium iteration stalled")
         else:
-            raise SetupError("pre-fault equilibrium did not converge")
+            raise LyapstabError("pre-fault equilibrium did not converge")
 
     pm[slack] = _electrical_power(delta, red.emf, red.G, red.B)[slack]
     return delta, pm
@@ -229,7 +229,7 @@ def stability_oracle(traces: list[GeneratorTrace], window: float = 5.0) -> str:
     n_samples = min(len(tr) for tr in traces)
     dt = traces[0].dt
     if (n_samples - 1) * dt < window:
-        raise CoverageError(
+        raise LyapstabError(
             f"need at least {window} s of data, have {(n_samples - 1) * dt:.3f} s")
     angles = np.stack([tr.angles[:n_samples] for tr in traces])
     back = max(1, min(round(1.0 / dt), n_samples - 1))

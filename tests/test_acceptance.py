@@ -21,7 +21,7 @@ from lyapstab.assess import (PENDING, SKIPPED, STABLE, SYSTEM_STABLE,
                              UNDETERMINED_TIMEOUT, UNSTABLE_FIRST_SWING,
                              UNSTABLE_MULTI_SWING, PairAssessor, PairVerdict,
                              aggregate, run_assessment)
-from lyapstab.errors import NoAssessablePairError
+from lyapstab.errors import LyapstabError
 from lyapstab.ingest import ASSESSMENT_RATE, EventMeta, align
 from lyapstab.mle import LineFit, iter_mle
 from lyapstab.network import FaultSpec, load_network_file
@@ -194,7 +194,7 @@ def test_criterion_4_verdict_shapes_and_truth_table():
             want = _expected_system(combo)
             try:
                 got = aggregate(verdicts).status
-            except NoAssessablePairError:
+            except LyapstabError:
                 got = None
             if got != want:
                 table_fails += 1

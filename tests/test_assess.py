@@ -14,11 +14,12 @@ from lyapstab.assess import (PENDING, SKIPPED, STABLE, SYSTEM_PENDING,
                              SYSTEM_UNSTABLE, UNDETERMINED_TIMEOUT,
                              UNSTABLE_FIRST_SWING, UNSTABLE_MULTI_SWING,
                              AssessmentReport, PairAssessor, PairVerdict,
-                             aggregate, run_assessment)
+                             aggregate, assess_pair, run_assessment)
 from lyapstab.config import AssessmentConfig
-from lyapstab.errors import LyapstabWarning, NoAssessablePairError
+from lyapstab.errors import LyapstabError, LyapstabWarning
 from lyapstab.ingest import AlignedDataset, EventMeta, align
 from lyapstab.network import FaultSpec
+from lyapstab.pairs import build_pair_trace
 from lyapstab.simulator import simulate
 from lyapstab.swings import ClassifierConfig
 
@@ -145,7 +146,8 @@ def test_aggregate_matches_truth_table_exhaustively():
             ]
             want = expected_system(combo)
             if want is None:
-                with pytest.raises(NoAssessablePairError):
+                with pytest.raises(LyapstabError,
+                                   match="every pair was skipped"):
                     aggregate(verdicts)
                 continue
             got = aggregate(verdicts)
@@ -221,8 +223,8 @@ def test_pipeline_skips_undisturbed_pairs():
                         angles=np.zeros((2, n)), speeds=np.zeros((2, n)),
                         grid_offset=0)
     meta = EventMeta(t_fault=0.0, t_clear=0.0)
-    from lyapstab.errors import NoDisturbanceError
-    with pytest.raises(NoDisturbanceError):
+    with pytest.raises(LyapstabError,
+                       match="all clearing-instant speeds are zero"):
         run_assessment(ds, meta)
 
 
@@ -239,7 +241,7 @@ def test_pipeline_all_pairs_skipped_is_error():
                         grid_offset=0)
     meta = EventMeta(t_fault=0.0, t_clear=0.0)
     with pytest.warns(LyapstabWarning):
-        with pytest.raises(NoAssessablePairError):
+        with pytest.raises(LyapstabError, match="every pair was skipped"):
             run_assessment(ds, meta)
 
 
@@ -292,6 +294,26 @@ def test_timeout_is_where_the_data_ends(speed, note):
     assert pair.decision_time == pytest.approx((n - 1) * DT)
     assert pair.note == note
     assert report.system.decision_time == pytest.approx((n - 1) * DT)
+
+
+def test_a_fault_of_the_code_is_not_a_timeout(monkeypatch):
+    # the fit-runs-out series reaches PairAssessor; only the two pair-stage
+    # outcomes are caught, so a ValueError from inside propagates
+    n = 130
+    speed = (np.exp(-0.3 * np.arange(n) * DT)
+             * np.cos(2 * np.pi * np.arange(n) * DT))
+    angle = np.concatenate([[0.0], np.cumsum(speed[:-1]) * DT])
+    ds = AlignedDataset(gen_ids=("G1", "G2"),
+                        angles=np.stack([angle, np.zeros(n)]),
+                        speeds=np.stack([speed, np.zeros(n)]), grid_offset=0)
+    trace = build_pair_trace(ds, ("G1", "G2"))
+
+    def push(self, lam, t):
+        raise ValueError("fault inside the assessor")
+
+    monkeypatch.setattr(PairAssessor, "push", push)
+    with pytest.raises(ValueError, match="^fault inside the assessor$"):
+        assess_pair(trace, t_max=10.0)
 
 
 def test_off_grid_t_max_times_out_at_the_last_sample_read():

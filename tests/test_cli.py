@@ -696,6 +696,95 @@ def test_non_finite_event_times_rejected_before_simulating(tmp_path,
             assert not out.exists()
 
 
+def _edit_rows(rows):
+    """Each faulty trace file of INPUT_FAULTS, from the four_b6 rows."""
+    parts = rows[1].split(",")  # line 3: G2 at t = 0
+    return {
+        "non-numeric": (rows[:1] + [",".join(parts[:2] + ["abc"] + parts[3:])]
+                        + rows[2:]),
+        "backwards": rows[:4] + [rows[8]] + rows[5:8] + [rows[4]] + rows[9:],
+        "duplicate": rows[:10] + [rows[9]] + rows[10:],
+        "not-utf8": rows[:34] + ["\udcff" + rows[34]] + rows[35:],
+        "gap": [r for r in rows if not (r.split(",")[1] == "G1"
+                                        and 1.0 < float(r.split(",")[0]) < 1.48)],
+        "short": [r for r in rows if float(r.split(",")[0]) <= 0.6],
+        "one-generator": [r for r in rows if r.split(",")[1] == "G1"],
+        "zero-speeds": [r.rsplit(",", 1)[0] + ",0.0" for r in rows],
+        "all-skipped": [r for r in rows if r.split(",")[1] == "G1"]
+        + [r.replace(",G1,", ",G2,") for r in rows if r.split(",")[1] == "G1"],
+    }
+
+
+SKIP_WARNINGS = (
+    "warning: least disturbed generator 'G1' is itself strongly disturbed "
+    "(|w|/w* = 1.00); pairs may not isolate the event\n"
+    "warning: pair (G2, G1) skipped: initial relative speed 0.00e+00 rad/s "
+    "is below the resolvable threshold 1.00e-06\n")
+TRACE_FAULTS = {
+    "non-numeric": "line 3: non-numeric field in '0.0,G2,abc,0.0'",
+    "backwards": "line 10: timestamps for generator 'G1' go backwards",
+    "duplicate": "line 12: duplicate sample for generator 'G2' at "
+                 "t=0.016666666666666666",
+    "not-utf8": "line 36: invalid UTF-8 byte 0xff",
+    "gap": "generator 'G1' has a gap of 0.483333 s (> 2.0 * 0.00833333 s)",
+    "short": "traces must cover [0.2500, 0.7500] s; offenders: "
+             "['G1', 'G2', 'G3', 'G4']",
+    "one-generator": "need at least two generators to form a pair",
+    "zero-speeds": "all clearing-instant speeds are zero",
+    "all-skipped": "every pair was skipped",
+}
+
+
+@pytest.mark.parametrize("fault", list(TRACE_FAULTS))
+def test_trace_faults_print_one_exact_error(four_b6, tmp_path, capsys, fault):
+    traces_path, meta_path = four_b6
+    header, *rows = traces_path.read_text(encoding="utf-8").splitlines()
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes("\n".join([header, *_edit_rows(rows)[fault], ""]).encode(
+        "utf-8", "surrogateescape"))
+    assert run_cli("assess", "--traces", bad, "--meta", meta_path) == 1
+    warned = SKIP_WARNINGS if fault == "all-skipped" else ""
+    assert capsys.readouterr() == ("", f"{warned}error: {TRACE_FAULTS[fault]}\n")
+
+
+@pytest.mark.parametrize("case", ["bad-number", "stalled", "islands",
+                                  "unknown-bus", "short-horizon"])
+def test_simulate_faults_print_one_exact_error(tmp_path, networks_dir, capsys,
+                                               case):
+    four = networks_dir / "fourmachine.net"
+    net, bus, flags = four, "6", ("--clear-time", "0.2")
+    if case == "bad-number":  # the LA row moves up to line 19
+        net = tmp_path / "badrow.net"
+        text = (networks_dir / "twomachine.net").read_text(encoding="utf-8")
+        net.write_text(text.replace("# id  from  to  r_pu  x_pu\n", "").replace(
+            "LA    1     3   0.0   0.3", "LA    1     3   0.0   abc"),
+            encoding="utf-8")
+        bus = "3"
+    elif case == "stalled":
+        net = tmp_path / "pm50.net"
+        net.write_text(four.read_text(encoding="utf-8").replace(
+            "0.20  1.06  1.40", "0.20  1.06  50"), encoding="utf-8")
+    elif case == "islands":
+        flags += ("--open-branch", "T56A", "--open-branch", "T56B")
+    elif case == "unknown-bus":
+        bus = "99"
+    else:
+        flags = ("--clear-time", "0.25", "--horizon", "0.2")
+    out = tmp_path / "x.csv"
+    assert run_cli("simulate", "--network", net, "--fault-bus", bus, *flags,
+                   "--out", out) == 1
+    message = {
+        "bad-number": f"{net}:19: not a number: 'abc'",
+        "stalled": "equilibrium iteration stalled",
+        "islands": "post-fault network splits the generator buses into 2 "
+                   "islands (removed: ['T56A', 'T56B'])",
+        "unknown-bus": "faulted bus '99' not in model",
+        "short-horizon": "horizon must extend past the clearing time",
+    }[case]
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # one parser per process
 # ---------------------------------------------------------------------------

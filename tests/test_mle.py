@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import DT, naive_first_extremum, two_machine_model
+from lyapstab.errors import ClassificationTimeout
 from lyapstab.ingest import EventMeta, align
 from lyapstab.mle import EPS_DISTANCE, LineFit, iter_mle, log_distance
 from lyapstab.network import FaultSpec
@@ -172,19 +173,21 @@ def test_stream_times_and_first_emission():
 
 def test_stream_requires_enough_samples():
     theta = exp_angle(0.5, duration=0.1)  # 13 samples
-    with pytest.raises(ValueError, match="angle samples"):
+    with pytest.raises(ClassificationTimeout, match="angle samples"):
         next(iter_mle(distance_series(theta, 10).d, 10, 30, DT))
 
 
-@pytest.mark.parametrize("w,m_n,n_d,message", [
-    (0, 1, 100, "w must be at least 1"),
-    (5, 3, 100, "m_n must be at least w"),
-    # m_n + 2 = 32 angle samples needed, len(d) + w = 31 given
-    (10, 30, 21, "need at least 32 angle samples .* have 31"),
+@pytest.mark.parametrize("w,m_n,n_d,error,message", [
+    (0, 1, 100, ValueError, "w must be at least 1"),
+    (5, 3, 100, ValueError, "m_n must be at least w"),
+    # m_n + 2 = 32 angle samples needed, len(d) + w = 31 given: the pair's
+    # data ran out, so the pair times out
+    (10, 30, 21, ClassificationTimeout,
+     "need at least 32 angle samples .* have 31"),
 ], ids=["w-zero", "m_n-below-w", "d-too-short"])
-def test_iter_mle_input_rules(w, m_n, n_d, message):
+def test_iter_mle_input_rules(w, m_n, n_d, error, message):
     d = np.linspace(1.0, 2.0, n_d)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(error, match=message):
         next(iter_mle(d, w, m_n, DT))
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import NETWORKS
-from lyapstab.errors import LyapstabError, NetworkDataError, TopologyError
+from lyapstab.errors import LyapstabError
 from lyapstab.network import (FAULT_ON, POST_FAULT, PRE_FAULT, SECTIONS,
                               Branch, FaultSpec, Generator, NetworkModel,
                               load_network_file, reduce_network)
@@ -31,13 +31,13 @@ def lossless_pair(x_line=0.4):
 # ---------------------------------------------------------------------------
 
 def test_duplicate_bus_rejected():
-    with pytest.raises(NetworkDataError, match="duplicate bus id '1'"):
+    with pytest.raises(LyapstabError, match="duplicate bus id '1'"):
         NetworkModel(buses=("1", "1"), branches=(),
                      generators=(Generator("G", "1", 1.0, 0.0, 0.1, 1.0, None),))
 
 
 def test_zero_impedance_branch_rejected():
-    with pytest.raises(NetworkDataError, match="zero impedance"):
+    with pytest.raises(LyapstabError, match="zero impedance"):
         NetworkModel(
             buses=("1", "2"),
             branches=(Branch("L", "1", "2", 0.0, 0.0),),
@@ -49,7 +49,7 @@ def test_zero_impedance_branch_rejected():
 
 
 def test_branch_referencing_unknown_bus_rejected():
-    with pytest.raises(NetworkDataError, match="unknown bus"):
+    with pytest.raises(LyapstabError, match="unknown bus"):
         NetworkModel(
             buses=("1", "2"),
             branches=(Branch("L", "1", "9", 0.0, 0.1),),
@@ -61,7 +61,7 @@ def test_branch_referencing_unknown_bus_rejected():
 
 
 def test_single_finite_machine_rejected_without_infinite_bus():
-    with pytest.raises(NetworkDataError, match="infinite bus"):
+    with pytest.raises(LyapstabError, match="infinite bus"):
         NetworkModel(buses=("1",), branches=(),
                      generators=(Generator("G", "1", 1.0, 0.0, 0.1, 1.0, None),))
 
@@ -83,7 +83,7 @@ def test_exactly_one_slack_required():
         Generator("G1", "1", 1.0, 0.0, 0.1, 1.0, 0.1),
         Generator("G2", "2", 1.0, 0.0, 0.1, 1.0, 0.2),
     )
-    with pytest.raises(NetworkDataError, match="exactly one"):
+    with pytest.raises(LyapstabError, match="exactly one"):
         NetworkModel(buses=("1", "2"),
                      branches=(Branch("L", "1", "2", 0.0, 0.1),),
                      generators=gens_no_slack)
@@ -91,7 +91,7 @@ def test_exactly_one_slack_required():
 
 def test_fault_spec_rejects_clear_before_fault():
     model = lossless_pair()
-    with pytest.raises(NetworkDataError, match="t_clear"):
+    with pytest.raises(LyapstabError, match="t_clear"):
         FaultSpec(bus="1", t_fault=0.2, t_clear=0.1).validate(model)
 
 
@@ -100,7 +100,7 @@ def test_fault_spec_zero_duration_allowed():
 
 
 def test_fault_spec_rejects_islanding_removal():
-    with pytest.raises(TopologyError, match="island"):
+    with pytest.raises(LyapstabError, match="island"):
         FaultSpec(bus="1", t_fault=0.0, t_clear=0.1,
                   removed_branches=("L1",)).validate(lossless_pair())
 
@@ -182,18 +182,18 @@ def test_bus_without_branch_or_load_is_singular():
     pair = lossless_pair()  # plus bus 3, which nothing connects
     model = NetworkModel(buses=("1", "2", "3"), branches=pair.branches,
                          generators=pair.generators)
-    with pytest.raises(TopologyError,
+    with pytest.raises(LyapstabError,
                        match=r"singular bus admittance block \(pre_fault\)"):
         reduce_network(model, PRE_FAULT)
 
 
 def test_fault_on_requires_fault_spec():
-    with pytest.raises(NetworkDataError, match="FaultSpec"):
+    with pytest.raises(LyapstabError, match="FaultSpec"):
         reduce_network(lossless_pair(), FAULT_ON)
 
 
 def test_unknown_topology_rejected():
-    with pytest.raises(NetworkDataError, match="topology"):
+    with pytest.raises(LyapstabError, match="topology"):
         reduce_network(lossless_pair(), "mid_fault")
 
 
@@ -236,13 +236,13 @@ def test_smib_file_builds_infinite_machine(networks_dir):
 def test_network_file_errors(tmp_path):
     bad = tmp_path / "bad.net"
     bad.write_text("[buses]\n1\n[branches]\nL1 1\n", encoding="utf-8")
-    with pytest.raises(NetworkDataError, match="branch rows"):
+    with pytest.raises(LyapstabError, match="branch rows"):
         load_network_file(bad)
     bad.write_text("1\n", encoding="utf-8")
-    with pytest.raises(NetworkDataError, match="section"):
+    with pytest.raises(LyapstabError, match="section"):
         load_network_file(bad)
     bad.write_text("[generators]\nG1 1 x 0 0.1 1.0 0.5\n", encoding="utf-8")
-    with pytest.raises(NetworkDataError, match="not a number"):
+    with pytest.raises(LyapstabError, match="not a number"):
         load_network_file(bad)
 
 
@@ -257,7 +257,7 @@ def _edited(tmp_path, name, old, new):
 
 
 def _fails_at(path, line, message):
-    return pytest.raises(NetworkDataError,
+    return pytest.raises(LyapstabError,
                          match="^" + re.escape(f"{path}:{line}: {message}"))
 
 
@@ -292,7 +292,7 @@ NON_PHYSICAL = "base_mva and frequency_hz must be > 0"
 ])
 def test_model_faults_name_the_file(tmp_path, old, new, message):
     path, _ = _edited(tmp_path, "fourmachine.net", old, new)
-    with pytest.raises(NetworkDataError,
+    with pytest.raises(LyapstabError,
                        match="^" + re.escape(f"{path}: {message}")):
         load_network_file(path)
 

@@ -7,8 +7,7 @@ import pytest
 
 from conftest import DT, two_machine_model
 from lyapstab.config import AssessmentConfig
-from lyapstab.errors import (DegenerateEventError, LyapstabError,
-                             LyapstabWarning, NoDisturbanceError)
+from lyapstab.errors import LyapstabError, LyapstabWarning
 from lyapstab.ingest import AlignedDataset, EventMeta, align
 from lyapstab.network import FaultSpec
 from lyapstab.pairs import build_pair_trace, identify_sdgp
@@ -42,7 +41,8 @@ def test_identify_tie_breaks_to_lowest_id():
 
 
 def test_identify_no_disturbance():
-    with pytest.raises(NoDisturbanceError):
+    with pytest.raises(LyapstabError,
+                       match="all clearing-instant speeds are zero"):
         identify_sdgp(dataset({"G1": 0.0, "G2": 0.0}))
 
 
@@ -57,7 +57,8 @@ def test_identify_degenerate_when_all_equal():
 
 def test_identify_sigma_one_empty_severe_set():
     ds = dataset({"G1": 5.0, "G2": 4.0})
-    with pytest.raises(DegenerateEventError):
+    with pytest.raises(LyapstabError,
+                       match="no severely disturbed generator left"):
         identify_sdgp(ds, sigma=1.0)
 
 
