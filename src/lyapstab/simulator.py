@@ -21,8 +21,9 @@ from .errors import LyapstabError
 from .network import (FAULT_ON, POST_FAULT, PRE_FAULT, FaultSpec, NetworkModel,
                       ReducedSystem, reduce_network)
 
-# Internal RK4 step targeted by default: ten sub-steps per 120 Hz output sample.
-DEFAULT_INTERNAL_RATE = 1200.0
+# Internal RK4 rate targeted by default: five steps per 120 Hz output sample.
+# ``simulate``'s docstring states the accuracy rule it meets.
+DEFAULT_INTERNAL_RATE = 600.0
 
 STABLE = "STABLE"
 UNSTABLE = "UNSTABLE"
@@ -144,10 +145,25 @@ def simulate(model: NetworkModel, fault: FaultSpec, dt: float, horizon: float,
     """Run pre-fault / fault-on / post-fault phases and sample every ``dt``.
 
     ``horizon`` is the total simulated time from t = 0.  ``substeps`` controls
-    the internal RK4 step (``dt / substeps``); the default targets
-    ``1/1200`` s.  After each phase its samples are checked at once: on
-    numerical blow-up the traces end before the first non-finite sample,
-    are flagged ``diverged``, and later phases are not run.
+    the internal RK4 step (``dt / substeps``).  The default is the fewest
+    substeps whose step is no longer than ``1 / DEFAULT_INTERNAL_RATE``
+    (1/600 s): 5 per sample at 120 Hz, 3 at 240 Hz, 1 at 1200 Hz.
+
+    Accuracy rule for the default step: over the first 3 s after clearing,
+    the rotor angles stay within 1 mrad of a run with a step 4x finer.
+    1 mrad is a tenth of the ~10 mrad phase error that the 1 % total vector
+    error of IEEE C37.118.1 allows a PMU.  Measured at 120 Hz output against
+    ``substeps=20``: at worst 1.4e-5 rad over the battery families at every
+    clearing time from 0.12 to 0.60 s in 0.02 s steps (275 cases, worst the
+    slipping two-machine case with negative damping cleared at 0.60 s), and
+    3.0e-8 rad over 36 seeded 12/24/48-machine ring cases.  A 360 Hz step
+    also meets the rule (1.6e-4 rad); 240 Hz does not (1.1e-3 rad).
+
+    Each phase is integrated in calls of at most one second of samples,
+    counted from the phase's start.  On numerical blow-up the traces end
+    before the first non-finite sample and are flagged ``diverged``, and the
+    call that wrote that sample is the last, so a diverging run integrates
+    less than one second of samples past the blow-up.
 
     Raises ``ValueError`` naming the argument unless ``dt`` and ``horizon``
     are finite and > 0 and ``substeps`` is an integer >= 1.
@@ -156,7 +172,9 @@ def simulate(model: NetworkModel, fault: FaultSpec, dt: float, horizon: float,
         if not 0.0 < value < math.inf:
             raise ValueError(f"{name} must be finite and > 0, got {value!r}")
     if substeps is None:
-        substeps = max(1, round(dt * DEFAULT_INTERNAL_RATE))
+        # round up, less a rounding slack: round(2.5) == 2 would step 1/240 s
+        # samples at 1/480 s, coarser than the target
+        substeps = max(1, math.ceil(dt * DEFAULT_INTERNAL_RATE - 1e-9))
     elif not isinstance(substeps, (int, np.integer)) or substeps < 1:
         raise ValueError(f"substeps must be an integer >= 1, got {substeps!r}")
     fault.validate(model)
@@ -173,33 +191,36 @@ def simulate(model: NetworkModel, fault: FaultSpec, dt: float, horizon: float,
     k_end = math.ceil(horizon / dt - 1e-9)
     n = red_pre.n
 
-    # one [delta, omega] row per output sample; each phase starts from the
-    # row before its own
+    # one [delta, omega] row per output sample; each kernel call starts from
+    # the row before its own
     record = np.empty((k_end + 1, 2, n))
     record[0, 0] = delta0
     record[0, 1] = 0.0
     minv = 1.0 / red_pre.m  # an infinite machine's 1 / inf is exactly 0.0
     h = dt / substeps
 
+    # rows [first, last) of the record, one second of samples at most
+    chunk = max(1, round(1.0 / dt))
+    calls = []
+    for red, begin, end in ((red_pre, 1, k_fault + 1),
+                            (red_fault, k_fault + 1, k_clear + 1),
+                            (red_post, k_clear + 1, k_end + 1)):
+        calls += [(red, first, min(first + chunk, end))
+                  for first in range(begin, end, chunk)]
+
     n_samples = k_end + 1
     diverged = False
-    cursor = 1
-    phases = ((red_pre, k_fault), (red_fault, k_clear - k_fault),
-              (red_post, k_end - k_clear))
-    for red, n_blocks in phases:
-        if n_blocks <= 0:
-            continue
-        start = record[cursor - 1]
-        rows = record[cursor:cursor + n_blocks]
+    for red, first, last in calls:
+        start = record[first - 1]
+        rows = record[first:last]
         rk4_swing(start[0], start[1], minv, red.d, pm, red.emf, red.G, red.B,
-                  h, n_blocks, substeps, rows)
+                  h, last - first, substeps, rows)
         finite = np.isfinite(rows).all(axis=(1, 2))
         if not finite.all():
             # keep samples strictly before the first bad one
-            n_samples = cursor + int(finite.argmin())
+            n_samples = first + int(finite.argmin())
             diverged = True
             break
-        cursor += n_blocks
 
     return [
         GeneratorTrace(gen_id=red_pre.gen_ids[i], t0=0.0, dt=dt,

@@ -440,6 +440,26 @@ def test_criterion_7_simulator_validity(networks_dir):
          f"{t_cr:.4f} (+-{DT:.4f}); energy drift {drift:.2e}", elapsed)
 
 
+def test_criterion_7_default_step_accuracy():
+    """The accuracy rule of ``simulate``'s default step: over the first 3 s
+    after clearing, every battery case's angles stay within 1 mrad of a run
+    with a step 4x finer."""
+    start = time.perf_counter()
+    worst, worst_label = 0.0, None
+    for label, model, bus, tc, removed, _, _ in _battery_cases():
+        fault = FaultSpec(bus=bus, t_fault=0.1, t_clear=tc,
+                          removed_branches=removed)
+        default = simulate(model, fault, dt=DT, horizon=tc + 3.0)
+        fine = simulate(model, fault, dt=DT, horizon=tc + 3.0, substeps=20)
+        err = max(np.abs(a.angles - b.angles).max()
+                  for a, b in zip(default, fine))
+        if err > worst:
+            worst, worst_label = err, f"{label}@{tc:.3f}"
+    gate(7, "default step accuracy", worst < 1e-3,
+         f"max angle error {worst:.1e} rad ({worst_label}) < 1e-3 against "
+         f"substeps=20", time.perf_counter() - start)
+
+
 if __name__ == "__main__":
     GOLDEN_VERDICTS.parent.mkdir(exist_ok=True)
     GOLDEN_VERDICTS.write_text(

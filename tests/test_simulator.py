@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (DT, chain_model, smib_equal_area_critical_time,
                       smib_fault, two_machine_model)
+from lyapstab import simulator
 from lyapstab.errors import LyapstabError
 from lyapstab.network import (POST_FAULT, PRE_FAULT, FaultSpec,
                               load_network_file, reduce_network)
@@ -56,6 +57,19 @@ def test_trace_grid_and_phase_switching(smib):
     k_f = round(0.2 / DT)
     assert np.abs(tr.angles[:k_f + 1] - tr.angles[0]).max() < 1e-9
     assert abs(tr.angles[k_f + 2] - tr.angles[0]) > 1e-6
+
+
+@pytest.mark.parametrize("rate, substeps", [
+    (120, 5), (60, 10), (30, 20), (240, 3), (1200, 1)])
+def test_default_step_is_the_fewest_substeps_at_600_hz(smib, rate, substeps):
+    # the default rounds dt * 600 up: 1/240 s takes 3 steps, not round(2.5)
+    fault = smib_fault(t_clear=0.2)
+    default = simulate(smib, fault, dt=1.0 / rate, horizon=1.0)
+    pinned = simulate(smib, fault, dt=1.0 / rate, horizon=1.0,
+                      substeps=substeps)
+    for tr, ref in zip(default, pinned):
+        assert np.array_equal(tr.angles, ref.angles)
+        assert np.array_equal(tr.speeds, ref.speeds)
 
 
 def test_unsolvable_equilibrium_raises():
@@ -204,13 +218,13 @@ def test_oracle_divergence_flag_is_unstable():
 def test_simulate_truncates_before_divergence():
     # negative damping on G1 amplifies the post-fault swing until it overflows
     # at every step size; simulate reports that through ``diverged`` and
-    # prints no NumPy warning.  Substeps 1 and 3 end each sample in the
-    # kernel's second stage buffer, the default 10 in its first.
+    # prints no NumPy warning.  Substeps 1, 3 and the default 5 end each
+    # sample in the kernel's second stage buffer, 2 in its first.
     model = two_machine_model(d1=-20.0)
     fault = FaultSpec(bus="3", t_fault=0.1, t_clear=0.2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for substeps in (None, 1, 3):
+        for substeps in (None, 1, 2, 3):
             traces = simulate(model, fault, dt=DT, horizon=8.0,
                               substeps=substeps)
             n_kept = len(traces[0])
@@ -231,6 +245,26 @@ def test_simulate_truncates_before_divergence():
             last = simulate(model, fault, dt=DT, horizon=n_kept * DT,
                             substeps=substeps)
             assert all(tr.diverged and len(tr) == n_kept for tr in last)
+
+
+def test_diverging_run_stops_within_a_second_of_the_blow_up(monkeypatch):
+    # each phase is integrated one second of samples per kernel call, so a
+    # run that blows up 0.6 s into an 8 s horizon stops after the call that
+    # wrote its first non-finite row
+    kernel = simulator.rk4_swing
+    integrated = []
+
+    def counting_kernel(*args):
+        integrated.append(args[9])  # n_blocks
+        kernel(*args)
+
+    monkeypatch.setattr(simulator, "rk4_swing", counting_kernel)
+    traces = simulate(two_machine_model(d1=-20.0),
+                      FaultSpec(bus="3", t_fault=0.1, t_clear=0.2),
+                      dt=DT, horizon=8.0)
+    first_bad = len(traces[0])
+    assert traces[0].diverged and first_bad < round(1.0 / DT)
+    assert sum(integrated) - first_bad < round(1.0 / DT)
 
 
 def test_divergence_during_the_fault_skips_later_phases():
