@@ -1,9 +1,10 @@
 """Benchmark: the swing kernel.
 
 Times the dominant workload (fixed-step RK4 over the reduced network) for a
-few system sizes and horizons, at 10 steps a sample of 120 Hz output and at
-one step a sample of 240 Hz output (as the ``assess-files`` benchmark
-workload simulates its input traces), then a full simulate() call on the
+few system sizes and horizons, at the steps a sample of 120 Hz output that
+simulate() takes by default (3 at its 360 Hz internal rate) and at one step
+a sample of 240 Hz output (as the ``assess-files`` benchmark workload
+simulates its input traces), then a full simulate() call on the
 shipped four-machine fixture.  The sizes are timed in rounds: each round
 runs every size once, starting one size later than the round before, so
 drift in the host's speed spreads over all sizes instead of reading as a
@@ -26,6 +27,7 @@ a per-size comparison.
 
 import argparse
 import importlib.util
+import math
 import sys
 import time
 from pathlib import Path
@@ -36,7 +38,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from lyapstab._swing_numpy import rk4_swing  # noqa: E402
 from lyapstab.network import FaultSpec, load_network_file  # noqa: E402
-from lyapstab.simulator import simulate  # noqa: E402
+from lyapstab.simulator import DEFAULT_INTERNAL_RATE, simulate  # noqa: E402
 
 NETWORKS = Path(__file__).resolve().parent.parent / "networks"
 
@@ -56,10 +58,13 @@ def synthetic_system(n, seed=0):
     return delta, omega, minv, damp, pm, emf, G, B
 
 
+# simulate()'s default RK4 steps a sample of 120 Hz output
+STEPS = math.ceil(DEFAULT_INTERNAL_RATE / 120)
 # (machines, seconds of output, output rate in Hz, RK4 steps a sample)
-KERNEL_CASES = ((2, 10.0, 120, 10), (4, 10.0, 120, 10), (10, 10.0, 120, 10),
-                (12, 10.0, 120, 10), (24, 10.0, 120, 10), (48, 10.0, 120, 10),
-                (4, 60.0, 120, 10), (4, 50.0, 240, 1))
+KERNEL_CASES = ((2, 10.0, 120, STEPS), (4, 10.0, 120, STEPS),
+                (10, 10.0, 120, STEPS), (12, 10.0, 120, STEPS),
+                (24, 10.0, 120, STEPS), (48, 10.0, 120, STEPS),
+                (4, 60.0, 120, STEPS), (4, 50.0, 240, 1))
 
 
 def load_kernel(path):

@@ -21,9 +21,9 @@ from .errors import LyapstabError
 from .network import (FAULT_ON, POST_FAULT, PRE_FAULT, FaultSpec, NetworkModel,
                       ReducedSystem, reduce_network)
 
-# Internal RK4 rate targeted by default: five steps per 120 Hz output sample.
+# Internal RK4 rate targeted by default: three steps per 120 Hz output sample.
 # ``simulate``'s docstring states the accuracy rule it meets.
-DEFAULT_INTERNAL_RATE = 600.0
+DEFAULT_INTERNAL_RATE = 360.0
 
 STABLE = "STABLE"
 UNSTABLE = "UNSTABLE"
@@ -147,17 +147,19 @@ def simulate(model: NetworkModel, fault: FaultSpec, dt: float, horizon: float,
     ``horizon`` is the total simulated time from t = 0.  ``substeps`` controls
     the internal RK4 step (``dt / substeps``).  The default is the fewest
     substeps whose step is no longer than ``1 / DEFAULT_INTERNAL_RATE``
-    (1/600 s): 5 per sample at 120 Hz, 3 at 240 Hz, 1 at 1200 Hz.
+    (1/360 s): 3 per sample at 120 Hz, 2 at 240 Hz, 1 at 1200 Hz.
 
     Accuracy rule for the default step: over the first 3 s after clearing,
     the rotor angles stay within 1 mrad of a run with a step 4x finer.
     1 mrad is a tenth of the ~10 mrad phase error that the 1 % total vector
     error of IEEE C37.118.1 allows a PMU.  Measured at 120 Hz output against
-    ``substeps=20``: at worst 1.4e-5 rad over the battery families at every
+    ``substeps=20``: at worst 1.6e-4 rad over the battery families at every
     clearing time from 0.12 to 0.60 s in 0.02 s steps (275 cases, worst the
-    slipping two-machine case with negative damping cleared at 0.60 s), and
-    3.0e-8 rad over 36 seeded 12/24/48-machine ring cases.  A 360 Hz step
-    also meets the rule (1.6e-4 rad); 240 Hz does not (1.1e-3 rad).
+    slipping two-machine case with negative damping cleared at 0.60 s),
+    2.3e-7 rad over 36 seeded 12/24/48-machine ring cases and 2.6e-7 rad
+    over the acceptance battery.  At 120 Hz three substeps are the fewest
+    that meet the rule: two (a 240 Hz step) miss it on the 275 cases
+    (1.1e-3 rad).
 
     Each phase is integrated in calls of at most one second of samples,
     counted from the phase's start.  On numerical blow-up the traces end
@@ -172,8 +174,8 @@ def simulate(model: NetworkModel, fault: FaultSpec, dt: float, horizon: float,
         if not 0.0 < value < math.inf:
             raise ValueError(f"{name} must be finite and > 0, got {value!r}")
     if substeps is None:
-        # round up, less a rounding slack: round(2.5) == 2 would step 1/240 s
-        # samples at 1/480 s, coarser than the target
+        # round up, less a rounding slack: round(7.2) == 7 would step 1/50 s
+        # samples at 1/350 s, coarser than the target
         substeps = max(1, math.ceil(dt * DEFAULT_INTERNAL_RATE - 1e-9))
     elif not isinstance(substeps, (int, np.integer)) or substeps < 1:
         raise ValueError(f"substeps must be an integer >= 1, got {substeps!r}")

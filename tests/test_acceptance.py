@@ -222,40 +222,44 @@ class CaseResult:
     low_rate_verdicts: dict
 
 
-def _battery_cases():
+def _battery_families():
+    """Each battery family: label, network, faulted bus, opened branches,
+    horizon, oracle window and the battery's own clearing times."""
     smib = load_network_file(NETWORKS / "smib.net").with_damping({"G1": 0.038})
     two = load_network_file(NETWORKS / "twomachine.net")
     two_neg = two.with_damping({"G1": -0.008, "G2": -0.008})
     three = load_network_file(NETWORKS / "threemachine.net")
     four = load_network_file(NETWORKS / "fourmachine.net")
     four_neg = four.with_damping({g: -0.024 for g in four.gen_ids})
-    chain = chain_model()
+    return [
+        ("smib", smib, "1", ("L2",), 12.0, 8.0,
+         (0.15, 0.20, 0.25, 0.30, 0.35, 0.45, 0.55)),
+        ("two", two, "3", (), 12.0, 8.0, (0.14, 0.18, 0.22, 0.26, 0.30, 0.34)),
+        ("two-negD", two_neg, "3", (), 14.0, 10.0, (0.15, 0.20)),
+        ("three-b8", three, "8", ("L78",), 12.0, 8.0,
+         (0.12, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40)),
+        ("three-b5", three, "5", ("L45",), 12.0, 8.0, (0.15, 0.25, 0.35)),
+        ("three-b6", three, "6", ("L67",), 12.0, 8.0, (0.15, 0.25, 0.35)),
+        ("four-b1", four, "1", ("L15A",), 12.0, 8.0,
+         (0.15, 0.20, 0.25, 0.30, 0.35, 0.40)),
+        ("four-b6", four, "6", ("T56B",), 12.0, 8.0, (0.15, 0.25, 0.35)),
+        ("four-b7", four, "7", ("T67B",), 12.0, 8.0, (0.20, 0.30)),
+        ("four-negD", four_neg, "6", ("T56B",), 16.0, 12.0, (0.12, 0.20)),
+        ("chain", chain_model(), "B", (), 12.0, 8.0, (21 / 120.0, 26 / 120.0)),
+    ]
 
-    cases = []
-    for tc in (0.15, 0.20, 0.25, 0.30, 0.35, 0.45, 0.55):
-        cases.append(("smib", smib, "1", tc, ("L2",), 12.0, 8.0))
-    for tc in (0.14, 0.18, 0.22, 0.26, 0.30, 0.34):
-        cases.append(("two", two, "3", tc, (), 12.0, 8.0))
-    for tc in (0.15, 0.20):
-        cases.append(("two-negD", two_neg, "3", tc, (), 14.0, 10.0))
-    for tc in (0.12, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40):
-        cases.append(("three-b8", three, "8", tc, ("L78",), 12.0, 8.0))
-    for tc in (0.15, 0.25, 0.35):
-        cases.append(("three-b5", three, "5", tc, ("L45",), 12.0, 8.0))
-    for tc in (0.15, 0.25, 0.35):
-        cases.append(("three-b6", three, "6", tc, ("L67",), 12.0, 8.0))
-    for tc in (0.15, 0.20, 0.25, 0.30, 0.35, 0.40):
-        cases.append(("four-b1", four, "1", tc, ("L15A",), 12.0, 8.0))
-    for tc in (0.15, 0.25, 0.35):
-        cases.append(("four-b6", four, "6", tc, ("T56B",), 12.0, 8.0))
-    for tc in (0.20, 0.30):
-        cases.append(("four-b7", four, "7", tc, ("T67B",), 12.0, 8.0))
-    for tc in (0.12, 0.20):
-        cases.append(("four-negD", four_neg, "6", tc, ("T56B",), 16.0, 12.0))
-    for tc in (21 / 120.0, 26 / 120.0):
-        cases.append(("chain", chain, "B", tc, (), 12.0, 8.0))
-    return cases
 
+def _battery_cases(clearing_times=None):
+    """One case per family and clearing time: the family's own times, or
+    ``clearing_times`` for every family."""
+    return [(label, model, bus, tc, removed, horizon, window)
+            for label, model, bus, removed, horizon, window, times
+            in _battery_families()
+            for tc in clearing_times or times]
+
+
+# The dense grid: every family at every clearing time from 0.12 to 0.60 s
+GRID_CLEARING_TIMES = tuple(round(0.12 + 0.02 * k, 2) for k in range(25))
 
 LOW_RATES = (60.0, 30.0)  # Hz: PMU reporting rates below the 120 Hz grid
 
@@ -267,10 +271,10 @@ def _assess(traces, meta, rate=ASSESSMENT_RATE):
         return run_assessment(dataset, meta)
 
 
-def _run_battery():
+def _run_cases(cases):
     results = []
     start = time.perf_counter()
-    for label, model, bus, tc, removed, horizon, window in _battery_cases():
+    for label, model, bus, tc, removed, horizon, window in cases:
         fault = FaultSpec(bus=bus, t_fault=0.1, t_clear=tc,
                           removed_branches=removed)
         traces = simulate(model, fault, dt=DT, horizon=horizon)
@@ -293,7 +297,7 @@ def _run_battery():
 
 @pytest.fixture(scope="module")
 def battery():
-    return _run_battery()
+    return _run_cases(_battery_cases())
 
 
 def _verdict_rows(results) -> list[dict]:
@@ -309,24 +313,32 @@ def _verdict_rows(results) -> list[dict]:
     ]
 
 
+def _agreement(results, verdicts):
+    """Criterion 5's bounds on one system verdict per result: whether they
+    hold, and a summary that names every case that disagrees."""
+    n = len(results)
+    undetermined = sum(v == SYSTEM_UNDETERMINED for v in verdicts)
+    decided = [(r, v) for r, v in zip(results, verdicts)
+               if v in (SYSTEM_STABLE, SYSTEM_UNSTABLE)]
+    wrong = [f"{r.label}: {v} vs oracle {r.oracle}"
+             for r, v in decided if v != r.oracle]
+    agree = len(decided) - len(wrong)
+    ok = undetermined <= 0.05 * n and agree >= 0.95 * len(decided)
+    return ok, (f"{n} cases, {agree}/{len(decided)} agree, "
+                f"{undetermined} undetermined"
+                + (f"; disagreements: {wrong}" if wrong else ""))
+
+
+def _verdicts_at(results, rate):
+    return [r.verdict if rate == ASSESSMENT_RATE else r.low_rate_verdicts[rate]
+            for r in results]
+
+
 def test_criterion_5_battery_agreement(battery):
     results, elapsed = battery
-    n = len(results)
-    undetermined = [r for r in results if r.verdict == SYSTEM_UNDETERMINED]
-    decided = [r for r in results if r.verdict in (SYSTEM_STABLE,
-                                                   SYSTEM_UNSTABLE)]
-    agree = [r for r in decided if r.verdict == r.oracle]
-    disagreements = [f"{r.label}: {r.verdict} vs oracle {r.oracle}"
-                     for r in decided if r.verdict != r.oracle]
-    ok = (n >= 40
-          and len(undetermined) <= 0.05 * n
-          and len(agree) >= 0.95 * len(decided)
-          and elapsed < 120.0)
-    gate(5, "battery vs time-domain oracle", ok,
-         f"{n} cases, {len(agree)}/{len(decided)} agree, "
-         f"{len(undetermined)} undetermined"
-         + (f"; disagreements: {disagreements}" if disagreements else ""),
-         elapsed)
+    ok, detail = _agreement(results, _verdicts_at(results, ASSESSMENT_RATE))
+    gate(5, "battery vs time-domain oracle",
+         ok and len(results) >= 40 and elapsed < 120.0, detail, elapsed)
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -339,20 +351,60 @@ def test_rate_criterion_battery_agreement_at_low_rates(battery):
     """Criterion 5's bounds on the battery re-aligned at 60 and 30 Hz."""
     results, _ = battery
     start = time.perf_counter()
-    n = len(results)
     failed, details = False, []
     for rate in LOW_RATES:
-        verdicts = [(r, r.low_rate_verdicts[rate]) for r in results]
-        undetermined = sum(v == SYSTEM_UNDETERMINED for _, v in verdicts)
-        decided = [(r, v) for r, v in verdicts
-                   if v in (SYSTEM_STABLE, SYSTEM_UNSTABLE)]
-        wrong = [r.label for r, v in decided if v != r.oracle]
-        agree = len(decided) - len(wrong)
-        failed |= (undetermined > 0.05 * n or agree < 0.95 * len(decided))
-        details.append(f"{rate:g} Hz: {agree}/{len(decided)} agree, "
-                       f"{undetermined} undetermined, wrong {wrong}")
+        ok, detail = _agreement(results, _verdicts_at(results, rate))
+        failed |= not ok
+        details.append(f"{rate:g} Hz: {detail}")
     gate(5, "battery vs oracle at 60 and 30 Hz", not failed,
          "; ".join(details), time.perf_counter() - start)
+
+
+@pytest.fixture(scope="module")
+def dense_grid():
+    return _run_cases(_battery_cases(GRID_CLEARING_TIMES))
+
+
+def _first_unstable(results, verdicts):
+    """Per family, the clearing time of its first UNSTABLE verdict."""
+    first = {}
+    for r, v in zip(results, verdicts):
+        if v == SYSTEM_UNSTABLE:
+            family, _, tc = r.label.partition("@")
+            first.setdefault(family, tc)
+    return first
+
+
+@pytest.mark.parametrize("rate", [
+    ASSESSMENT_RATE,
+    pytest.param(60.0, marks=pytest.mark.xfail(strict=True, reason=(
+        "the automaton's sample counts are tuned at 120 Hz; at 60 Hz 236/265 "
+        "agree, with false alarms at smib 0.14, 0.22; two 0.12-0.20; "
+        "three-b8 0.14, 0.16; four-b7 0.16-0.26, 0.30-0.40, 0.48, "
+        "0.52-0.56; chain 0.12-0.16 and a missed instability at "
+        "four-b1 0.56"))),
+    pytest.param(30.0, marks=pytest.mark.xfail(strict=True, reason=(
+        "the automaton's sample counts are tuned at 120 Hz; at 30 Hz 214/265 "
+        "agree, with false alarms at smib 0.14-0.18, 0.22, 0.24, 0.28; "
+        "two 0.20, 0.24, 0.26; three-b5 0.14-0.32, 0.36, 0.40, 0.56; "
+        "four-b6 0.22, 0.28, 0.32; four-b7 0.16-0.60; "
+        "chain 0.12, 0.14, 0.18"))),
+], ids=lambda rate: f"{rate:g}hz")
+def test_dense_grid_agreement(dense_grid, rate):
+    """Criterion 5's bounds on every battery family at every clearing time
+    from 0.12 to 0.60 s in 0.02 s steps, assessed at ``rate``."""
+    results, elapsed = dense_grid
+    verdicts = _verdicts_at(results, rate)
+    ok, detail = _agreement(results, verdicts)
+    oracle = _first_unstable(results, [r.oracle for r in results])
+    assessed = _first_unstable(results, verdicts)
+    families = dict.fromkeys(r.label.partition("@")[0] for r in results)
+    cct = ", ".join(f"{f} {oracle.get(f, '-')} / {assessed.get(f, '-')}"
+                    for f in families)
+    gate(5, f"dense grid vs oracle at {rate:g} Hz", ok,
+         f"{detail}; first UNSTABLE clearing time per family, oracle / "
+         f"assessed: {cct}",
+         elapsed)
 
 
 def test_criterion_6_decision_latencies(battery):
@@ -463,6 +515,7 @@ def test_criterion_7_default_step_accuracy():
 if __name__ == "__main__":
     GOLDEN_VERDICTS.parent.mkdir(exist_ok=True)
     GOLDEN_VERDICTS.write_text(
-        json.dumps(_verdict_rows(_run_battery()[0]), indent=1) + "\n",
+        json.dumps(_verdict_rows(_run_cases(_battery_cases())[0]), indent=1)
+        + "\n",
         encoding="utf-8")
     print(f"wrote {GOLDEN_VERDICTS}")

@@ -60,9 +60,9 @@ def test_trace_grid_and_phase_switching(smib):
 
 
 @pytest.mark.parametrize("rate, substeps", [
-    (120, 5), (60, 10), (30, 20), (240, 3), (1200, 1)])
-def test_default_step_is_the_fewest_substeps_at_600_hz(smib, rate, substeps):
-    # the default rounds dt * 600 up: 1/240 s takes 3 steps, not round(2.5)
+    (120, 3), (60, 6), (30, 12), (240, 2), (1200, 1), (50, 8)])
+def test_default_step_is_the_fewest_substeps_at_360_hz(smib, rate, substeps):
+    # the default rounds dt * 360 up: 1/50 s takes 8 steps, not round(7.2)
     fault = smib_fault(t_clear=0.2)
     default = simulate(smib, fault, dt=1.0 / rate, horizon=1.0)
     pinned = simulate(smib, fault, dt=1.0 / rate, horizon=1.0,
@@ -218,13 +218,13 @@ def test_oracle_divergence_flag_is_unstable():
 def test_simulate_truncates_before_divergence():
     # negative damping on G1 amplifies the post-fault swing until it overflows
     # at every step size; simulate reports that through ``diverged`` and
-    # prints no NumPy warning.  Substeps 1, 3 and the default 5 end each
+    # prints no NumPy warning.  Substeps 1, 5 and the default 3 end each
     # sample in the kernel's second stage buffer, 2 in its first.
     model = two_machine_model(d1=-20.0)
     fault = FaultSpec(bus="3", t_fault=0.1, t_clear=0.2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for substeps in (None, 1, 2, 3):
+        for substeps in (None, 1, 2, 5):
             traces = simulate(model, fault, dt=DT, horizon=8.0,
                               substeps=substeps)
             n_kept = len(traces[0])
