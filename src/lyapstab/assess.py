@@ -143,6 +143,12 @@ def aggregate(verdicts: list[PairVerdict]) -> SystemVerdict:
     return SystemVerdict(SYSTEM_UNDETERMINED, t)
 
 
+def window_length(t_max: float, dt: float) -> int:
+    """Samples a pair reads at step ``dt``: those at or before ``t_max`` after
+    clearing, sample 0 at clearing."""
+    return int(t_max / dt + 1e-9) + 1
+
+
 def assess_pair(trace: SdgpTrace, t_max: float) -> PairVerdict:
     """Assess one pair on its samples at or before ``t_max`` after clearing.
 
@@ -154,7 +160,7 @@ def assess_pair(trace: SdgpTrace, t_max: float) -> PairVerdict:
     read, with that stage's ``note``.  Any other exception propagates.
     """
     verdict = PairVerdict(trace.severe, trace.least)
-    n = min(len(trace), int(t_max / trace.dt + 1e-9) + 1)
+    n = min(len(trace), window_length(t_max, trace.dt))
     try:
         decision = SwingClassifier(trace.dt).run(trace.rel_speed[:n])
         verdict.pattern, verdict.w = decision.pattern, decision.w

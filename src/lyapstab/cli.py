@@ -21,8 +21,8 @@ from pathlib import Path
 from . import assess as assess_mod
 from .assess import AssessmentConfig, run_assessment
 from .errors import LyapstabError, LyapstabWarning
-from .ingest import (ASSESSMENT_RATE, EventMeta, align, parse_traces,
-                     write_traces)
+from .ingest import (ASSESSMENT_RATE, MIN_HORIZON, EventMeta, align,
+                     grid_offset, parse_traces, write_traces)
 from .network import FaultSpec, load_network_file
 from .simulator import simulate, stability_oracle
 from .swings import SwingPattern
@@ -168,7 +168,6 @@ def _dump_series(prefix: str, kind: str, verdict, header: str, rows) -> None:
 
 
 def cmd_assess(args) -> int:
-    traces = parse_traces(args.traces, speed_offset=args.speed_nominal)
     given = EventMeta.from_file(args.meta) if args.meta else None
     t_f = args.fault_time if args.fault_time is not None else (
         given.t_fault if given else None)
@@ -179,6 +178,13 @@ def cmd_assess(args) -> int:
             "need --meta or both --fault-time and --clear-time")
     meta = EventMeta(t_fault=t_f, t_clear=t_c,
                      faulted_element=given.faulted_element if given else None)
+    # read up to the last grid stamp a pair can read, computed as align
+    # computes its stamps, and at least as far as align's coverage rule needs
+    dt = 1.0 / args.rate
+    last = (grid_offset(t_c, args.rate)
+            + assess_mod.window_length(args.t_max, dt) - 1)
+    traces = parse_traces(args.traces, speed_offset=args.speed_nominal,
+                          until=max(last * dt, t_c + MIN_HORIZON))
     dataset = align(traces, meta, rate=args.rate)
     pairs = None  # run_assessment's default: every identified pair
     if args.pair:

@@ -4,15 +4,18 @@ Trace files are CSV with header ``t,gen_id,delta_rad,omega_rad_per_s``, one
 row per (sample, generator), LF line endings, ``.`` decimal separator.
 Floats are written with ``repr`` so a parse/re-emit cycle is byte-identical.
 
-A well-formed file is read in one bulk ``np.loadtxt`` pass whose checks run
+A well-formed file is read by ``np.loadtxt`` on its path, whose checks run
 as array operations.  Any file whose rows that pass refuses is read again
 line by line, so one reader reports every malformed row, with the number of
 the first line at fault; both readers give bit-identical traces for the
-files they accept.
+files they accept.  A caller that needs no sample after some time ``until``
+says so, and both readers then stop at the same row (see
+:func:`parse_traces`).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import warnings
@@ -169,7 +172,8 @@ def write_traces(traces: list[GeneratorTrace], path) -> None:
                                                  tr.speeds.tolist()))
 
 
-def parse_traces(path, speed_offset: float = 0.0) -> list[GeneratorTrace]:
+def parse_traces(path, speed_offset: float = 0.0,
+                 until: float = math.inf) -> list[GeneratorTrace]:
     """Read a trace CSV back into one trace per generator.
 
     ``speed_offset`` is subtracted from every speed sample, for sources that
@@ -178,52 +182,131 @@ def parse_traces(path, speed_offset: float = 0.0) -> list[GeneratorTrace]:
     (t, gen_id) rows, non-monotone timestamps, and gaps larger than twice the
     nominal step.
 
+    ``until`` is the last time the caller needs.  If the file's first two
+    rows share a timestamp, reading ends at the first row R after which every
+    generator seen so far has a sample before ``until`` and one at or after
+    it; rows after R are neither parsed nor checked, and a generator first
+    seen after R is not returned.  Otherwise (one generator at the first
+    instant, as in a file written trace by trace, or no such R) the whole
+    file is read.  The default reads every file whole.
+
     A well-formed file is read in one bulk pass; a file whose rows that pass
     refuses is read again line by line, which names the first line at fault.
     """
-    traces = _parse_bulk(path, speed_offset)
+    traces = _parse_bulk(path, speed_offset, until)
     if traces is None:
-        traces = _parse_lines(path, speed_offset)
+        traces = _parse_lines(path, speed_offset, until)
     return traces
 
 
 # One CSV row; the generator id stays the exact text between the commas.
 _ROW = np.dtype([("t", "f8"), ("gen_id", "O"), ("delta", "f8"), ("omega", "f8")])
+# Rows read directly to find the first two instants of a file.
+_HEAD_ROWS = 64
 
 
-def _parse_bulk(path, speed_offset: float) -> list[GeneratorTrace] | None:
-    """Parse ``path`` with one ``np.loadtxt`` call, or return None.
+def _loadtxt(path, skip: int, count: int | None = None) -> np.ndarray:
+    """``count`` rows (default: all) after the first ``skip`` lines of ``path``.
+
+    Given a path, ``loadtxt`` reads the file in chunks with its C reader.
+    """
+    return np.loadtxt(path, dtype=_ROW, delimiter=",", comments=None,
+                      skiprows=skip, max_rows=count, ndmin=1, encoding="utf-8")
+
+
+def _rows_to_read(lines, until: float) -> int | None:
+    """Rows of a time-major file up to ``until``, with one instant to spare.
+
+    Predicted from the first instants in ``lines``: the number of rows at the
+    first timestamp and the step to the next one.  None means "read the whole
+    file": the stop rule does not apply or nothing can be predicted.
+    """
+    stamps = []
+    for line in lines:
+        stamps.append(float(line.partition(",")[0]))
+        if stamps[-1] != stamps[0]:
+            break
+    else:
+        return None  # no second instant in the head
+    per_instant = len(stamps) - 1
+    instants = (until - stamps[0]) / (stamps[-1] - stamps[0])
+    if per_instant < 2 or not 0.0 < instants < 1e9:  # also NaN
+        return None
+    return per_instant * (math.ceil(instants) + 2)
+
+
+def _codes(ids: list) -> tuple[dict, np.ndarray]:
+    """Each id's rank in first-seen order, and the rank of every row."""
+    rank = {gid: i for i, gid in enumerate(dict.fromkeys(ids))}
+    return rank, np.fromiter(map(rank.__getitem__, ids), dtype=np.intp,
+                             count=len(ids))
+
+
+def _stop_row(t: np.ndarray, codes: np.ndarray, until: float) -> int | None:
+    """The number of rows up to and including R of :func:`parse_traces`'s
+    stop rule, or None if the rule keeps every row."""
+    n = len(t)
+    if n < 2 or not t[1] == t[0]:
+        return None
+    seen = np.maximum.accumulate(codes)  # highest rank seen so far
+    first = np.flatnonzero(np.diff(seen, prepend=-1))  # each id's first row
+    reached = np.full(len(first), n)  # first row at or after until; n: none
+    late = np.flatnonzero(t >= until)
+    ranks, at = np.unique(codes[late], return_index=True)
+    reached[ranks] = late[at]
+    reached[t[first] >= until] = n  # no sample before until
+    # row r ends the read once every id seen by r has reached until by r
+    done = np.flatnonzero(np.maximum.accumulate(reached[codes]) <= np.arange(n))
+    return int(done[0]) + 1 if len(done) else None
+
+
+def _parse_bulk(path, speed_offset: float,
+                until: float = math.inf) -> list[GeneratorTrace] | None:
+    """Parse ``path`` with ``np.loadtxt``, or return None.
 
     Returns traces bit-identical to :func:`_parse_lines` for every file that
     both accept, and None for any file whose rows ``loadtxt`` or the row
     checks below refuse, so the line loop reports the line at fault.  Both
     readers then build each trace with :func:`_trace`, whose checks name no
-    line.  ``loadtxt`` takes the lines as the text-mode file iterator yields
-    them, and converts numbers with the same C parser as ``float``, but is
-    stricter: it refuses lines of only whitespace and ``1_0``-style
+    line.  ``loadtxt`` converts numbers with the same C parser as ``float``,
+    but is stricter: it refuses lines of only whitespace and ``1_0``-style
     underscores, which the line loop reads.
+
+    With a finite ``until``, the first instants of the file predict how many
+    rows reach it; those are read first, and the rest only if R of the stop
+    rule is not among them.  A blank line in that prefix makes ``skiprows``
+    (lines) and ``max_rows`` (rows) disagree, so it sends the file to the
+    line loop as well.  Only the rows up to R are checked.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             if fh.readline().rstrip("\n") != CSV_HEADER:
                 return None
+            count = _rows_to_read(itertools.islice(fh, _HEAD_ROWS), until)
+        with warnings.catch_warnings():
+            # a prefix refuses a blank line; a whole read skips it, and
+            # "input contained no data" is refused below
+            warnings.simplefilter("error" if count else "ignore", UserWarning)
+            rows = _loadtxt(path, 1, count)
+        rank, codes = _codes(rows["gen_id"].tolist())
+        end = _stop_row(rows["t"], codes, until)
+        if end is None and len(rows) == count:  # R lies further on
             with warnings.catch_warnings():
-                # "input contained no data": refused below, reported by the loop
                 warnings.simplefilter("ignore", UserWarning)
-                rows = np.loadtxt(fh, dtype=_ROW, delimiter=",", comments=None,
-                                  ndmin=1)
-    except ValueError:  # also UnicodeDecodeError
+                rows = np.concatenate([rows, _loadtxt(path, 1 + count)])
+            rank, codes = _codes(rows["gen_id"].tolist())
+            end = _stop_row(rows["t"], codes, until)
+    except (ValueError, UserWarning):  # also UnicodeDecodeError
         return None
+    if end is not None:
+        rows, codes = rows[:end], codes[:end]
+        rank = dict(itertools.islice(rank.items(), int(codes.max()) + 1))
     t, delta, omega = rows["t"], rows["delta"], rows["omega"]
     if not (len(rows) and np.isfinite(t).all() and np.isfinite(delta).all()
             and np.isfinite(omega).all()):
         return None
-    ids = rows["gen_id"].tolist()
-    rank = {gid: i for i, gid in enumerate(dict.fromkeys(ids))}  # first seen
     if "" in rank:
         return None
-    codes = np.fromiter(map(rank.__getitem__, ids), dtype=np.intp,
-                        count=len(ids))
     ends = np.cumsum(np.bincount(codes))
     by_gen = np.argsort(codes, kind="stable")  # file order within each id
     times = t[by_gen]
@@ -260,14 +343,19 @@ def _check_utf8(raw: str, lineno: int) -> None:
         raise LyapstabError(f"line {lineno}: {fault}")
 
 
-def _parse_lines(path, speed_offset: float = 0.0) -> list[GeneratorTrace]:
+def _parse_lines(path, speed_offset: float = 0.0,
+                 until: float = math.inf) -> list[GeneratorTrace]:
     """The line-by-line reader behind :func:`parse_traces`.
 
     Reads every file the bulk pass reads, to the same traces, plus the few
     that pass refuses but ``float`` reads; raises on every malformed file,
-    naming the first line at fault where a line is to blame.
+    naming the first line at fault where a line is to blame.  Applies
+    ``until``'s stop rule row by row.
     """
     per_gen: dict[str, list[tuple[float, float, float]]] = {}
+    waiting = set()  # ids seen without a sample at or after until yet
+    t_first, may_stop = None, None  # whether the first two rows share a stamp
+    stuck = False  # some id has no sample before until
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         header = fh.readline()
         _check_utf8(header, 1)
@@ -294,10 +382,17 @@ def _parse_lines(path, speed_offset: float = 0.0) -> list[GeneratorTrace]:
             gid = parts[1]
             if not gid:
                 raise LyapstabError(f"line {lineno}: empty generator id")
+            if may_stop is None:
+                if t_first is None:
+                    t_first = t
+                else:
+                    may_stop = t == t_first
             rows = per_gen.get(gid)
             if rows is None:
                 per_gen[gid] = rows = []  # insertion order: first seen
-            elif rows:
+                waiting.add(gid)
+                stuck |= t >= until  # no sample before until: no R
+            else:
                 if t == rows[-1][0]:
                     raise LyapstabError(
                         f"line {lineno}: duplicate sample for generator "
@@ -306,7 +401,11 @@ def _parse_lines(path, speed_offset: float = 0.0) -> list[GeneratorTrace]:
                     raise LyapstabError(
                         f"line {lineno}: timestamps for generator {gid!r} "
                         "go backwards")
+            if t >= until:
+                waiting.discard(gid)
             rows.append((t, angle, speed))
+            if may_stop and not (waiting or stuck):
+                break
 
     if not per_gen:
         raise LyapstabError("no samples after the header")
@@ -319,6 +418,12 @@ def _parse_lines(path, speed_offset: float = 0.0) -> list[GeneratorTrace]:
 # ---------------------------------------------------------------------------
 # Resampling and alignment
 # ---------------------------------------------------------------------------
+
+def grid_offset(t_clear: float, rate: float) -> int:
+    """Index on the absolute grid ``k / rate`` of the first point at or after
+    ``t_clear``: sample 0 of :func:`align`'s series."""
+    return math.ceil(t_clear * rate - 1e-9)
+
 
 def align(traces: list[GeneratorTrace], meta: EventMeta,
           rate: float = ASSESSMENT_RATE) -> AlignedDataset:
@@ -334,7 +439,7 @@ def align(traces: list[GeneratorTrace], meta: EventMeta,
     if not 0.0 < rate < math.inf:
         raise ValueError("rate must be finite and > 0")
     dt = 1.0 / rate
-    offset = math.ceil(meta.t_clear * rate - 1e-9)
+    offset = grid_offset(meta.t_clear, rate)
     t_start = offset * dt
 
     short = [tr.gen_id for tr in traces

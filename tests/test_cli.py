@@ -4,6 +4,7 @@ import concurrent.futures
 import csv
 import dataclasses
 import json
+import math
 import os
 import re
 import shlex
@@ -17,7 +18,7 @@ import pytest
 
 from lyapstab import cli
 from lyapstab.cli import build_parser, main
-from lyapstab.ingest import parse_traces, write_traces
+from lyapstab.ingest import CSV_HEADER, parse_traces, write_traces
 
 
 def run_cli(*args):
@@ -503,6 +504,99 @@ def test_t_max_off_the_grid_bounds_every_series(four_b6, tmp_path, capsys):
     assert mle_dumps
     for path in mle_dumps:
         assert max(t for t, _ in read_dump(path)) <= 1.005
+
+
+@pytest.fixture(scope="module")
+def four_b6_14s(tmp_path_factory, networks_dir):
+    """The bus-6 event, 14 s long, written at 240, 120 and 60 Hz:
+    ({rate: trace file}, metadata file)."""
+    root = tmp_path_factory.mktemp("four_b6_14s")
+    paths = {}
+    for rate in (240, 120, 60):
+        paths[rate] = root / f"four{rate}.csv"
+        assert run_cli("simulate", "--network", networks_dir / "fourmachine.net",
+                       "--fault-bus", "6", "--fault-time", "0.1",
+                       "--clear-time", "0.25", "--open-branch", "T56B",
+                       "--rate", rate, "--horizon", "14.0",
+                       "--meta-out", root / "four.meta.json",
+                       "--out", paths[rate]) == 0
+    return paths, root / "four.meta.json"
+
+
+def _trace_major(path, out):
+    """``path``'s rows regrouped one generator after another."""
+    header, *rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    blocks = {}
+    for row in rows:
+        blocks.setdefault(row.split(",")[1], []).append(row)
+    out.write_text(header + "".join(r for b in blocks.values() for r in b),
+                   encoding="utf-8")
+
+
+HORIZON_FLAGS = ([], ["--rate", "60"], ["--t-max", "0.3"], ["--t-max", "2.5"],
+                 ["--pair", "G1,G4"])
+
+
+@pytest.mark.parametrize("layout", ["time-major", "trace-major"])
+@pytest.mark.parametrize("nominal", [0.0, 2 * math.pi * 60.0],
+                         ids=["deviation", "absolute"])
+@pytest.mark.parametrize("rate", [240, 120, 60])
+def test_horizon_read_reports_what_a_whole_read_reports(
+        four_b6_14s, tmp_path, monkeypatch, capsys, rate, nominal, layout):
+    # assess reads a time-major file only up to the last stamp a pair can
+    # read; stdout, exit code and dumps must equal those of a whole read
+    paths, meta = four_b6_14s
+    path = tmp_path / "event.csv"
+    write_traces([dataclasses.replace(tr, speeds=tr.speeds + nominal)
+                  for tr in parse_traces(paths[rate])], path)
+    if layout == "trace-major":
+        _trace_major(path, path)
+    rows = {"horizon": [], "whole": []}
+    dumped = 0
+
+    def horizon(path, speed_offset=0.0, until=math.inf):
+        traces = parse_traces(path, speed_offset, until)
+        rows["horizon"].append(sum(map(len, traces)))
+        return traces
+
+    def whole(path, speed_offset=0.0, until=math.inf):
+        traces = parse_traces(path, speed_offset)
+        rows["whole"].append(sum(map(len, traces)))
+        return traces
+
+    for flags in HORIZON_FLAGS:
+        outcomes = []
+        for reader in (horizon, whole):
+            monkeypatch.setattr(cli, "parse_traces", reader)
+            prefix = tmp_path / f"{reader.__name__}_"
+            code = run_cli("assess", "--traces", path, "--meta", meta,
+                           "--speed-nominal", nominal, "--dump", prefix,
+                           *flags)
+            dumps = {}
+            for p in sorted(tmp_path.glob(prefix.name + "*")):
+                dumps[p.name.removeprefix(prefix.name)] = p.read_bytes()
+                p.unlink()
+            outcomes.append((code, capsys.readouterr(), dumps))
+        assert outcomes[0] == outcomes[1], flags
+        dumped += len(outcomes[0][2])
+    assert dumped  # some pairs wrote their series
+    if layout == "time-major":
+        assert all(h < w for h, w in zip(rows["horizon"], rows["whole"]))
+    else:  # one generator at the first instant: read whole
+        assert rows["horizon"] == rows["whole"]
+
+
+def test_event_times_are_resolved_before_the_traces_are_read(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(CSV_HEADER + "\n0.0,G1,abc,0.0\n", encoding="utf-8")
+    assert run_cli("assess", "--traces", bad) == 1
+    assert capsys.readouterr() == (
+        "", "error: need --meta or both --fault-time and --clear-time\n")
+    meta = tmp_path / "bad.meta.json"
+    meta.write_text('{"fault_time_s": 0.1}', encoding="utf-8")
+    assert run_cli("assess", "--traces", bad, "--meta", meta) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {meta}: missing key 'clear_time_s'\n")
 
 
 @pytest.mark.parametrize("rate,w,m_n", [(60, 21, 34), (120, 41, 66),

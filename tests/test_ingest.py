@@ -233,6 +233,41 @@ def _field_count(draw, rows):
 
 MUTATIONS = (_blank_line, _underscore, _duplicate, _backwards, _bad_number,
              _empty_id, _field_count)
+
+
+# Shapes of a file that a horizon read must handle: each edits the rows of
+# one generator, and may leave it too short or with a gap, an error that no
+# line is to blame for.
+def _jitter(draw, rows):
+    gid = _sample_row(draw, rows)[1]
+    for row in _intact(rows):
+        if row[1] == gid:
+            row[0] = repr(float(row[0]) + 1e-4)
+
+
+def _drop_sample(draw, rows):
+    rows.remove(_sample_row(draw, rows))
+
+
+def _late_join(draw, rows):
+    gid = _sample_row(draw, rows)[1]
+    same = [r for r in _intact(rows) if r[1] == gid]
+    if len(same) < 2:
+        return
+    for row in same[:draw(st.integers(1, len(same) - 1))]:
+        rows.remove(row)
+
+
+def _early_leave(draw, rows):
+    gid = _sample_row(draw, rows)[1]
+    same = [r for r in _intact(rows) if r[1] == gid]
+    if len(same) < 2:
+        return
+    for row in same[draw(st.integers(1, len(same) - 1)):]:
+        rows.remove(row)
+
+
+SHAPES = (_jitter, _drop_sample, _late_join, _early_leave)
 GEN_IDS = ("G1", "G2", "Gen 3", "G\u00fc", " 7")
 SPELLINGS = (repr, "{:.3e}".format, " {!r} ".format, "{:+.6f}".format)
 NOT_UTF8 = (b"\xff", b"\xc3", b"\xed\xa0\x80")
@@ -240,22 +275,30 @@ NOT_UTF8 = (b"\xff", b"\xc3", b"\xed\xa0\x80")
 
 @st.composite
 def trace_files(draw):
-    """(file bytes, malformed): a small well-formed file plus mutations."""
+    """(file bytes, malformed): a small well-formed file plus mutations.
+
+    ``malformed`` is None where a shape edit may have made the file an error.
+    """
     ids = draw(st.lists(st.sampled_from(GEN_IDS), min_size=1, max_size=3,
                         unique=True))
     number = st.floats(-1e3, 1e3, allow_nan=False)
     rows = [[repr(k / 120.0), gid, draw(st.sampled_from(SPELLINGS))(draw(number)),
              draw(st.sampled_from(SPELLINGS))(draw(number))]
-            for k in range(draw(st.integers(2, 4))) for gid in ids]
-    if draw(st.booleans()):  # block layout
+            for k in range(draw(st.integers(2, 12))) for gid in ids]
+    if draw(st.integers(0, 2)) == 0:  # block layout
         rows.sort(key=lambda row: ids.index(row[1]))
     malformed = False
+    for shape in draw(st.lists(st.sampled_from(SHAPES), max_size=2)):
+        shape(draw, rows)
+        malformed = None
     # at most two, so that each one still finds an intact row to edit, and
     # distinct, so that a second swap cannot undo the first; _empty_id goes
     # last, since it may leave no intact row
-    mutations = draw(st.lists(st.sampled_from(MUTATIONS), max_size=2, unique=True))
+    mutations = draw(st.lists(st.sampled_from(MUTATIONS), max_size=2, unique=True)
+                     if draw(st.booleans()) else st.just([]))
     for mutate in sorted(mutations, key=lambda m: m is _empty_id):
-        malformed |= mutate(draw, rows)
+        if mutate(draw, rows):
+            malformed = True
     if draw(st.integers(0, 9)) == 0:  # header only, blank lines kept
         rows = [r for r in rows if isinstance(r, str)]
         malformed = True
@@ -275,25 +318,128 @@ def fuzz_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "trace.csv"
 
 
-def _outcome(parse, path, offset):
+def _outcome(parse, path, offset, until):
     try:
-        return parse(path, offset)
+        return parse(path, offset, until)
     except LyapstabError as exc:  # any other exception fails the test
         return exc
 
 
-@settings(max_examples=300, derandomize=True, deadline=None, database=None)
-@given(case=trace_files(), offset=st.sampled_from([0.0, 376.99111843077515]))
-def test_bulk_and_line_parsers_agree(fuzz_path, case, offset):
+# before the first row, on and between the stamps, past the end, and none
+UNTIL = st.one_of(st.sampled_from([-1.0, 100.0, math.inf]),
+                  st.integers(0, 12).map(lambda k: k / 120.0),
+                  st.integers(0, 12).map(lambda k: (k + 0.5) / 120.0))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(case=trace_files(), offset=st.sampled_from([0.0, 376.99111843077515]),
+       until=UNTIL)
+def test_bulk_and_line_parsers_agree(fuzz_path, case, offset, until):
     raw, malformed = case
     fuzz_path.write_bytes(raw)
-    want = _outcome(_parse_lines, fuzz_path, offset)
-    got = _outcome(parse_traces, fuzz_path, offset)
-    assert isinstance(want, LyapstabError) == malformed
-    if malformed:
+    want = _outcome(_parse_lines, fuzz_path, offset, until)
+    got = _outcome(parse_traces, fuzz_path, offset, until)
+    if until == math.inf and malformed is not None:
+        assert isinstance(want, LyapstabError) == malformed
+    if isinstance(want, LyapstabError):
         assert type(got) is type(want) and str(got) == str(want)
     else:
         _assert_same_traces(got, want)
+
+
+# ---------------------------------------------------------------------------
+# reading up to a horizon
+# ---------------------------------------------------------------------------
+
+def _two_machine_file(path, extra=(), at=None):
+    """Two generators, 2 s at 120 Hz, time-major; ``extra`` rows are inserted
+    before data row ``at`` (default: appended)."""
+    write_traces([make_trace("G1"), make_trace("G2", amp=0.1)], path)
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    at = len(rows) if at is None else at
+    rows[at:at] = extra
+    path.write_text("\n".join([header, *rows, ""]), encoding="utf-8")
+    return rows
+
+
+def _samples(traces):
+    return {tr.gen_id: len(tr) for tr in traces}
+
+
+# G1's first row at 1.0 s is data row 241, G2's (R) row 242: line 243
+BAD_ROWS = {
+    "non-numeric": "0.5,G2,abc,0.0",
+    "duplicate": "0.5,G1,0.1,0.0",
+    "backwards": "0.25,G2,0.1,0.0",
+}
+
+
+@pytest.mark.parametrize("fault", list(BAD_ROWS))
+def test_rows_after_the_stop_row_are_not_read(tmp_path, fault):
+    clean, bad = tmp_path / "clean.csv", tmp_path / "bad.csv"
+    _two_machine_file(clean)
+    rows = _two_machine_file(bad, [BAD_ROWS[fault]], at=242)
+    assert rows[241].startswith("1.0,G2,")
+    with pytest.raises(LyapstabError, match="line 244: "):
+        parse_traces(bad)  # the whole file: the row is at fault
+    for parse in (parse_traces, _parse_lines):
+        got = parse(bad, 0.0, 1.0)
+        assert _samples(got) == {"G1": 121, "G2": 121}
+        _assert_same_traces(got, parse_traces(clean, until=1.0))
+
+
+@pytest.mark.parametrize("fault", list(BAD_ROWS))
+def test_a_fault_before_the_stop_row_keeps_its_message(tmp_path, fault):
+    path = tmp_path / "bad.csv"
+    _two_machine_file(path, [BAD_ROWS[fault]], at=241)
+    with pytest.raises(LyapstabError) as whole:
+        parse_traces(path)
+    assert str(whole.value).startswith("line 243: ")
+    for until in (1.0, 0.999):
+        with pytest.raises(LyapstabError) as early:
+            parse_traces(path, until=until)
+        assert str(early.value) == str(whole.value)
+
+
+def test_one_generator_at_the_first_instant_reads_the_whole_file(tmp_path):
+    path = tmp_path / "blocks.csv"  # unequal lengths: one block per trace
+    write_traces([make_trace("G1"), make_trace("G2", duration=1.5)], path)
+    for parse in (parse_traces, _parse_lines):
+        assert _samples(parse(path, 0.0, 0.5)) == {"G1": 241, "G2": 181}
+
+
+def test_stop_row_ignores_generators_first_seen_after_it(tmp_path):
+    path = tmp_path / "late.csv"
+    _two_machine_file(path, ["1.5,G3,0.0,0.0", "1.6,G3,0.0,0.0"])
+    for parse in (parse_traces, _parse_lines):
+        assert _samples(parse(path, 0.0, 1.0)) == {"G1": 121, "G2": 121}
+        assert _samples(parse(path, 0.0, math.inf))["G3"] == 2
+
+
+def test_a_generator_joining_before_the_stop_row_is_read(tmp_path):
+    # two rows per instant at first, three from G3's first row on: the rows
+    # predicted from the first instants end before R, and the rest is read
+    path = tmp_path / "join.csv"
+    path.write_text(CSV_HEADER + "\n" + "".join(
+        f"{k / 120.0!r},{gid},0.1,0.0\n" for k in range(241)
+        for gid in ("G1", "G2", "G3") if k or gid != "G3"), encoding="utf-8")
+    for until in (0.05, 1.0):
+        bulk = _parse_bulk(path, 0.0, until)
+        assert bulk is not None
+        assert _samples(bulk) == {"G1": 1 + round(until * 120),
+                                  "G2": 1 + round(until * 120),
+                                  "G3": round(until * 120)}
+        _assert_same_traces(bulk, _parse_lines(path, 0.0, until))
+
+
+def test_a_generator_without_a_sample_before_until_reads_the_whole_file(
+        tmp_path):
+    # G3's first row comes before R but after until: align would name it
+    path = tmp_path / "late.csv"
+    _two_machine_file(path, ["1.0,G3,0.0,0.0", "1.5,G3,0.0,0.0"], at=241)
+    for parse in (parse_traces, _parse_lines):
+        assert _samples(parse(path, 0.0, 1.0)) == {"G1": 241, "G2": 241,
+                                                   "G3": 2}
 
 
 # ---------------------------------------------------------------------------
