@@ -180,7 +180,7 @@ def parse_traces(path, speed_offset: float = 0.0,
     log absolute rotor speed instead of the deviation from synchronous speed.
     Rejects bytes that are not UTF-8, files without samples, duplicate
     (t, gen_id) rows, non-monotone timestamps, and gaps larger than twice the
-    nominal step.
+    median step of the samples read.
 
     ``until`` is the last time the caller needs.  If the file's first two
     rows share a timestamp, reading ends at the first row R after which every
@@ -188,7 +188,9 @@ def parse_traces(path, speed_offset: float = 0.0,
     it; rows after R are neither parsed nor checked, and a generator first
     seen after R is not returned.  Otherwise (one generator at the first
     instant, as in a file written trace by trace, or no such R) the whole
-    file is read.  The default reads every file whole.
+    file is read.  The default reads every file whole.  The gap rule sees
+    only the rows read, so a file whose step changes after R may be judged
+    differently than in a whole read.
 
     A well-formed file is read in one bulk pass; a file whose rows that pass
     refuses is read again line by line, which names the first line at fault.
@@ -201,8 +203,6 @@ def parse_traces(path, speed_offset: float = 0.0,
 
 # One CSV row; the generator id stays the exact text between the commas.
 _ROW = np.dtype([("t", "f8"), ("gen_id", "O"), ("delta", "f8"), ("omega", "f8")])
-# Rows read directly to find the first two instants of a file.
-_HEAD_ROWS = 64
 
 
 def _loadtxt(path, skip: int, count: int | None = None) -> np.ndarray:
@@ -217,17 +217,20 @@ def _loadtxt(path, skip: int, count: int | None = None) -> np.ndarray:
 def _rows_to_read(lines, until: float) -> int | None:
     """Rows of a time-major file up to ``until``, with one instant to spare.
 
-    Predicted from the first instants in ``lines``: the number of rows at the
-    first timestamp and the step to the next one.  None means "read the whole
+    Predicted from the first instants in ``lines``, which are read up to the
+    first row of the second timestamp: the number of rows at the first
+    timestamp and the step to the next one.  None means "read the whole
     file": the stop rule does not apply or nothing can be predicted.
     """
+    if until == math.inf:
+        return None  # the default whole read needs no prediction
     stamps = []
     for line in lines:
         stamps.append(float(line.partition(",")[0]))
         if stamps[-1] != stamps[0]:
             break
     else:
-        return None  # no second instant in the head
+        return None  # one timestamp throughout
     per_instant = len(stamps) - 1
     instants = (until - stamps[0]) / (stamps[-1] - stamps[0])
     if per_instant < 2 or not 0.0 < instants < 1e9:  # also NaN
@@ -282,7 +285,7 @@ def _parse_bulk(path, speed_offset: float,
         with open(path, "r", encoding="utf-8") as fh:
             if fh.readline().rstrip("\n") != CSV_HEADER:
                 return None
-            count = _rows_to_read(itertools.islice(fh, _HEAD_ROWS), until)
+            count = _rows_to_read(fh, until)
         with warnings.catch_warnings():
             # a prefix refuses a blank line; a whole read skips it, and
             # "input contained no data" is refused below

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import run_smib
 from lyapstab.errors import LyapstabError
+from lyapstab import ingest
 from lyapstab.ingest import (CSV_HEADER, MIN_HORIZON, EventMeta, _parse_bulk,
                              _parse_lines, align, parse_traces, write_traces)
 from lyapstab.network import FaultSpec, load_network_file
@@ -274,28 +275,31 @@ NOT_UTF8 = (b"\xff", b"\xc3", b"\xed\xa0\x80")
 
 
 @st.composite
-def trace_files(draw):
+def trace_files(draw, max_instants=4, shaped=False):
     """(file bytes, malformed): a small well-formed file plus mutations.
 
-    ``malformed`` is None where a shape edit may have made the file an error.
+    With ``shaped``, shape edits are drawn too, and ``malformed`` is None
+    where one may have made the file an error.
     """
     ids = draw(st.lists(st.sampled_from(GEN_IDS), min_size=1, max_size=3,
                         unique=True))
     number = st.floats(-1e3, 1e3, allow_nan=False)
     rows = [[repr(k / 120.0), gid, draw(st.sampled_from(SPELLINGS))(draw(number)),
              draw(st.sampled_from(SPELLINGS))(draw(number))]
-            for k in range(draw(st.integers(2, 12))) for gid in ids]
-    if draw(st.integers(0, 2)) == 0:  # block layout
+            for k in range(draw(st.integers(2, max_instants))) for gid in ids]
+    if draw(st.booleans()):  # block layout
         rows.sort(key=lambda row: ids.index(row[1]))
     malformed = False
-    for shape in draw(st.lists(st.sampled_from(SHAPES), max_size=2)):
-        shape(draw, rows)
-        malformed = None
-    # at most two, so that each one still finds an intact row to edit, and
-    # distinct, so that a second swap cannot undo the first; _empty_id goes
-    # last, since it may leave no intact row
-    mutations = draw(st.lists(st.sampled_from(MUTATIONS), max_size=2, unique=True)
-                     if draw(st.booleans()) else st.just([]))
+    if shaped:
+        for shape in draw(st.lists(st.sampled_from(SHAPES), max_size=2)):
+            shape(draw, rows)
+            malformed = None
+    # at most two, and no more than the intact rows that shape edits left,
+    # so that each one still finds an intact row to edit, and distinct, so
+    # that a second swap cannot undo the first; _empty_id goes last, since
+    # it may leave no intact row
+    mutations = draw(st.lists(st.sampled_from(MUTATIONS),
+                              max_size=min(2, len(_intact(rows))), unique=True))
     for mutate in sorted(mutations, key=lambda m: m is _empty_id):
         if mutate(draw, rows):
             malformed = True
@@ -318,11 +322,25 @@ def fuzz_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "trace.csv"
 
 
-def _outcome(parse, path, offset, until):
+def _outcome(parse, path, offset, until=math.inf):
     try:
         return parse(path, offset, until)
     except LyapstabError as exc:  # any other exception fails the test
         return exc
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(case=trace_files(), offset=st.sampled_from([0.0, 376.99111843077515]))
+def test_bulk_and_line_parsers_agree(fuzz_path, case, offset):
+    raw, malformed = case
+    fuzz_path.write_bytes(raw)
+    want = _outcome(_parse_lines, fuzz_path, offset)
+    got = _outcome(parse_traces, fuzz_path, offset)
+    assert isinstance(want, LyapstabError) == malformed
+    if malformed:
+        assert type(got) is type(want) and str(got) == str(want)
+    else:
+        _assert_same_traces(got, want)
 
 
 # before the first row, on and between the stamps, past the end, and none
@@ -331,15 +349,16 @@ UNTIL = st.one_of(st.sampled_from([-1.0, 100.0, math.inf]),
                   st.integers(0, 12).map(lambda k: (k + 0.5) / 120.0))
 
 
-@settings(max_examples=400, derandomize=True, deadline=None, database=None)
-@given(case=trace_files(), offset=st.sampled_from([0.0, 376.99111843077515]),
-       until=UNTIL)
-def test_bulk_and_line_parsers_agree(fuzz_path, case, offset, until):
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(case=trace_files(max_instants=12, shaped=True),
+       offset=st.sampled_from([0.0, 376.99111843077515]), until=UNTIL)
+def test_bulk_and_line_parsers_agree_up_to_a_horizon(fuzz_path, case, offset,
+                                                     until):
     raw, malformed = case
     fuzz_path.write_bytes(raw)
     want = _outcome(_parse_lines, fuzz_path, offset, until)
     got = _outcome(parse_traces, fuzz_path, offset, until)
-    if until == math.inf and malformed is not None:
+    if until > 1.0 and malformed is not None:  # past every stamp: read whole
         assert isinstance(want, LyapstabError) == malformed
     if isinstance(want, LyapstabError):
         assert type(got) is type(want) and str(got) == str(want)
@@ -432,6 +451,20 @@ def test_a_generator_joining_before_the_stop_row_is_read(tmp_path):
         _assert_same_traces(bulk, _parse_lines(path, 0.0, until))
 
 
+def test_the_bulk_pass_reads_short_for_any_number_of_generators(
+        tmp_path, monkeypatch):
+    ids = [f"G{i}" for i in range(70)]
+    path = tmp_path / "wide.csv"
+    path.write_text(CSV_HEADER + "\n" + "".join(
+        f"{k / 120.0!r},{gid},0.1,0.0\n" for k in range(25) for gid in ids),
+        encoding="utf-8")
+    counts, loadtxt = [], ingest._loadtxt
+    monkeypatch.setattr(ingest, "_loadtxt", lambda path, skip, count=None: (
+        counts.append(count) or loadtxt(path, skip, count)))
+    assert _samples(_parse_bulk(path, 0.0, 0.1)) == dict.fromkeys(ids, 13)
+    assert counts == [70 * 14]  # the rows to 12/120 s and one instant more
+
+
 def test_a_generator_without_a_sample_before_until_reads_the_whole_file(
         tmp_path):
     # G3's first row comes before R but after until: align would name it
@@ -440,6 +473,21 @@ def test_a_generator_without_a_sample_before_until_reads_the_whole_file(
     for parse in (parse_traces, _parse_lines):
         assert _samples(parse(path, 0.0, 1.0)) == {"G1": 241, "G2": 241,
                                                    "G3": 2}
+
+
+def test_the_gap_rule_sees_only_the_rows_read(tmp_path):
+    # 240 Hz with a 1/60 s gap for 1 s, then 30 Hz to 10 s: the median step
+    # of the whole file is 1/30 s, that of the first half second 1/240 s
+    stamps = ([k / 240.0 for k in range(241) if k not in (61, 62, 63)]
+              + [1.0 + j / 30.0 for j in range(1, 271)])
+    path = tmp_path / "two_rates.csv"
+    path.write_text(CSV_HEADER + "\n" + "".join(
+        f"{t!r},{gid},0.1,0.0\n" for t in stamps for gid in ("G1", "G2")),
+        encoding="utf-8")
+    for parse in (parse_traces, _parse_lines):
+        assert _samples(parse(path)) == {"G1": 508, "G2": 508}
+        with pytest.raises(LyapstabError, match="'G1' has a gap of 0.0166667 s"):
+            parse(path, 0.0, 0.5)
 
 
 # ---------------------------------------------------------------------------
