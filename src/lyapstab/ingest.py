@@ -4,13 +4,13 @@ Trace files are CSV with header ``t,gen_id,delta_rad,omega_rad_per_s``, one
 row per (sample, generator), LF line endings, ``.`` decimal separator.
 Floats are written with ``repr`` so a parse/re-emit cycle is byte-identical.
 
-A well-formed file is read by ``np.loadtxt`` on its path, whose checks run
-as array operations.  Any file whose rows that pass refuses is read again
-line by line, so one reader reports every malformed row, with the number of
-the first line at fault; both readers give bit-identical traces for the
-files they accept.  A caller that needs no sample after some time ``until``
-says so, and both readers then stop at the same row (see
-:func:`parse_traces`).
+A well-formed file is converted by ``np.loadtxt`` on its path.  Any file
+whose rows that pass refuses is converted again line by line, which names
+the first line at fault; the line pass only converts lines.  Both passes
+give their rows in file order to one assembly step, which applies the stop
+rule of a caller that needs no sample after some time ``until`` (see
+:func:`parse_traces`), checks each generator's time order and builds the
+traces, so both give bit-identical traces for the files they accept.
 """
 
 from __future__ import annotations
@@ -267,19 +267,19 @@ def _parse_bulk(path, speed_offset: float,
                 until: float = math.inf) -> list[GeneratorTrace] | None:
     """Parse ``path`` with ``np.loadtxt``, or return None.
 
-    Returns traces bit-identical to :func:`_parse_lines` for every file that
-    both accept, and None for any file whose rows ``loadtxt`` or the row
-    checks below refuse, so the line loop reports the line at fault.  Both
-    readers then build each trace with :func:`_trace`, whose checks name no
-    line.  ``loadtxt`` converts numbers with the same C parser as ``float``,
-    but is stricter: it refuses lines of only whitespace and ``1_0``-style
-    underscores, which the line loop reads.
+    ``loadtxt`` converts the rows; :func:`_assemble` stops, checks the time
+    order and builds the traces, as for :func:`_parse_lines`, so the two
+    give bit-identical traces for every file that both accept.  Any file
+    whose rows ``loadtxt`` or the assembly refuses returns None, so the line
+    loop reports the line at fault.  ``loadtxt`` converts numbers with the
+    same C parser as ``float``, but is stricter: it refuses lines of only
+    whitespace and ``1_0``-style underscores, which the line loop reads.
 
     With a finite ``until``, the first instants of the file predict how many
     rows reach it; those are read first, and the rest only if R of the stop
     rule is not among them.  A blank line in that prefix makes ``skiprows``
     (lines) and ``max_rows`` (rows) disagree, so it sends the file to the
-    line loop as well.  Only the rows up to R are checked.
+    line loop as well.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -288,7 +288,7 @@ def _parse_bulk(path, speed_offset: float,
             count = _rows_to_read(fh, until)
         with warnings.catch_warnings():
             # a prefix refuses a blank line; a whole read skips it, and
-            # "input contained no data" is refused below
+            # "input contained no data" is refused by the assembly
             warnings.simplefilter("error" if count else "ignore", UserWarning)
             rows = _loadtxt(path, 1, count)
         rank, codes = _codes(rows["gen_id"].tolist())
@@ -301,14 +301,85 @@ def _parse_bulk(path, speed_offset: float,
             end = _stop_row(rows["t"], codes, until)
     except (ValueError, UserWarning):  # also UnicodeDecodeError
         return None
+    return _assemble(rows, rank, codes, end, speed_offset)
+
+
+def _parse_lines(path, speed_offset: float = 0.0,
+                 until: float = math.inf) -> list[GeneratorTrace]:
+    """The line-by-line reader behind :func:`parse_traces`.
+
+    Converts lines only: it checks each one (UTF-8, the header, then 4
+    fields, numbers, finite values and a non-empty id; blank lines are
+    skipped), keeps the rows with their line numbers, and stops at the
+    first line it refuses, holding that error back for :func:`_assemble`.
+    Reads every file the bulk pass reads, to the same traces, plus the few
+    that pass refuses but ``float`` reads; raises on every malformed file,
+    naming the first line at fault where a line is to blame.
+    """
+    kept, lines, held = [], [], None
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        try:
+            # the header is line 1 even in an empty file
+            for lineno, raw in enumerate(itertools.chain([fh.readline()], fh),
+                                         start=1):
+                fault = utf8_fault(raw)
+                if fault:
+                    raise LyapstabError(f"line {lineno}: {fault}")
+                if lineno == 1:
+                    if raw.rstrip("\n") != CSV_HEADER:
+                        raise LyapstabError(
+                            f"line 1: expected header {CSV_HEADER!r}")
+                    continue
+                line = raw.strip()
+                if not line:
+                    continue
+                parts = line.split(",")
+                if len(parts) != 4:
+                    raise LyapstabError(
+                        f"line {lineno}: expected 4 fields, got {len(parts)}")
+                try:
+                    t = float(parts[0])
+                    angle = float(parts[2])
+                    speed = float(parts[3])
+                except ValueError:
+                    raise LyapstabError(
+                        f"line {lineno}: non-numeric field in {line!r}") from None
+                if not (math.isfinite(t) and math.isfinite(angle)
+                        and math.isfinite(speed)):
+                    raise LyapstabError(f"line {lineno}: non-finite value")
+                if not parts[1]:
+                    raise LyapstabError(f"line {lineno}: empty generator id")
+                kept.append((t, parts[1], angle, speed))
+                lines.append(lineno)
+        except LyapstabError as exc:
+            held = exc
+    rows = np.array(kept, dtype=_ROW)
+    rank, codes = _codes(rows["gen_id"].tolist())
+    return _assemble(rows, rank, codes, _stop_row(rows["t"], codes, until),
+                     speed_offset, lines, held)
+
+
+def _assemble(rows: np.ndarray, rank: dict, codes: np.ndarray,
+              end: int | None, speed_offset: float, lines: list | None = None,
+              held: LyapstabError | None = None) -> list[GeneratorTrace] | None:
+    """One trace per generator from a file's sample rows, in file order.
+
+    ``rank`` and ``codes`` are :func:`_codes` of the rows' ids and ``end`` is
+    :func:`_stop_row` of the rows: the rows after R are dropped unchecked.
+    The first row kept whose time repeats or goes back on its generator's
+    previous sample raises the error of its line in ``lines``; ``held``, the
+    error of the line after the last row, is raised next unless R comes
+    before it.  Rows without ``lines`` are the bulk pass's, which ``loadtxt``
+    did not check line by line: where they hold no row, a non-finite value,
+    an empty id or a row out of time order, returns None instead.
+    """
     if end is not None:
-        rows, codes = rows[:end], codes[:end]
+        rows, codes, held = rows[:end], codes[:end], None
         rank = dict(itertools.islice(rank.items(), int(codes.max()) + 1))
     t, delta, omega = rows["t"], rows["delta"], rows["omega"]
-    if not (len(rows) and np.isfinite(t).all() and np.isfinite(delta).all()
-            and np.isfinite(omega).all()):
-        return None
-    if "" in rank:
+    if lines is None and not (len(rows) and np.isfinite(t).all()
+                              and np.isfinite(delta).all()
+                              and np.isfinite(omega).all() and "" not in rank):
         return None
     ends = np.cumsum(np.bincount(codes))
     by_gen = np.argsort(codes, kind="stable")  # file order within each id
@@ -316,7 +387,20 @@ def _parse_bulk(path, speed_offset: float,
     increasing = np.diff(times) > 0.0
     increasing[ends[:-1] - 1] = True  # the steps from one id's rows to the next
     if not increasing.all():
-        return None
+        if lines is None:
+            return None
+        steps = np.flatnonzero(~increasing) + 1
+        k = steps[np.argmin(by_gen[steps])]  # the first in file order
+        at, gid = lines[by_gen[k]], rows["gen_id"][by_gen[k]]
+        if times[k] == times[k - 1]:
+            raise LyapstabError(f"line {at}: duplicate sample for generator "
+                                f"{gid!r} at t={float(times[k])!r}")
+        raise LyapstabError(
+            f"line {at}: timestamps for generator {gid!r} go backwards")
+    if held is not None:
+        raise held
+    if not len(rows):
+        raise LyapstabError("no samples after the header")
     angles, speeds = delta[by_gen], omega[by_gen] - speed_offset
     return [_trace(gid, times[a:b], angles[a:b], speeds[a:b])
             for gid, a, b in zip(rank, [0] + ends[:-1].tolist(), ends.tolist())]
@@ -338,84 +422,6 @@ def _trace(gid: str, times: np.ndarray, angles: np.ndarray,
             f"(> {MAX_GAP_FACTOR} * {dt:.6g} s)")
     return GeneratorTrace(gen_id=gid, t0=float(times[0]), dt=dt, angles=angles,
                           speeds=speeds, stamps=times)
-
-
-def _check_utf8(raw: str, lineno: int) -> None:
-    fault = utf8_fault(raw)
-    if fault:
-        raise LyapstabError(f"line {lineno}: {fault}")
-
-
-def _parse_lines(path, speed_offset: float = 0.0,
-                 until: float = math.inf) -> list[GeneratorTrace]:
-    """The line-by-line reader behind :func:`parse_traces`.
-
-    Reads every file the bulk pass reads, to the same traces, plus the few
-    that pass refuses but ``float`` reads; raises on every malformed file,
-    naming the first line at fault where a line is to blame.  Applies
-    ``until``'s stop rule row by row.
-    """
-    per_gen: dict[str, list[tuple[float, float, float]]] = {}
-    waiting = set()  # ids seen without a sample at or after until yet
-    t_first, may_stop = None, None  # whether the first two rows share a stamp
-    stuck = False  # some id has no sample before until
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        header = fh.readline()
-        _check_utf8(header, 1)
-        if header.rstrip("\n") != CSV_HEADER:
-            raise LyapstabError(f"line 1: expected header {CSV_HEADER!r}")
-        for lineno, raw in enumerate(fh, start=2):
-            _check_utf8(raw, lineno)
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise LyapstabError(
-                    f"line {lineno}: expected 4 fields, got {len(parts)}")
-            try:
-                t = float(parts[0])
-                angle = float(parts[2])
-                speed = float(parts[3])
-            except ValueError:
-                raise LyapstabError(
-                    f"line {lineno}: non-numeric field in {line!r}") from None
-            if not (math.isfinite(t) and math.isfinite(angle) and math.isfinite(speed)):
-                raise LyapstabError(f"line {lineno}: non-finite value")
-            gid = parts[1]
-            if not gid:
-                raise LyapstabError(f"line {lineno}: empty generator id")
-            if may_stop is None:
-                if t_first is None:
-                    t_first = t
-                else:
-                    may_stop = t == t_first
-            rows = per_gen.get(gid)
-            if rows is None:
-                per_gen[gid] = rows = []  # insertion order: first seen
-                waiting.add(gid)
-                stuck |= t >= until  # no sample before until: no R
-            else:
-                if t == rows[-1][0]:
-                    raise LyapstabError(
-                        f"line {lineno}: duplicate sample for generator "
-                        f"{gid!r} at t={t!r}")
-                if t < rows[-1][0]:
-                    raise LyapstabError(
-                        f"line {lineno}: timestamps for generator {gid!r} "
-                        "go backwards")
-            if t >= until:
-                waiting.discard(gid)
-            rows.append((t, angle, speed))
-            if may_stop and not (waiting or stuck):
-                break
-
-    if not per_gen:
-        raise LyapstabError("no samples after the header")
-    return [_trace(gid, np.array([r[0] for r in rows]),
-                   np.array([r[1] for r in rows]),
-                   np.array([r[2] for r in rows]) - speed_offset)
-            for gid, rows in per_gen.items()]
 
 
 # ---------------------------------------------------------------------------

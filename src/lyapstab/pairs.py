@@ -8,6 +8,7 @@ any common scaling of the disturbance leaves the selection unchanged.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -43,11 +44,17 @@ class SdgpTrace:
 
 
 def _id_key(gen_id: str):
-    """Sort key giving numeric ids numeric order, then lexicographic."""
+    """Sort key giving numeric ids numeric order, then lexicographic.
+
+    An id is numeric when ``float`` reads it as a number other than NaN: an
+    id such as ``nan`` compares false both ways with every number, so it
+    would make the order depend on the order of the ids.
+    """
     try:
-        return (0, float(gen_id), gen_id)
+        value = float(gen_id)
     except ValueError:
-        return (1, 0.0, gen_id)
+        value = math.nan
+    return (1, 0.0, gen_id) if math.isnan(value) else (0, value, gen_id)
 
 
 def identify_sdgp(data: AlignedDataset,

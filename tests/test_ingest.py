@@ -366,6 +366,41 @@ def test_bulk_and_line_parsers_agree_up_to_a_horizon(fuzz_path, case, offset,
         _assert_same_traces(got, want)
 
 
+def _reference_stop_row(rows, until):
+    """The stop rule of :func:`parse_traces`, row by row: the number of
+    ``(t, gen_id)`` rows up to and including R, or None."""
+    if len(rows) < 2 or not rows[1][0] == rows[0][0]:
+        return None
+    waiting, seen = set(), set()  # waiting: no sample at or after until yet
+    stuck = False  # some id has no sample before until
+    for n, (t, gid) in enumerate(rows, start=1):
+        if gid not in seen:
+            seen.add(gid)
+            waiting.add(gid)
+            stuck |= t >= until
+        if t >= until:
+            waiting.discard(gid)
+        if not (waiting or stuck):
+            return n
+    return None
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(case=trace_files(max_instants=12, shaped=True), until=UNTIL)
+def test_stop_row_matches_the_row_by_row_rule(case, until):
+    rows = []
+    for line in case[0].decode("utf-8", "replace").splitlines()[1:]:
+        fields = line.split(",")
+        try:
+            rows.append((float(fields[0]), fields[1]))
+        except (ValueError, IndexError):
+            pass  # a line with no time or no id is no row
+    _, codes = ingest._codes([gid for _, gid in rows])
+    t = np.array([t for t, _ in rows], dtype=float)
+    for at in (until, *t.tolist()):  # each stamp too: most files stop there
+        assert ingest._stop_row(t, codes, at) == _reference_stop_row(rows, at)
+
+
 # ---------------------------------------------------------------------------
 # reading up to a horizon
 # ---------------------------------------------------------------------------
@@ -418,6 +453,37 @@ def test_a_fault_before_the_stop_row_keeps_its_message(tmp_path, fault):
         with pytest.raises(LyapstabError) as early:
             parse_traces(path, until=until)
         assert str(early.value) == str(whole.value)
+
+
+# two faulty rows inserted at data row 10 (lines 12 and 13), after G1's
+# sample at 4/120 s; the first one's message
+FIRST_FAULT_WINS = {
+    "backwards-then-non-numeric": (
+        ["0.0,G1,0.1,0.0", "0.5,G2,abc,0.0"],
+        "line 12: timestamps for generator 'G1' go backwards"),
+    "non-numeric-then-backwards": (
+        ["0.5,G2,abc,0.0", "0.0,G1,0.1,0.0"],
+        "line 12: non-numeric field in '0.5,G2,abc,0.0'"),
+    "empty-id-then-duplicate": (
+        ["0.5,,0.1,0.0", f"{4 / 120!r},G1,0.1,0.0"],
+        "line 12: empty generator id"),
+    "duplicate-then-empty-id": (
+        [f"{4 / 120!r},G1,0.1,0.0", "0.5,,0.1,0.0"],
+        f"line 12: duplicate sample for generator 'G1' at t={4 / 120!r}"),
+}
+
+
+@pytest.mark.parametrize("case", list(FIRST_FAULT_WINS))
+def test_the_first_line_at_fault_wins_whatever_its_kind(tmp_path, case):
+    extra, message = FIRST_FAULT_WINS[case]
+    path = tmp_path / "two_faults.csv"
+    rows = _two_machine_file(path, extra, at=10)
+    assert rows[9].startswith(f"{4 / 120!r},G2,")
+    for parse in (parse_traces, _parse_lines):
+        for until in (math.inf, 1.0):  # the whole file, and R past both rows
+            with pytest.raises(LyapstabError) as exc:
+                parse(path, 0.0, until)
+            assert str(exc.value) == message
 
 
 def test_one_generator_at_the_first_instant_reads_the_whole_file(tmp_path):

@@ -1,5 +1,6 @@
 """Severely disturbed pair selection and sign-oriented pair traces."""
 
+import itertools
 import math
 
 import numpy as np
@@ -68,6 +69,18 @@ def test_identify_scale_invariance():
     for c in (0.01, 0.5, 7.0, 1234.0):
         scaled = {g: c * v for g, v in base.items()}
         assert identify_sdgp(dataset(scaled)) == ref
+
+
+@pytest.mark.parametrize("speeds, want", [
+    ({"2": 1.0, "nan": 0.9, "1": 0.8, "G0": 0.01},
+     [("1", "G0"), ("2", "G0"), ("nan", "G0")]),
+    ({"2": 1.0, "nan": 0.0, "1": 0.0}, [("2", "1")]),
+], ids=["severe-order", "least-tie"])
+def test_identify_ignores_the_order_of_the_ids(speeds, want):
+    # float("nan") is a number that compares false with every other one, so
+    # an id spelled "nan" sorts with the ids that are not numbers
+    for ids in itertools.permutations(speeds):
+        assert identify_sdgp(dataset({g: speeds[g] for g in ids})) == want
 
 
 def test_identify_warns_on_common_mode():
