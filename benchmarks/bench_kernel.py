@@ -5,10 +5,12 @@ few system sizes and horizons, at the steps a sample of 120 Hz output that
 simulate() takes by default (3 at its 360 Hz internal rate) and at one step
 a sample of 240 Hz output (as the ``assess-files`` benchmark workload
 simulates its input traces), then a full simulate() call on the
-shipped four-machine fixture.  The sizes are timed in rounds: each round
-runs every size once, starting one size later than the round before, so
-drift in the host's speed spreads over all sizes instead of reading as a
-size effect.  Prints the best and the median round per size.  Run from the
+shipped four-machine fixture.  The sizes include n = 3 to 6, on both sides
+of the crossover between the kernel's two formulations.  They are timed in
+rounds: each round runs every size once, starting one size later than the
+round before, so drift in the host's speed spreads over all sizes instead
+of reading as a size effect.  Prints the formulation ``rk4_swing`` picks
+for each size, and the best and the median round per size.  Run from the
 repository root:
 
     python3 benchmarks/bench_kernel.py [--repeats ROUNDS] [--against FILE]
@@ -36,7 +38,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from lyapstab._swing_numpy import rk4_swing  # noqa: E402
+from lyapstab._swing_numpy import formulation, rk4_swing  # noqa: E402
 from lyapstab.network import FaultSpec, load_network_file  # noqa: E402
 from lyapstab.simulator import DEFAULT_INTERNAL_RATE, simulate  # noqa: E402
 
@@ -61,8 +63,10 @@ def synthetic_system(n, seed=0):
 # simulate()'s default RK4 steps a sample of 120 Hz output
 STEPS = math.ceil(DEFAULT_INTERNAL_RATE / 120)
 # (machines, seconds of output, output rate in Hz, RK4 steps a sample)
-KERNEL_CASES = ((2, 10.0, 120, STEPS), (4, 10.0, 120, STEPS),
-                (10, 10.0, 120, STEPS), (12, 10.0, 120, STEPS),
+KERNEL_CASES = ((2, 10.0, 120, STEPS), (3, 10.0, 120, STEPS),
+                (4, 10.0, 120, STEPS), (5, 10.0, 120, STEPS),
+                (6, 10.0, 120, STEPS), (10, 10.0, 120, STEPS),
+                (12, 10.0, 120, STEPS),
                 (24, 10.0, 120, STEPS), (48, 10.0, 120, STEPS),
                 (4, 60.0, 120, STEPS), (4, 50.0, 240, 1))
 
@@ -123,14 +127,15 @@ def main():
     kernels = (rk4_swing,)
     if args.against:
         kernels += (load_kernel(args.against),)
-        print(f"{'workload':<32}{'best':>12}{'other best':>12}"
+        print(f"{'workload':<32}{'form':<18}{'best':>12}{'other best':>12}"
               f"{'ratio median (quartiles)':>30}{'faster':>9}")
     else:
-        print(f"{'workload':<32}{'best':>12}{'median':>12}")
+        print(f"{'workload':<32}{'form':<18}{'best':>12}{'median':>12}")
     for (n, seconds, rate, substeps), (t, *other) in time_kernel_rounds(
             args.repeats, kernels).items():
         label = f"rk4 n={n}, {seconds:.0f} s, {rate} Hz x {substeps}"
-        line = f"{label:<32}{min(t) * 1e3:>10.1f}ms"
+        form = formulation(n).__name__.removeprefix("rk4_")
+        line = f"{label:<32}{form:<18}{min(t) * 1e3:>10.1f}ms"
         if other:
             ratio = np.array(t) / np.array(other[0])
             q1, med, q3 = np.percentile(ratio, (25, 50, 75))

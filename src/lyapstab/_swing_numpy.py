@@ -1,4 +1,19 @@
-"""The swing-equation kernel: fixed-step RK4 in NumPy.
+"""The swing-equation kernel: fixed-step RK4 in NumPy, in two formulations.
+
+:func:`rk4_swing` is the one entry point.  It integrates the classical
+swing equations of the reduced network in the angle-difference form for up
+to ``ANGLE_DIFFERENCE_MAX_N`` machines and in the phasor form above that;
+the machine count alone picks the form (:func:`formulation`).  Both take
+the same RK4 steps of the same equations and differ only in rounding.
+
+NumPy call overhead, not arithmetic, dominates at the machine counts
+simulated, so each RK4 step of either form is laid out to need as few
+calls as possible.  The phasor form needs four a stage, 16 a step, and
+no product wider than the coupling itself; the angle-difference form
+needs two a stage, 8 a step, but its one product grows as ``n^4``.
+
+Phasor form
+-----------
 
 The electrical power of the reduced network,
 ``pe_i = E_i * sum_j E_j (G_ij cos(d_i - d_j) + B_ij sin(d_i - d_j))``,
@@ -19,13 +34,11 @@ rows scaled by ``minv``.  Written over real blocks, ``Zu`` is
 and ``minv * pe = cos(delta) * Re Zu + sin(delta) * Im Zu``.  ``Zr`` is
 formed once per call.
 
-NumPy call overhead, not arithmetic, dominates at the machine counts
-simulated, so each RK4 step is laid out to need as few calls as possible
-and no product wider than the coupling itself.  The integrated state keeps
-each angle twice, in blocks: ``x = [theta_a | theta_b | omega]`` with
-``theta_a = delta + pi/2`` and ``theta_b = delta``, so one ``np.sin`` of
-``[theta_a | theta_b]`` gives ``[cos delta | sin delta]``.  Stage ``s`` owns
-one row, ``9n`` wide, of a ``(4, 9n)`` stage buffer:
+The integrated state keeps each angle twice, in blocks:
+``x = [theta_a | theta_b | omega]`` with ``theta_a = delta + pi/2`` and
+``theta_b = delta``, so one ``np.sin`` of ``[theta_a | theta_b]`` gives
+``[cos delta | sin delta]``.  Stage ``s`` owns one row, ``9n`` wide, of a
+``(4, 9n)`` stage buffer:
 
     row = [ theta_a | theta_b | omega | c | s | q (3n) | g ]
 
@@ -73,22 +86,100 @@ buffer, so an odd ``substeps`` copies it back once per block (one
 the state's last two blocks, ``[theta_b | omega]``, read as ``(2, n)``:
 one row assignment into ``out`` a block.
 
-Each call's cost is almost all NumPy's per-call overhead, so the loop takes
-the cheapest path into the same C routines.  The products are the bound
-``ndarray.dot`` methods of ``Zr`` and the four stage matrices, bound once
-per call: ``np.dot`` first passes through the ``__array_function__``
-dispatcher, the method does not.  ``np.sin`` and ``np.multiply`` are
-bound as locals and given ``out`` positionally, which skips keyword
-parsing.  Every buffer and view the loop touches, including the record
-view, is made once per call, and the loop runs over both buffers' prebuilt
-stage arguments: at n = 2 to 24 on one vCPU of a 2-vCPU Xeon that cost
-1-2 % against writing the step out twice.
-
 A machine with ``minv == 0`` has all-zero rows in ``Zr`` and zero
 ``-damp minv`` and ``g`` entries, so its ``q`` and ``g`` entries are zero
 and the stencil gives it exactly zero acceleration: it never moves.  Its
 ``delta`` is recorded from ``theta_b``, so it stays exact;
 ``theta_a`` only feeds ``np.sin``.
+
+Angle-difference form
+---------------------
+
+Summed over machine pairs, the same power is the classical multimachine
+form (Kundur, *Power System Stability and Control*, 1994, ch. 13):
+
+    pe_i = E_i^2 G_ii + sum_{j != i} E_i E_j (G_ij cos d_ij + B_ij sin d_ij)
+
+with ``d_ij = d_i - d_j``.  A pair ``p = (i, j)``, ``i < j``, of the
+``P = n(n - 1)/2`` pairs has one angle ``d_p = d_ij = -d_ji``, so with
+``c_p = cos d_p`` and ``s_p = sin d_p`` it adds
+``E_i E_j (G_ij c_p + B_ij s_p)`` to ``pe_i`` and
+``E_i E_j (G_ji c_p - B_ji s_p)`` to ``pe_j``.  The accelerations
+``omega' = minv (pm - pe - damp omega)`` are therefore linear in the
+operand ``m = [omega | c | s | 1]``, and so are the slopes of the angles:
+``delta' = omega`` and ``d_p' = omega_i - omega_j = (D omega)_p``.  The
+state carries each pair angle twice, ``theta_a = d_p + pi/2`` and
+``theta_b = d_p``, so one ``np.sin`` of ``[theta_a | theta_b]`` gives
+``[c | s]``, and the slope of the whole state
+``x = [theta_a | theta_b | delta | omega]`` (``2P + 2n``) is ``L m`` for
+one constant matrix, formed once per call:
+
+        L = [  D    0    0   0 ]    theta_a
+            [  D    0    0   0 ]    theta_b
+            [  I    0    0   0 ]    delta
+            [ -dm  -Zc  -Zs  g ]    omega
+
+with ``dm = diag(damp minv)``, ``g = minv (pm - E^2 diag(G))``, and pair
+``p``'s columns of ``Zc`` and ``Zs`` non-zero in rows ``i`` and ``j``:
+``Zc_ip = minv_i E_i E_j G_ij``, ``Zc_jp = minv_j E_i E_j G_ji``,
+``Zs_ip = minv_i E_i E_j B_ij`` and ``Zs_jp = -minv_j E_i E_j B_ji``.
+
+Stage ``s`` owns one row, ``4P + 2n + 1`` wide, of a ``(4, 4P + 2n + 1)``
+stage buffer:
+
+    row = [ theta_a | theta_b | delta | omega | c | s | 1 ]
+
+so ``np.sin`` of ``row[:2P]`` writes ``[c | s]`` and ``row[2P + n:]`` is
+the operand ``m``.  As in the phasor form, each RK4 update is ``x`` plus
+``h`` times a weighted sum of the slopes so far, so it is one constant
+matrix times the flat view of rows ``0 .. s``: ``I`` on row 0's state plus
+``h a_r L`` on each row ``r``'s operand, a matrix-vector product that writes
+stage ``s + 1``'s state, pair angles included, or after the last stage the
+other buffer's first row.  A stage is that ``np.sin`` and that product:
+two calls, 8 a step.  The buffers take turns and an odd ``substeps`` copies
+back once per block as in the phasor form, and the record is the state's
+``[delta | omega]``, read as ``(2, n)``.  A restart (each ``simulate``
+phase and chunk) derives the pair angles afresh from ``delta``.
+
+A machine with ``minv == 0`` has an all-zero row in ``L``, so its
+``omega`` is exactly still.  Its ``delta`` is recorded from the ``delta``
+block, which only ``omega`` moves, so it stays exact; the pair angles only
+feed ``np.sin``.
+
+Both forms
+----------
+
+Each call's cost is almost all NumPy's per-call overhead, so the loop takes
+the cheapest path into the same C routines.  The products are the bound
+``ndarray.dot`` methods of ``Zr`` and of each form's four stage matrices,
+bound once per call: ``np.dot`` first passes through the
+``__array_function__`` dispatcher, the method does not.  ``np.sin`` and
+``np.multiply`` are bound as locals and given ``out`` positionally, which
+skips keyword parsing.  Every buffer and view the loop touches, including
+the record view, is made once per call, and the loop runs over both
+buffers' prebuilt stage arguments: at n = 2 to 24 on one vCPU of a 2-vCPU
+Xeon that cost 1-2 % against writing the step out twice.
+
+The angle-difference form makes ``P`` sines where the phasor form makes
+``n``, and its stage product has ``(2P + 2n)(s + 1)(4P + 2n + 1)``
+entries, ``O(n^4)``, against the phasor form's ``4n^2`` coupling and
+``27(s + 1)n`` stencil.  So the first wins only while the calls it saves
+outweigh that.  The time of the angle-difference form over the phasor
+form's, per one-second kernel call at 120 Hz output and 3 steps a sample
+(the chunk ``simulate`` makes), median of 15 rounds of
+``time_kernel_rounds`` of ``benchmarks/bench_kernel.py`` over the two forms,
+on one vCPU of a 2-vCPU Xeon with NumPy 2.4.6:
+
+    n        2      3      4      5      6      8      10
+    ratio   0.55   0.57   0.69   0.86   1.20   2.43   5.13
+
+The angle-difference form won 14 of the 15 rounds at n = 5 and none at
+n = 6 (13 and 2 of 15 on the other vCPU), so ``ANGLE_DIFFERENCE_MAX_N`` is
+5.  Each form wins on systems that are simulated: the angle-difference
+form on the 2-4 machine networks of the acceptance battery and ``sweep``,
+the phasor form on the 12-48 machine rings and anything paper-scale, where
+the angle-difference form's stage matrices alone would take tens of
+megabytes.  Neither can serve the other's range, so both stay.
 """
 
 import numpy as np
@@ -110,10 +201,18 @@ def _stage_matrices(weights):
     return slopes, np.eye(3, k)
 
 
-# The classical RK4 tableau: stage s + 1's state, then the step's end.
-_STAGES = [_stage_matrices(weights) for weights in
-           ((0.5,), (0.0, 0.5), (0.0, 0.0, 1.0),
-            (1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0))]
+# The classical RK4 tableau: row s weights the slopes of stages 0 .. s into
+# stage s + 1's state, and the last row gives the step's end.
+_TABLEAU = np.array([[0.5, 0.0, 0.0, 0.0],
+                     [0.0, 0.5, 0.0, 0.0],
+                     [0.0, 0.0, 1.0, 0.0],
+                     [1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0]])
+_STAGES = [_stage_matrices(weights[:s + 1])
+           for s, weights in enumerate(_TABLEAU)]
+
+
+# The most machines the angle-difference form runs: the measured crossover.
+ANGLE_DIFFERENCE_MAX_N = 5
 
 
 def backend_name() -> str:
@@ -132,8 +231,91 @@ def rk4_swing(delta, omega, minv, damp, pm, emf, G, B, h, n_blocks, substeps,
     goes on with non-finite values, and the caller finds the first
     non-finite row.
 
-    Machines with ``minv == 0`` (infinite inertia) never move.
+    Machines with ``minv == 0`` (infinite inertia) never move.  The
+    machine count alone picks the formulation (:func:`formulation`).
     """
+    formulation(len(delta))(delta, omega, minv, damp, pm, emf, G, B, h,
+                            n_blocks, substeps, out)
+
+
+def formulation(n):
+    """The formulation :func:`rk4_swing` runs for ``n`` machines."""
+    return rk4_angle_difference if n <= ANGLE_DIFFERENCE_MAX_N else rk4_phasor
+
+
+def _plan(stages, substeps):
+    """One block's stages: ``substeps`` steps, each reading the buffer the
+    step before wrote, from the eight stages of the two buffers."""
+    steps = [stages[:4], stages[4:]]
+    return steps * (substeps // 2) + steps[:substeps % 2]
+
+
+def rk4_angle_difference(delta, omega, minv, damp, pm, emf, G, B, h,
+                         n_blocks, substeps, out):
+    """:func:`rk4_swing` with the power summed over pair angles."""
+    n = len(delta)
+    machines = np.arange(n)
+    i, j = np.nonzero(machines[:, None] < machines)  # the pairs, i < j
+    p = len(i)
+    pairs = np.arange(p)
+    state = 2 * p + 2 * n  # [theta_a | theta_b | delta | omega]
+    lead = 2 * p + n  # the operand [omega | c | s | 1] starts at omega
+    width = state + 2 * p + 1
+    scale = (minv * emf)[:, None] * emf[None, :]
+    zg, zb = scale * G, scale * B
+    # the slope of the state blocks (rows) from the operand (columns)
+    L = np.zeros((state, width - lead))
+    L[pairs, i] = L[p + pairs, i] = 1.0
+    L[pairs, j] = L[p + pairs, j] = -1.0
+    L[2 * p + machines, machines] = 1.0
+    accel = L[lead:]
+    accel[machines, machines] = -(damp * minv)
+    accel[i, n + pairs] = -zg[i, j]
+    accel[j, n + pairs] = -zg[j, i]
+    accel[i, n + p + pairs] = -zb[i, j]
+    accel[j, n + p + pairs] = zb[j, i]
+    accel[:, -1] = minv * pm - np.diagonal(zg)
+    # stage s: I on the state of row 0 plus h a_r L on each row r's operand
+    mats = np.zeros((4, state, 4, width))
+    mats[..., lead:] = (h * _TABLEAU)[:, None, :, None] * L[:, None, :]
+    mats[:, :, 0, :state] += np.eye(state)
+    mats = mats.reshape(4, state, 4 * width)
+    stage_dots = [mats[s, :, :(s + 1) * width].copy().dot for s in range(4)]
+    bufs = np.empty((2, 4, width))  # two stage buffers, taking turns
+    bufs[:, :, -1] = 1.0
+    x, x_other = bufs[:, 0, :state]
+    d = delta[i] - delta[j]
+    x[:p] = d + np.pi / 2
+    x[p:2 * p] = d
+    x[2 * p:lead] = delta
+    x[lead:] = omega
+    record = x[2 * p:].reshape(2, n)
+    rows = bufs.reshape(8, width)
+    heads = list(rows[:, :state])
+    reads = bufs.reshape(2, 4 * width)
+    # as in the phasor form, stage s of buffer b is row 4b + s
+    stages = list(zip(stage_dots * 2, rows[:, :2 * p],
+                      rows[:, state:state + 2 * p],
+                      [reads[b, :(s + 1) * width]
+                       for b in (0, 1) for s in range(4)],
+                      heads[1:] + heads[:1]))
+    plan = _plan(stages, substeps)
+    odd = substeps % 2
+    sin = np.sin
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in range(n_blocks):
+            for step in plan:
+                for stage_dot, th, cs, read, write in step:
+                    sin(th, cs)
+                    stage_dot(read, write)
+            if odd:
+                np.copyto(x, x_other)
+            out[block] = record
+
+
+def rk4_phasor(delta, omega, minv, damp, pm, emf, G, B, h, n_blocks,
+               substeps, out):
+    """:func:`rk4_swing` with the power in phasor form."""
     n = len(delta)
     scale = (minv * emf)[:, None] * emf[None, :]
     re_z, im_z = scale * G, scale * B
@@ -161,8 +343,7 @@ def rk4_swing(delta, omega, minv, damp, pm, emf, G, B, h, n_blocks, substeps,
                       rows[:, 2 * n:5 * n], rows[:, 5 * n:8 * n],
                       [reads[b, :9 * s + 9] for b in (0, 1) for s in range(4)],
                       heads[1:] + heads[:1]))
-    steps = [stages[:4], stages[4:]]
-    plan = steps * (substeps // 2) + steps[:substeps % 2]
+    plan = _plan(stages, substeps)
     odd = substeps % 2
     zbuf = np.empty(3 * n)
     zbuf[:n] = -(damp * minv)

@@ -349,6 +349,18 @@ UNTIL = st.one_of(st.sampled_from([-1.0, 100.0, math.inf]),
                   st.integers(0, 12).map(lambda k: (k + 0.5) / 120.0))
 
 
+def _time_id_rows(raw):
+    """The ``(t, gen_id)`` of every line of ``raw`` that has both."""
+    rows = []
+    for line in raw.decode("utf-8", "replace").splitlines()[1:]:
+        fields = line.split(",")
+        try:
+            rows.append((float(fields[0]), fields[1]))
+        except (ValueError, IndexError):
+            pass  # a line with no time or no id is no row
+    return rows
+
+
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @given(case=trace_files(max_instants=12, shaped=True),
        offset=st.sampled_from([0.0, 376.99111843077515]), until=UNTIL)
@@ -356,14 +368,17 @@ def test_bulk_and_line_parsers_agree_up_to_a_horizon(fuzz_path, case, offset,
                                                      until):
     raw, malformed = case
     fuzz_path.write_bytes(raw)
-    want = _outcome(_parse_lines, fuzz_path, offset, until)
-    got = _outcome(parse_traces, fuzz_path, offset, until)
-    if until > 1.0 and malformed is not None:  # past every stamp: read whole
-        assert isinstance(want, LyapstabError) == malformed
-    if isinstance(want, LyapstabError):
-        assert type(got) is type(want) and str(got) == str(want)
-    else:
-        _assert_same_traces(got, want)
+    # each of the file's own stamps too: most files that stop, stop at one
+    stamps = sorted({t for t, _ in _time_id_rows(raw) if math.isfinite(t)})
+    for at in (until, *stamps):
+        want = _outcome(_parse_lines, fuzz_path, offset, at)
+        got = _outcome(parse_traces, fuzz_path, offset, at)
+        if at > 1.0 and malformed is not None:  # past every stamp: whole
+            assert isinstance(want, LyapstabError) == malformed
+        if isinstance(want, LyapstabError):
+            assert type(got) is type(want) and str(got) == str(want)
+        else:
+            _assert_same_traces(got, want)
 
 
 def _reference_stop_row(rows, until):
@@ -388,13 +403,7 @@ def _reference_stop_row(rows, until):
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @given(case=trace_files(max_instants=12, shaped=True), until=UNTIL)
 def test_stop_row_matches_the_row_by_row_rule(case, until):
-    rows = []
-    for line in case[0].decode("utf-8", "replace").splitlines()[1:]:
-        fields = line.split(",")
-        try:
-            rows.append((float(fields[0]), fields[1]))
-        except (ValueError, IndexError):
-            pass  # a line with no time or no id is no row
+    rows = _time_id_rows(case[0])
     _, codes = ingest._codes([gid for _, gid in rows])
     t = np.array([t for t, _ in rows], dtype=float)
     for at in (until, *t.tolist()):  # each stamp too: most files stop there

@@ -106,6 +106,23 @@ def test_fault_times_must_be_finite(smib, t_fault, t_clear):
         fault.validate(smib)
 
 
+def test_lone_infinite_bus_stays_flat(tmp_path):
+    # A network of only an infinite bus loads and simulates: one machine and
+    # no machine pairs, which never moves and so is stable.
+    path = tmp_path / "lone.net"
+    path.write_text("[system]\nbase_mva = 100.0\nfrequency_hz = 60.0\n\n"
+                    "[buses]\n1\n\n[infinite_bus]\n1  1.0  0.0001\n",
+                    encoding="utf-8")
+    model = load_network_file(path)
+    fault = FaultSpec(bus="1", t_fault=0.1, t_clear=0.2)
+    traces = simulate(model, fault, dt=DT, horizon=6.0)
+    assert len(traces) == 1
+    tr = traces[0]
+    assert len(tr) == round(6.0 / DT) + 1 and not tr.diverged
+    assert np.all(tr.angles == 0.0) and np.all(tr.speeds == 0.0)
+    assert stability_oracle(traces, window=5.0) == STABLE
+
+
 # ---------------------------------------------------------------------------
 # integration accuracy
 # ---------------------------------------------------------------------------
