@@ -6,12 +6,17 @@ simulate() takes by default (3 at its 360 Hz internal rate) and at one step
 a sample of 240 Hz output (as the ``assess-files`` benchmark workload
 simulates its input traces), then a full simulate() call on the
 shipped four-machine fixture.  The sizes include n = 3 to 6, on both sides
-of the crossover between the kernel's two formulations.  They are timed in
-rounds: each round runs every size once, starting one size later than the
-round before, so drift in the host's speed spreads over all sizes instead
-of reading as a size effect.  Prints the formulation ``rk4_swing`` picks
-for each size, and the best and the median round per size.  Run from the
-repository root:
+of the crossover between the kernel's two formulations, and one-second
+calls at n = 2 to 6, the chunk simulate() hands the kernel, where the
+per-call set-up shows.  They are timed in rounds: each round runs every
+size once, starting one size later than the round before, so drift in the
+host's speed spreads over all sizes instead of reading as a size effect.
+Prints the formulation ``rk4_swing`` picks for each size, and the best and
+the median round per size.  Then it times both formulations on one-second
+calls at n = 2 to 10, in rounds the same way, and prints the crossover
+table: per size, the median, quartiles and win count of the per-round
+ratio, the angle-difference form's time over the phasor form's.  Run from
+the repository root:
 
     python3 benchmarks/bench_kernel.py [--repeats ROUNDS] [--against FILE]
 
@@ -38,7 +43,9 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from lyapstab._swing_numpy import formulation, rk4_swing  # noqa: E402
+from lyapstab._swing_numpy import (formulation,  # noqa: E402
+                                   rk4_angle_difference, rk4_phasor,
+                                   rk4_swing)
 from lyapstab.network import FaultSpec, load_network_file  # noqa: E402
 from lyapstab.simulator import DEFAULT_INTERNAL_RATE, simulate  # noqa: E402
 
@@ -68,7 +75,10 @@ KERNEL_CASES = ((2, 10.0, 120, STEPS), (3, 10.0, 120, STEPS),
                 (6, 10.0, 120, STEPS), (10, 10.0, 120, STEPS),
                 (12, 10.0, 120, STEPS),
                 (24, 10.0, 120, STEPS), (48, 10.0, 120, STEPS),
-                (4, 60.0, 120, STEPS), (4, 50.0, 240, 1))
+                (4, 60.0, 120, STEPS), (4, 50.0, 240, 1)) + tuple(
+                    (n, 1.0, 120, STEPS) for n in range(2, 7))
+# one-second calls, on both sides of the crossover
+FORM_CASES = tuple((n, 1.0, 120, STEPS) for n in (2, 3, 4, 5, 6, 8, 10))
 
 
 def load_kernel(path):
@@ -91,17 +101,26 @@ def time_kernel(kernel, n, seconds, rate, substeps):
     return time.perf_counter() - start
 
 
-def time_kernel_rounds(rounds, kernels):
+def time_kernel_rounds(rounds, kernels, cases=KERNEL_CASES):
     """Per case, each kernel's time in each round; round r starts at case r
     and runs the kernels in reversed order when r is odd."""
-    times = {case: [[] for _ in kernels] for case in KERNEL_CASES}
+    times = {case: [[] for _ in kernels] for case in cases}
     for r in range(rounds):
-        k = r % len(KERNEL_CASES)
+        k = r % len(cases)
         order = list(enumerate(kernels))[::-1 if r % 2 else 1]
-        for case in KERNEL_CASES[k:] + KERNEL_CASES[:k]:
+        for case in cases[k:] + cases[:k]:
             for i, kernel in order:
                 times[case][i].append(time_kernel(kernel, *case))
     return times
+
+
+def ratio_columns(t, other):
+    """The median and quartiles of the per-round ratio ``t / other``, and
+    the rounds in which ``t`` was faster."""
+    ratio = np.array(t) / np.array(other)
+    q1, med, q3 = np.percentile(ratio, (25, 50, 75))
+    return (f"{med:>14.3f} ({q1:.3f}-{q3:.3f})"
+            f"{(ratio < 1).sum():>6}/{len(ratio)}")
 
 
 def time_simulate(repeats):
@@ -137,13 +156,18 @@ def main():
         form = formulation(n).__name__.removeprefix("rk4_")
         line = f"{label:<32}{form:<18}{min(t) * 1e3:>10.1f}ms"
         if other:
-            ratio = np.array(t) / np.array(other[0])
-            q1, med, q3 = np.percentile(ratio, (25, 50, 75))
-            line += (f"{min(other[0]) * 1e3:>10.1f}ms{med:>14.3f} "
-                     f"({q1:.3f}-{q3:.3f}){(ratio < 1).sum():>6}/{len(ratio)}")
+            line += f"{min(other[0]) * 1e3:>10.1f}ms{ratio_columns(t, *other)}"
         else:
             line += f"{np.median(t) * 1e3:>10.1f}ms"
         print(line)
+
+    print()
+    print(f"{'crossover, 1 s at 120 Hz x 3':<32}{'angle-difference / phasor':>30}"
+          f"{'faster':>9}")
+    for (n, *_), times in time_kernel_rounds(
+            args.repeats, (rk4_angle_difference, rk4_phasor),
+            FORM_CASES).items():
+        print(f"{f'n={n}':<32}{ratio_columns(*times)}")
 
     print()
     t = time_simulate(args.repeats)

@@ -22,7 +22,7 @@ from lyapstab.assess import (PENDING, SKIPPED, STABLE, SYSTEM_STABLE,
                              UNSTABLE_MULTI_SWING, PairAssessor, PairVerdict,
                              aggregate, run_assessment)
 from lyapstab.errors import LyapstabError
-from lyapstab.ingest import ASSESSMENT_RATE, EventMeta, align
+from lyapstab.ingest import ASSESSMENT_RATE, AlignedDataset, EventMeta, align
 from lyapstab.mle import LineFit, iter_mle
 from lyapstab.network import FaultSpec, load_network_file
 from lyapstab.simulator import simulate, stability_oracle
@@ -220,6 +220,8 @@ class CaseResult:
     pair_params: tuple  # (pattern, w, m_n, peak_lambda) per pair
     # system verdict of the same simulation re-aligned at each LOW_RATES rate
     low_rate_verdicts: dict
+    meta: EventMeta
+    dataset: AlignedDataset  # the simulation aligned at ASSESSMENT_RATE
 
 
 def _battery_families():
@@ -264,8 +266,7 @@ GRID_CLEARING_TIMES = tuple(round(0.12 + 0.02 * k, 2) for k in range(25))
 LOW_RATES = (60.0, 30.0)  # Hz: PMU reporting rates below the 120 Hz grid
 
 
-def _assess(traces, meta, rate=ASSESSMENT_RATE):
-    dataset = align(traces, meta, rate=rate)
+def _assess(dataset, meta):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return run_assessment(dataset, meta)
@@ -280,7 +281,8 @@ def _run_cases(cases):
         traces = simulate(model, fault, dt=DT, horizon=horizon)
         oracle = stability_oracle(traces, window=window)
         meta = EventMeta(t_fault=0.1, t_clear=tc, faulted_element=bus)
-        report = _assess(traces, meta)
+        dataset = align(traces, meta)
+        report = _assess(dataset, meta)
         results.append(CaseResult(
             label=f"{label}@{tc:.3f}", oracle=oracle,
             verdict=report.system.status,
@@ -290,8 +292,10 @@ def _run_cases(cases):
             pair_params=tuple((v.pattern.value if v.pattern else None,
                                v.w, v.m_n, v.peak_lambda)
                               for v in report.pairs),
-            low_rate_verdicts={rate: _assess(traces, meta, rate).system.status
-                               for rate in LOW_RATES}))
+            low_rate_verdicts={
+                rate: _assess(align(traces, meta, rate=rate), meta).system.status
+                for rate in LOW_RATES},
+            meta=meta, dataset=dataset))
     return results, time.perf_counter() - start
 
 
@@ -405,6 +409,53 @@ def test_dense_grid_agreement(dense_grid, rate):
          f"{detail}; first UNSTABLE clearing time per family, oracle / "
          f"assessed: {cct}",
          elapsed)
+
+
+# Decided grid cases whose verdict is dated before the data that decided it
+# (ROADMAP item 4): the classifier decides Pattern I by its 2 s escape, and
+# the fit then freezes UNSTABLE at 0.208 s over history already buffered.
+# Cut at that time, the data leaves the pair undetermined.
+DATED_BEFORE_ITS_DATA = ("two-negD@0.540", "two-negD@0.560", "two-negD@0.580",
+                         "two-negD@0.600")
+
+
+@pytest.mark.parametrize("results, cases", [
+    ("battery", "all"),
+    ("dense_grid", "all"),
+    pytest.param("dense_grid", "dated", marks=pytest.mark.xfail(
+        strict=True, reason=(
+            "the verdict is dated before the classifier's decision: "
+            f"{', '.join(DATED_BEFORE_ITS_DATA)} go from UNSTABLE at "
+            "0.208 s to UNDETERMINED"))),
+], ids=lambda value: value.replace("_", "-"))
+def test_verdict_survives_a_cut_right_after_its_decision(request, results,
+                                                         cases):
+    """An online assessor knows the verdict at its decision time: cut the
+    aligned 120 Hz data right after the system's decision sample and assess
+    again, and the system status and decision time stay the same.  ``all``
+    is every decided case but ``DATED_BEFORE_ITS_DATA``; ``dated`` is
+    those."""
+    results, _ = request.getfixturevalue(results)
+    start = time.perf_counter()
+    decided = [r for r in results
+               if r.verdict in (SYSTEM_STABLE, SYSTEM_UNSTABLE)
+               and (r.label in DATED_BEFORE_ITS_DATA) == (cases == "dated")]
+    moved = []
+    for r in decided:
+        d = r.dataset
+        end = round(r.decision_time * d.rate) + 1
+        cut = AlignedDataset(d.gen_ids, d.angles[:, :end], d.speeds[:, :end],
+                             d.grid_offset, d.rate)
+        system = _assess(cut, r.meta).system
+        if (system.status, system.decision_time) != (r.verdict,
+                                                     r.decision_time):
+            moved.append(f"{r.label}: {r.verdict} at {r.decision_time:.3f} s "
+                         f"-> {system.status} at {system.decision_time:.3f} s")
+    gate(6, f"verdicts cut at their decision ({cases})",
+         bool(decided) and not moved,
+         f"{len(decided) - len(moved)}/{len(decided)} decided cases keep "
+         f"status and decision time" + (f"; moved: {moved}" if moved else ""),
+         time.perf_counter() - start)
 
 
 def test_criterion_6_decision_latencies(battery):

@@ -274,6 +274,26 @@ SPELLINGS = (repr, "{:.3e}".format, " {!r} ".format, "{:+.6f}".format)
 NOT_UTF8 = (b"\xff", b"\xc3", b"\xed\xa0\x80")
 
 
+def _time_major_rows(draw, min_ids, max_instants):
+    """The rows of a well-formed time-major file: one per instant and id."""
+    ids = draw(st.lists(st.sampled_from(GEN_IDS), min_size=min_ids,
+                        max_size=3, unique=True))
+    number = st.floats(-1e3, 1e3, allow_nan=False)
+    rows = [[repr(k / 120.0), gid, draw(st.sampled_from(SPELLINGS))(draw(number)),
+             draw(st.sampled_from(SPELLINGS))(draw(number))]
+            for k in range(draw(st.integers(2, max_instants))) for gid in ids]
+    return ids, rows
+
+
+def _shape(draw, rows):
+    """Draws shape edits into ``rows``: None if it made one, else False."""
+    malformed = False
+    for shape in draw(st.lists(st.sampled_from(SHAPES), max_size=2)):
+        shape(draw, rows)
+        malformed = None
+    return malformed
+
+
 @st.composite
 def trace_files(draw, max_instants=4, shaped=False):
     """(file bytes, malformed): a small well-formed file plus mutations.
@@ -281,19 +301,10 @@ def trace_files(draw, max_instants=4, shaped=False):
     With ``shaped``, shape edits are drawn too, and ``malformed`` is None
     where one may have made the file an error.
     """
-    ids = draw(st.lists(st.sampled_from(GEN_IDS), min_size=1, max_size=3,
-                        unique=True))
-    number = st.floats(-1e3, 1e3, allow_nan=False)
-    rows = [[repr(k / 120.0), gid, draw(st.sampled_from(SPELLINGS))(draw(number)),
-             draw(st.sampled_from(SPELLINGS))(draw(number))]
-            for k in range(draw(st.integers(2, max_instants))) for gid in ids]
+    ids, rows = _time_major_rows(draw, 1, max_instants)
     if draw(st.booleans()):  # block layout
         rows.sort(key=lambda row: ids.index(row[1]))
-    malformed = False
-    if shaped:
-        for shape in draw(st.lists(st.sampled_from(SHAPES), max_size=2)):
-            shape(draw, rows)
-            malformed = None
+    malformed = _shape(draw, rows) if shaped else False
     # at most two, and no more than the intact rows that shape edits left,
     # so that each one still finds an intact row to edit, and distinct, so
     # that a second swap cannot undo the first; _empty_id goes last, since
@@ -315,6 +326,18 @@ def trace_files(draw, max_instants=4, shaped=False):
         raw = raw[:at] + draw(st.sampled_from(NOT_UTF8)) + raw[at:]
         malformed = True
     return raw, malformed
+
+
+@st.composite
+def time_major_files(draw, max_instants=12):
+    """(file bytes, malformed): a time-major file of two or more generators
+    with LF line endings, with shape edits but no mutations, so that reads
+    up to a horizon reach the stop rule's row R far more often than
+    ``trace_files`` does; ``malformed`` as there."""
+    _, rows = _time_major_rows(draw, 2, max_instants)
+    malformed = _shape(draw, rows)
+    lines = [CSV_HEADER] + [",".join(row) for row in rows]
+    return ("\n".join(lines) + "\n").encode("utf-8"), malformed
 
 
 @pytest.fixture(scope="module")
@@ -379,6 +402,16 @@ def test_bulk_and_line_parsers_agree_up_to_a_horizon(fuzz_path, case, offset,
             assert type(got) is type(want) and str(got) == str(want)
         else:
             _assert_same_traces(got, want)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(case=time_major_files(),
+       offset=st.sampled_from([0.0, 376.99111843077515]), until=UNTIL)
+def test_bulk_and_line_parsers_agree_up_to_a_horizon_on_time_major_files(
+        fuzz_path, case, offset, until):
+    """The horizon fuzz's assertions on files whose reads mostly reach R."""
+    test_bulk_and_line_parsers_agree_up_to_a_horizon.hypothesis.inner_test(
+        fuzz_path, case, offset, until)
 
 
 def _reference_stop_row(rows, until):
