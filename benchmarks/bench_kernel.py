@@ -12,11 +12,13 @@ per-call set-up shows.  They are timed in rounds: each round runs every
 size once, starting one size later than the round before, so drift in the
 host's speed spreads over all sizes instead of reading as a size effect.
 Prints the formulation ``rk4_swing`` picks for each size, and the best and
-the median round per size.  Then it times both formulations on one-second
-calls at n = 2 to 10, in rounds the same way, and prints the crossover
-table: per size, the median, quartiles and win count of the per-round
-ratio, the angle-difference form's time over the phasor form's.  Run from
-the repository root:
+the median round per size.  Then it prints the per-call set-up, the best
+round of the mean of 20 calls that record nothing (``n_blocks = 0``), at
+n = 2 to 6, 12 and 48, in the formulation ``rk4_swing`` picks.  Then it
+times both formulations on one-second calls at n = 2 to 10, in rounds the
+same way, and prints the crossover table: per size, the median, quartiles
+and win count of the per-round ratio, the angle-difference form's time
+over the phasor form's.  Run from the repository root:
 
     python3 benchmarks/bench_kernel.py [--repeats ROUNDS] [--against FILE]
 
@@ -27,9 +29,10 @@ That kernel must take the same arguments as this one, a single
 compare ``simulate()`` instead.  In every round each size runs both
 kernels back to back, the order swapping from round to round.  Per size
 it prints both kernels' best and the median, quartiles and win count of
-the per-round ratio, this kernel's time over the other's.  The host's speed drifts between processes far more
-than within one pair of back-to-back runs, so only these ratios can carry
-a per-size comparison.
+the per-round ratio, this kernel's time over the other's, and both kernels'
+set-up.  The host's speed drifts between processes far more than within
+one pair of back-to-back runs, so only these ratios can carry a per-size
+comparison.
 """
 
 import argparse
@@ -77,6 +80,8 @@ KERNEL_CASES = ((2, 10.0, 120, STEPS), (3, 10.0, 120, STEPS),
                 (24, 10.0, 120, STEPS), (48, 10.0, 120, STEPS),
                 (4, 60.0, 120, STEPS), (4, 50.0, 240, 1)) + tuple(
                     (n, 1.0, 120, STEPS) for n in range(2, 7))
+# calls that record nothing, 20 a round: the per-call set-up alone
+SETUP_CASES = tuple((n, 0.0, 120, STEPS, 20) for n in (2, 3, 4, 5, 6, 12, 48))
 # one-second calls, on both sides of the crossover
 FORM_CASES = tuple((n, 1.0, 120, STEPS) for n in (2, 3, 4, 5, 6, 8, 10))
 
@@ -89,16 +94,18 @@ def load_kernel(path):
     return module.rk4_swing
 
 
-def time_kernel(kernel, n, seconds, rate, substeps):
-    """Seconds for one kernel call: n machines, ``substeps`` RK4 steps per
-    sample of ``rate`` Hz output."""
+def time_kernel(kernel, n, seconds, rate, substeps, calls=1):
+    """Seconds per kernel call, the mean of ``calls`` calls: n machines,
+    ``substeps`` RK4 steps per sample of ``rate`` Hz output."""
     h = 1.0 / (rate * substeps)
     n_blocks = int(seconds * rate)
     delta, omega, minv, damp, pm, emf, G, B = synthetic_system(n)
     out = np.empty((n_blocks, 2, n))
     start = time.perf_counter()
-    kernel(delta, omega, minv, damp, pm, emf, G, B, h, n_blocks, substeps, out)
-    return time.perf_counter() - start
+    for _ in range(calls):
+        kernel(delta, omega, minv, damp, pm, emf, G, B, h, n_blocks, substeps,
+               out)
+    return (time.perf_counter() - start) / calls
 
 
 def time_kernel_rounds(rounds, kernels, cases=KERNEL_CASES):
@@ -160,6 +167,15 @@ def main():
         else:
             line += f"{np.median(t) * 1e3:>10.1f}ms"
         print(line)
+
+    print()
+    print(f"{'set-up, 120 Hz x 3, 0 blocks':<32}{'form':<18}{'best':>12}"
+          + (f"{'other best':>12}" if args.against else ""))
+    for (n, *_), times in time_kernel_rounds(
+            args.repeats, kernels, SETUP_CASES).items():
+        form = formulation(n).__name__.removeprefix("rk4_")
+        print(f"{f'n={n}':<32}{form:<18}"
+              + "".join(f"{min(t) * 1e6:>10.1f}us" for t in times))
 
     print()
     print(f"{'crossover, 1 s at 120 Hz x 3':<32}{'angle-difference / phasor':>30}"

@@ -37,17 +37,16 @@ copy the overlapping ``out``, which costs more than the product itself at
 small ``n``.  So two stage buffers take turns: a step that reads one
 writes the new state into the other's first row, and the next step reads
 that one.  After an odd number of steps the state sits in the second
-buffer, so an odd ``substeps`` copies it back once per block (one
-``np.copyto``) before it is recorded.  The record ``[delta | omega]`` is
-a ``(2, n)`` view of the state's last two blocks: one row assignment into
-``out`` a block.
+buffer, so with an odd ``substeps`` a block ends with one ``np.copyto``
+back into the first.  The record ``[delta | omega]`` is a ``(2, n)`` view
+of the state's last two blocks: one row assignment into ``out`` a block.
 
-``_stages`` builds the buffers and the stage products for both forms.  An
-entry of the angle-difference form's rows is one number; an entry of the
-phasor form's rows is a block of ``n``, one number a machine, so its rows
-read as ``(9, n)`` matrices and its stage products are matrix products
-over all machines at once.  What each form adds is its state and operand,
-its ``S`` and the calls that fill the operand.
+``_stages`` builds the buffers, the stage products and each buffer's step
+for both forms.  An entry of the angle-difference form's rows is one
+number; an entry of the phasor form's rows is a block of ``n``, one number
+a machine, so its rows read as ``(9, n)`` matrices and its stage products
+are matrix products over all machines at once.  What each form adds is its
+state and operand, its ``S`` and the calls that fill the operand.
 
 Phasor form
 -----------
@@ -157,15 +156,26 @@ Both forms
 ----------
 
 Each call's cost is almost all NumPy's per-call overhead, so the loop takes
-the cheapest path into the same C routines.  The products are the bound
-``ndarray.dot`` methods of ``Zr`` and of the four stage matrices, bound
-once per call: ``np.dot`` first passes through the
-``__array_function__`` dispatcher, the method does not.  ``np.sin`` and
-``np.multiply`` are bound as locals and given ``out`` positionally, which
-skips keyword parsing.  Every buffer and view the loop touches, including
-the record view, is made once per call, and the loop runs over both
-buffers' prebuilt stage arguments: at n = 2 to 24 on one vCPU of a 2-vCPU
-Xeon that cost 1-2 % against writing the step out twice.
+the cheapest path into the same C routines.  Every NumPy call of a step is
+a ``functools.partial`` made once per kernel call, with all its arguments
+bound and ``out`` given positionally, which skips keyword parsing: the
+calls that fill a stage's operand (``np.sin``; in the phasor form also
+``Zr.dot`` and ``np.multiply``), then the stage product.  The products are
+the bound ``ndarray.dot`` methods of ``Zr`` and of the four stage
+matrices: ``np.dot`` first passes through the ``__array_function__``
+dispatcher, the method does not.  ``_stages`` lays each buffer's step out
+as one flat list of these calls, and ``_integrate`` joins ``substeps``
+alternating steps into one list, a block, whose last call for an odd
+``substeps`` is the ``np.copyto`` back into the first buffer.  One loop
+serves both forms: it runs a block's calls in order and assigns the record
+view into ``out``.  Against a loop written out per form, which unpacks
+prebuilt stage tuples and makes the calls itself, with the same output bit
+for bit, the per-size median time ratio was 0.95-1.04 at n = 2 to 48 in
+four runs of ``benchmarks/bench_kernel.py --repeats 15 --against`` on one
+vCPU of a 2-vCPU Xeon with NumPy 2.4.6, inside the spread between runs.
+The per-call set-up, which makes the partials, grew by 4-10 us (3-10 % in
+the angle-difference form, 14-22 % in the phasor form), under 0.4 % of a
+one-second call.
 
 The angle-difference form makes ``P`` sines where the phasor form makes
 ``n``, and its stage product has ``(2P + 2n)(s + 1)(4P + 2n + 1)``
@@ -181,12 +191,15 @@ vCPU of a 2-vCPU Xeon with NumPy 2.4.6:
     ratio   0.53   0.59   0.68   0.89   1.30   2.42   5.89
 
 The angle-difference form won 13 of the 15 rounds at n = 5 and 2 at
-n = 6, on each of the two vCPUs, so ``ANGLE_DIFFERENCE_MAX_N`` is 5.  Each form wins on systems that are simulated: the angle-difference
-form on the 2-4 machine networks of the acceptance battery and ``sweep``,
+n = 6, on each of the two vCPUs, so ``ANGLE_DIFFERENCE_MAX_N`` is 5.
+Each form wins on systems that are simulated: the angle-difference form on
+the 2-4 machine networks of the acceptance battery and ``sweep``,
 the phasor form on the 12-48 machine rings and anything paper-scale, where
 the angle-difference form's stage matrices alone would take tens of
 megabytes.  Neither can serve the other's range, so both stay.
 """
+
+from functools import partial
 
 import numpy as np
 
@@ -236,13 +249,15 @@ def formulation(n):
     return rk4_angle_difference if n <= ANGLE_DIFFERENCE_MAX_N else rk4_phasor
 
 
-def _stages(slope, state, lead, h, cols=()):
-    """The two stage buffers, ``(2, 4, width) + cols``, and their eight
-    stages ``(dot, read, write)``, for rows ``[state | ...]`` whose operand
+def _stages(slope, state, lead, h, calls, cols=()):
+    """The two stage buffers, ``(2, 4, width) + cols``, and each buffer's
+    step, one flat list of calls, for rows ``[state | ...]`` whose operand
     starts at ``lead`` and whose slope is ``slope @ operand``.  Stage s of
-    buffer b is row 4b + s; it reads rows 0 .. s of its buffer and writes
-    the next row's state, which after the last stage of one buffer is the
-    first row of the other."""
+    buffer b is row 4b + s.  ``calls`` maps the rows, flattened to
+    ``(8, -1)``, to each row's list of the calls that fill its operand; the
+    stage product follows them, reading rows 0 .. s of its buffer and
+    writing the next row's state, which after the last stage of one buffer
+    is the first row of the other."""
     width = lead + slope.shape[1]
     # stage s: I on the state of row 0 plus h a_r slope on each row r's operand
     mats = np.zeros((4, state, 4 * width))
@@ -253,18 +268,31 @@ def _stages(slope, state, lead, h, cols=()):
     bufs = np.empty((2, 4, width) + cols)
     heads = list(bufs.reshape((8, width) + cols)[:, :state])
     reads = bufs.reshape((2, 4 * width) + cols)
-    return bufs, list(zip(dots * 2, [reads[b, :(s + 1) * width]
-                                     for b in (0, 1) for s in range(4)],
-                          heads[1:] + heads[:1]))
+    stages = calls(bufs.reshape(8, -1))
+    for k, head in enumerate(heads[1:] + heads[:1]):
+        b, s = divmod(k, 4)
+        stages[k].append(partial(dots[s], reads[b, :(s + 1) * width], head))
+    return bufs, [sum(stages[:4], []), sum(stages[4:], [])]
 
 
-def _plan(stages, substeps):
-    """One block's stages: ``substeps`` steps, each reading the buffer the
-    step before wrote, from the eight stages of the two buffers."""
-    steps = [stages[:4], stages[4:]]
-    return steps * (substeps // 2) + steps[:substeps % 2]
+def _integrate(steps, x, x_other, record, n_blocks, substeps, out):
+    """Run ``n_blocks`` blocks of ``substeps`` steps from the state ``x``,
+    writing ``record`` into ``out[b]`` after block b.  Steps alternate
+    between the buffers, so an odd ``substeps`` ends in ``x_other``, and
+    the block's last call copies it back."""
+    block = (steps[0] + steps[1]) * (substeps // 2)
+    if substeps % 2:
+        block += steps[0] + [partial(np.copyto, x, x_other)]
+    for b in range(n_blocks):
+        for call in block:
+            call()
+        out[b] = record
 
 
+# A diverging run overflows to inf and nan, and so may a system's constants;
+# the caller truncates the record at its first non-finite row, so NumPy's
+# floating-point warnings would only be noise.
+@np.errstate(over="ignore", invalid="ignore")
 def rk4_angle_difference(delta, omega, minv, damp, pm, emf, G, B, h,
                          n_blocks, substeps, out):
     """:func:`rk4_swing` with the power summed over pair angles."""
@@ -289,7 +317,9 @@ def rk4_angle_difference(delta, omega, minv, damp, pm, emf, G, B, h,
     accel[i, n + p + pairs] = -zb[i, j]
     accel[j, n + p + pairs] = zb[j, i]
     accel[:, -1] = minv * pm - np.diagonal(zg)
-    bufs, stages = _stages(L, state, lead, h)
+    bufs, steps = _stages(L, state, lead, h, lambda rows: [
+        [partial(np.sin, th, cs)]
+        for th, cs in zip(rows[:, :2 * p], rows[:, state:state + 2 * p])])
     bufs[:, :, -1] = 1.0
     x, x_other = bufs[:, 0, :state]
     d = delta[i] - delta[j]
@@ -297,24 +327,11 @@ def rk4_angle_difference(delta, omega, minv, damp, pm, emf, G, B, h,
     x[p:2 * p] = d
     x[2 * p:lead] = delta
     x[lead:] = omega
-    record = x[2 * p:].reshape(2, n)
-    rows = bufs.reshape(8, -1)
-    stages = [(dot, th, cs, read, write) for (dot, read, write), th, cs in
-              zip(stages, rows[:, :2 * p], rows[:, state:state + 2 * p])]
-    plan = _plan(stages, substeps)
-    odd = substeps % 2
-    sin = np.sin
-    with np.errstate(over="ignore", invalid="ignore"):
-        for block in range(n_blocks):
-            for step in plan:
-                for stage_dot, th, cs, read, write in step:
-                    sin(th, cs)
-                    stage_dot(read, write)
-            if odd:
-                np.copyto(x, x_other)
-            out[block] = record
+    _integrate(steps, x, x_other, x[2 * p:].reshape(2, n), n_blocks,
+               substeps, out)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def rk4_phasor(delta, omega, minv, damp, pm, emf, G, B, h, n_blocks,
                substeps, out):
     """:func:`rk4_swing` with the power in phasor form."""
@@ -325,38 +342,20 @@ def rk4_phasor(delta, omega, minv, damp, pm, emf, G, B, h, n_blocks,
     Zr[:n, :n] = Zr[n:, n:] = re_z
     Zr[n:, :n] = im_z
     Zr[:n, n:] = -im_z
+    zbuf = np.empty(3 * n)
+    zbuf[:n] = -(damp * minv)
     # a stage row is nine blocks of n: the state [theta_a, theta_b, omega]
     # and the operand from omega on
-    bufs, stages = _stages(_A, 3, 2, h, (n,))
+    zu = zbuf[n:]
+    bufs, steps = _stages(_A, 3, 2, h, lambda rows: [
+        [partial(np.sin, th, cs), partial(Zr.dot, cs, zu),
+         partial(np.multiply, v, zbuf, q)]
+        for th, cs, v, q in zip(rows[:, :2 * n], rows[:, 3 * n:5 * n],
+                                rows[:, 2 * n:5 * n], rows[:, 5 * n:8 * n])],
+        (n,))
     bufs[:, :, 8] = pm * minv
     x, x_other = bufs[:, 0, :3]
     x[0] = delta + np.pi / 2
     x[1] = delta
     x[2] = omega
-    record = x[1:]
-    rows = bufs.reshape(8, -1)
-    stages = [(dot, th, cs, v, q, read, write)
-              for (dot, read, write), th, cs, v, q in
-              zip(stages, rows[:, :2 * n], rows[:, 3 * n:5 * n],
-                  rows[:, 2 * n:5 * n], rows[:, 5 * n:8 * n])]
-    plan = _plan(stages, substeps)
-    odd = substeps % 2
-    zbuf = np.empty(3 * n)
-    zbuf[:n] = -(damp * minv)
-    zu = zbuf[n:]
-    z_dot = Zr.dot
-    sin, multiply = np.sin, np.multiply
-    # A diverging run overflows to inf and nan; the caller truncates the
-    # record at its first non-finite row, so NumPy's floating-point warnings
-    # would only be noise.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for block in range(n_blocks):
-            for step in plan:
-                for stage_dot, th, cs, v, q, read, write in step:
-                    sin(th, cs)
-                    z_dot(cs, zu)
-                    multiply(v, zbuf, q)
-                    stage_dot(read, write)
-            if odd:
-                np.copyto(x, x_other)
-            out[block] = record
+    _integrate(steps, x, x_other, x[1:], n_blocks, substeps, out)

@@ -205,13 +205,15 @@ def parse_traces(path, speed_offset: float = 0.0,
 _ROW = np.dtype([("t", "f8"), ("gen_id", "O"), ("delta", "f8"), ("omega", "f8")])
 
 
-def _loadtxt(path, skip: int, count: int | None = None) -> np.ndarray:
-    """``count`` rows (default: all) after the first ``skip`` lines of ``path``.
+def _loadtxt(path, count: int | None = None) -> np.ndarray:
+    """The first ``count`` rows (default: all) after the header of ``path``.
 
     Given a path, ``loadtxt`` reads the file in chunks with its C reader.
+    It skips blank lines, and warns of each one that ``count`` does not
+    count; the caller silences that warning.
     """
     return np.loadtxt(path, dtype=_ROW, delimiter=",", comments=None,
-                      skiprows=skip, max_rows=count, ndmin=1, encoding="utf-8")
+                      skiprows=1, max_rows=count, ndmin=1, encoding="utf-8")
 
 
 def _rows_to_read(lines, until: float) -> int | None:
@@ -276,10 +278,8 @@ def _parse_bulk(path, speed_offset: float,
     whitespace and ``1_0``-style underscores, which the line loop reads.
 
     With a finite ``until``, the first instants of the file predict how many
-    rows reach it; those are read first, and the rest only if R of the stop
-    rule is not among them.  A blank line in that prefix makes ``skiprows``
-    (lines) and ``max_rows`` (rows) disagree, so it sends the file to the
-    line loop as well.
+    rows reach it; those are read first, and the whole file only if R of
+    the stop rule is not among them.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -287,19 +287,17 @@ def _parse_bulk(path, speed_offset: float,
                 return None
             count = _rows_to_read(fh, until)
         with warnings.catch_warnings():
-            # a prefix refuses a blank line; a whole read skips it, and
-            # "input contained no data" is refused by the assembly
-            warnings.simplefilter("error" if count else "ignore", UserWarning)
-            rows = _loadtxt(path, 1, count)
-        rank, codes = _codes(rows["gen_id"].tolist())
-        end = _stop_row(rows["t"], codes, until)
-        if end is None and len(rows) == count:  # R lies further on
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)
-                rows = np.concatenate([rows, _loadtxt(path, 1 + count)])
+            # blank lines are skipped, and "input contained no data" is
+            # refused by the assembly
+            warnings.simplefilter("ignore", UserWarning)
+            rows = _loadtxt(path, count)
             rank, codes = _codes(rows["gen_id"].tolist())
             end = _stop_row(rows["t"], codes, until)
-    except (ValueError, UserWarning):  # also UnicodeDecodeError
+            if end is None and len(rows) == count:  # R lies further on
+                rows = _loadtxt(path)
+                rank, codes = _codes(rows["gen_id"].tolist())
+                end = _stop_row(rows["t"], codes, until)
+    except ValueError:  # also UnicodeDecodeError
         return None
     return _assemble(rows, rank, codes, end, speed_offset)
 

@@ -559,6 +559,22 @@ def test_a_generator_joining_before_the_stop_row_is_read(tmp_path):
         _assert_same_traces(bulk, _parse_lines(path, 0.0, until))
 
 
+def test_a_blank_line_before_the_stop_row_is_read_in_bulk(tmp_path):
+    # loadtxt skips blank lines, and a prefix read does not count them among
+    # its rows, so R is found in the prefix or in the whole file
+    rows = [f"{k / 120.0!r},{gid},0.1,0.0" for k in range(241)
+            for gid in ("G1", "G2")]
+    path = tmp_path / "blank.csv"
+    path.write_text("\n".join([CSV_HEADER] + rows[:9] + ["", ""] + rows[9:])
+                    + "\n", encoding="utf-8")
+    for until in (0.05, 1.0):
+        bulk = _parse_bulk(path, 0.0, until)
+        assert bulk is not None
+        assert _samples(bulk) == dict.fromkeys(("G1", "G2"),
+                                               1 + round(until * 120))
+        _assert_same_traces(bulk, _parse_lines(path, 0.0, until))
+
+
 def test_the_bulk_pass_reads_short_for_any_number_of_generators(
         tmp_path, monkeypatch):
     ids = [f"G{i}" for i in range(70)]
@@ -567,8 +583,8 @@ def test_the_bulk_pass_reads_short_for_any_number_of_generators(
         f"{k / 120.0!r},{gid},0.1,0.0\n" for k in range(25) for gid in ids),
         encoding="utf-8")
     counts, loadtxt = [], ingest._loadtxt
-    monkeypatch.setattr(ingest, "_loadtxt", lambda path, skip, count=None: (
-        counts.append(count) or loadtxt(path, skip, count)))
+    monkeypatch.setattr(ingest, "_loadtxt", lambda path, count=None: (
+        counts.append(count) or loadtxt(path, count)))
     assert _samples(_parse_bulk(path, 0.0, 0.1)) == dict.fromkeys(ids, 13)
     assert counts == [70 * 14]  # the rows to 12/120 s and one instant more
 

@@ -2,6 +2,7 @@
 numbers, from both of its formulations."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -199,12 +200,12 @@ def test_call_leaves_start_state_and_hands_off_from_a_record_row():
 
 @pytest.mark.parametrize("n, s", [
     pytest.param(n, s, id=f"{n}" if s == 4 else f"{n}-s{s}")
-    for n in sorted({n for n, _ in SIZE_VALUES}) for s in (4, 3)])
+    for n in sorted({n for n, _ in SIZE_VALUES}) for s in (4, 3, 2, 5)])
 def test_blocks_record_every_substeps_th_step_bit_for_bit(n, s):
     # Grouping steps into blocks only chooses which states are recorded:
     # n_blocks=k, substeps=s records rows s-1, 2s-1, ... of one step a block.
     # An odd s ends each block in the second stage buffer, as s = 1 ends
-    # every step.
+    # every step; s = 5 passes through both buffers twice before that.
     state = example_system(n)
     k = 9
     for kernel in forms(n):
@@ -251,6 +252,22 @@ def test_overflow_reports_first_nonfinite_block():
                                           kernel))
             assert finite[:bad].all(), kernel.__name__
             assert not finite[bad], kernel.__name__
+
+
+def test_overflowing_constants_run_on_without_a_warning():
+    # minv = 1e200 and pm = 1e120 overflow the constants each call forms
+    # (pm minv and the scaled coupling) to inf: the kernel tests nothing, so
+    # it runs on quietly, and every row it records is non-finite
+    for n in (2, ANGLE_DIFFERENCE_MAX_N + 1):
+        state = list(example_system(n, infinite=()))
+        state[2] = np.full(n, 1e200)
+        state[4] = np.full(n, 1e120)
+        for kernel in forms(n):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                finite = finite_rows(*run(tuple(state), 1.0 / 1200.0, 5, 3,
+                                          kernel))
+            assert not finite.any(), kernel.__name__
 
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
