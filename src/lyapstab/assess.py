@@ -171,6 +171,10 @@ def assess_pair(trace: SdgpTrace, t_max: float) -> PairVerdict:
         assessor = PairAssessor(verdict)
         for t, lam in iter_mle(d.d, decision.w, verdict.m_n, trace.dt):
             if assessor.push(lam, t).status != PENDING:
+                # dated no earlier than the classifier's decision; the crest
+                # search confirms before the fit can first freeze
+                verdict.decision_time = max(verdict.decision_time,
+                                            decision.decided_at * trace.dt)
                 return verdict
         note = f"data ended after {len(verdict.mle[1])} exponent updates"
     except ClassificationRefused as exc:

@@ -141,10 +141,10 @@ class AlignedDataset:
 def write_traces(traces: list[GeneratorTrace], path) -> None:
     """Emit the CSV schema above, interleaving generators sample by sample.
 
-    Traces with equal sample times produce time-major rows; otherwise each
-    trace is written as its own block.  Either layout re-parses into the same
-    data.  A generator id the CSV cannot hold raises ``ValueError`` before
-    the file is opened.
+    Traces with equal sample times are written as one time-major block;
+    otherwise each trace is its own block.  Either layout re-parses into the
+    same data.  A generator id the CSV cannot hold raises ``ValueError``
+    before the file is opened.
     """
     for tr in traces:
         if not tr.gen_id or any(c in tr.gen_id for c in ",\r\n"):
@@ -156,20 +156,14 @@ def write_traces(traces: list[GeneratorTrace], path) -> None:
         for tr in traces[1:])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
-        if same_grid:
-            ids = [tr.gen_id for tr in traces]
-            times = [repr(t) for t in traces[0].sample_times().tolist()]
-            samples = zip(times, zip(*(tr.angles.tolist() for tr in traces)),
-                          zip(*(tr.speeds.tolist() for tr in traces)))
+        for block in [traces] if same_grid else [[tr] for tr in traces]:
+            ids = [tr.gen_id for tr in block]
+            samples = zip(map(repr, block[0].sample_times().tolist()),
+                          zip(*(tr.angles.tolist() for tr in block)),
+                          zip(*(tr.speeds.tolist() for tr in block)))
             fh.writelines(f"{t},{gid},{a!r},{s!r}\n"
                           for t, angles, speeds in samples
                           for gid, a, s in zip(ids, angles, speeds))
-        else:
-            for tr in traces:
-                fh.writelines(f"{t!r},{tr.gen_id},{a!r},{s!r}\n"
-                              for t, a, s in zip(tr.sample_times().tolist(),
-                                                 tr.angles.tolist(),
-                                                 tr.speeds.tolist()))
 
 
 def parse_traces(path, speed_offset: float = 0.0,
@@ -228,6 +222,8 @@ def _rows_to_read(lines, until: float) -> int | None:
         return None  # the default whole read needs no prediction
     stamps = []
     for line in lines:
+        if not line.strip():
+            continue  # no row: loadtxt skips it, or refuses it if not empty
         stamps.append(float(line.partition(",")[0]))
         if stamps[-1] != stamps[0]:
             break

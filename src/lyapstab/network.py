@@ -69,15 +69,16 @@ class NetworkModel:
     def validate(self) -> None:
         if not (self.base_mva > 0.0 and self.frequency_hz > 0.0):
             raise LyapstabError("base_mva and frequency_hz must be > 0")
+        for kind, ids in (("bus", self.buses),
+                          ("branch", [br.branch_id for br in self.branches]),
+                          ("generator", self.gen_ids)):
+            seen = set()
+            for item in ids:  # the first repeat in file order
+                if item in seen:
+                    raise LyapstabError(f"duplicate {kind} id {item!r}")
+                seen.add(item)
         bus_set = set(self.buses)
-        if len(bus_set) != len(self.buses):
-            dup = next(b for i, b in enumerate(self.buses) if b in self.buses[:i])
-            raise LyapstabError(f"duplicate bus id {dup!r}")
-        seen = set()
         for br in self.branches:
-            if br.branch_id in seen:
-                raise LyapstabError(f"duplicate branch id {br.branch_id!r}")
-            seen.add(br.branch_id)
             if math.hypot(br.r, br.x) <= 0.0:
                 raise LyapstabError(f"branch {br.branch_id!r} has zero impedance")
             if br.r < 0.0:
@@ -86,11 +87,7 @@ class NetworkModel:
                 if bus not in bus_set:
                     raise LyapstabError(
                         f"branch {br.branch_id!r} references unknown bus {bus!r}")
-        gen_ids = set()
         for gen in self.generators:
-            if gen.gen_id in gen_ids:
-                raise LyapstabError(f"duplicate generator id {gen.gen_id!r}")
-            gen_ids.add(gen.gen_id)
             if gen.bus not in bus_set:
                 raise LyapstabError(
                     f"generator {gen.gen_id!r} at unknown bus {gen.bus!r}")
@@ -279,18 +276,23 @@ def reduce_network(model: NetworkModel, topology: str,
 #
 # The network file is a line-oriented UTF-8 text format: '#' starts a
 # comment, blank lines are ignored, and '[section]' headers introduce
-# whitespace-separated tables.  Every number must be finite.  Sections:
-#
-#   [system]       key = value pairs: base_mva, frequency_hz
-#   [buses]        one bus id per line
-#   [branches]     id  from_bus  to_bus  r_pu  x_pu
-#   [generators]   id  bus  m  d  xd  emf  pm     (pm may be the word 'slack')
-#   [infinite_bus] bus  emf  xs                   (at most one line)
-#   [loads]        bus  g_pu  b_pu
+# whitespace-separated tables.  Every number must be finite.  [system] holds
+# ``key = value`` pairs (base_mva, frequency_hz); ``_ROWS`` gives the columns
+# of every other section.  A generator's pm may be the word 'slack', and
+# [infinite_bus] holds at most one line.
 #
 # See networks/*.net for annotated examples.
 
-SECTIONS = ("system", "buses", "branches", "generators", "infinite_bus", "loads")
+# Each table section's field count, and the message a row of another count
+# raises.
+_ROWS = {
+    "buses": (1, "one bus id per line"),
+    "branches": (5, "branch rows need: id from to r_pu x_pu"),
+    "generators": (7, "generator rows need: id bus m d xd emf pm"),
+    "infinite_bus": (3, "infinite_bus rows need: bus emf xs"),
+    "loads": (3, "load rows need: bus g_pu b_pu"),
+}
+SECTIONS = ("system", *_ROWS)
 
 
 def load_network_file(path) -> NetworkModel:
@@ -322,72 +324,56 @@ def load_network_file(path) -> NetworkModel:
                     f"{path}:{lineno}: data before any [section] header")
             sections[current].append((lineno, line.split()))
 
-    def fval(tok: str, lineno: int) -> float:
-        try:
-            x = float(tok)
-        except ValueError:
-            raise LyapstabError(f"{path}:{lineno}: not a number: {tok!r}") from None
-        if not math.isfinite(x):
-            raise LyapstabError(f"{path}:{lineno}: not a finite number: {tok!r}")
-        return x
+    def rows(section: str):
+        """A table section's ``(lineno, tokens)``; another field count raises."""
+        count, message = _ROWS[section]
+        for lineno, toks in sections[section]:
+            if len(toks) != count:
+                raise LyapstabError(f"{path}:{lineno}: {message}")
+            yield lineno, toks
 
-    base_mva, freq = 100.0, 60.0
+    def nums(tokens, lineno: int) -> list[float]:
+        """``tokens`` as finite numbers; the first that is not raises."""
+        values = []
+        for tok in tokens:
+            try:
+                x = float(tok)
+            except ValueError:
+                raise LyapstabError(f"{path}:{lineno}: not a number: {tok!r}") from None
+            if not math.isfinite(x):
+                raise LyapstabError(f"{path}:{lineno}: not a finite number: {tok!r}")
+            values.append(x)
+        return values
+
+    system = {"base_mva": 100.0, "frequency_hz": 60.0}
     for lineno, toks in sections["system"]:
         joined = " ".join(toks)
         if "=" not in joined:
             raise LyapstabError(f"{path}:{lineno}: expected key = value")
         key, val = (part.strip() for part in joined.split("=", 1))
-        if key == "base_mva":
-            base_mva = fval(val, lineno)
-        elif key == "frequency_hz":
-            freq = fval(val, lineno)
-        else:
+        if key not in system:
             raise LyapstabError(f"{path}:{lineno}: unknown system key {key!r}")
+        system[key] = nums([val], lineno)[0]
 
-    buses = []
-    for lineno, toks in sections["buses"]:
-        if len(toks) != 1:
-            raise LyapstabError(f"{path}:{lineno}: one bus id per line")
-        buses.append(toks[0])
-
-    branches = []
-    for lineno, toks in sections["branches"]:
-        if len(toks) != 5:
-            raise LyapstabError(
-                f"{path}:{lineno}: branch rows need: id from to r_pu x_pu")
-        branches.append(Branch(toks[0], toks[1], toks[2],
-                               fval(toks[3], lineno), fval(toks[4], lineno)))
-
-    generators = []
-    for lineno, toks in sections["generators"]:
-        if len(toks) != 7:
-            raise LyapstabError(
-                f"{path}:{lineno}: generator rows need: id bus m d xd emf pm")
-        pm = None if toks[6].lower() == "slack" else fval(toks[6], lineno)
-        generators.append(Generator(toks[0], toks[1], fval(toks[2], lineno),
-                                    fval(toks[3], lineno), fval(toks[4], lineno),
-                                    fval(toks[5], lineno), pm))
-
+    buses = [toks[0] for _, toks in rows("buses")]
+    branches = [Branch(*t[:3], *nums(t[3:], n)) for n, t in rows("branches")]
+    generators = [
+        Generator(*t[:2], *nums(t[2:6], n),
+                  None if t[6].lower() == "slack" else nums(t[6:], n)[0])
+        for n, t in rows("generators")]
     inf_rows = sections["infinite_bus"]
     if len(inf_rows) > 1:
         raise LyapstabError(f"{path}:{inf_rows[1][0]}: at most one infinite bus")
-    for lineno, toks in inf_rows:
-        if len(toks) != 3:
-            raise LyapstabError(
-                f"{path}:{lineno}: infinite_bus rows need: bus emf xs")
-        generators.append(Generator(INFINITE_BUS_ID, toks[0], math.inf, 0.0,
-                                    fval(toks[2], lineno), fval(toks[1], lineno),
-                                    None))
-
-    loads = []
-    for lineno, toks in sections["loads"]:
-        if len(toks) != 3:
-            raise LyapstabError(f"{path}:{lineno}: load rows need: bus g_pu b_pu")
-        loads.append(Load(toks[0], fval(toks[1], lineno), fval(toks[2], lineno)))
+    # the infinite bus is a machine of infinite inertia behind x'd = xs
+    generators += [
+        Generator(INFINITE_BUS_ID, t[0], math.inf, 0.0, *nums((t[2], t[1]), n),
+                  None)
+        for n, t in rows("infinite_bus")]
+    loads = [Load(t[0], *nums(t[1:], n)) for n, t in rows("loads")]
 
     try:
         return NetworkModel(buses=tuple(buses), branches=tuple(branches),
                             generators=tuple(generators), loads=tuple(loads),
-                            base_mva=base_mva, frequency_hz=freq)
+                            **system)
     except LyapstabError as exc:
         raise LyapstabError(f"{path}: {exc}") from None

@@ -411,35 +411,17 @@ def test_dense_grid_agreement(dense_grid, rate):
          elapsed)
 
 
-# Decided grid cases whose verdict is dated before the data that decided it
-# (ROADMAP item 4): the classifier decides Pattern I by its 2 s escape, and
-# the fit then freezes UNSTABLE at 0.208 s over history already buffered.
-# Cut at that time, the data leaves the pair undetermined.
-DATED_BEFORE_ITS_DATA = ("two-negD@0.540", "two-negD@0.560", "two-negD@0.580",
-                         "two-negD@0.600")
-
-
-@pytest.mark.parametrize("results, cases", [
-    ("battery", "all"),
-    ("dense_grid", "all"),
-    pytest.param("dense_grid", "dated", marks=pytest.mark.xfail(
-        strict=True, reason=(
-            "the verdict is dated before the classifier's decision: "
-            f"{', '.join(DATED_BEFORE_ITS_DATA)} go from UNSTABLE at "
-            "0.208 s to UNDETERMINED"))),
-], ids=lambda value: value.replace("_", "-"))
-def test_verdict_survives_a_cut_right_after_its_decision(request, results,
-                                                         cases):
+@pytest.mark.parametrize("fixture", ["battery", "dense_grid"],
+                         ids=["battery-all", "dense-grid-all"])
+def test_verdict_survives_a_cut_right_after_its_decision(request, fixture):
     """An online assessor knows the verdict at its decision time: cut the
     aligned 120 Hz data right after the system's decision sample and assess
-    again, and the system status and decision time stay the same.  ``all``
-    is every decided case but ``DATED_BEFORE_ITS_DATA``; ``dated`` is
-    those."""
-    results, _ = request.getfixturevalue(results)
+    again, and the system status and decision time stay the same, for every
+    decided case."""
+    results, _ = request.getfixturevalue(fixture)
     start = time.perf_counter()
     decided = [r for r in results
-               if r.verdict in (SYSTEM_STABLE, SYSTEM_UNSTABLE)
-               and (r.label in DATED_BEFORE_ITS_DATA) == (cases == "dated")]
+               if r.verdict in (SYSTEM_STABLE, SYSTEM_UNSTABLE)]
     moved = []
     for r in decided:
         d = r.dataset
@@ -451,7 +433,7 @@ def test_verdict_survives_a_cut_right_after_its_decision(request, results,
                                                      r.decision_time):
             moved.append(f"{r.label}: {r.verdict} at {r.decision_time:.3f} s "
                          f"-> {system.status} at {system.decision_time:.3f} s")
-    gate(6, f"verdicts cut at their decision ({cases})",
+    gate(6, f"verdicts cut at their decision ({fixture})",
          bool(decided) and not moved,
          f"{len(decided) - len(moved)}/{len(decided)} decided cases keep "
          f"status and decision time" + (f"; moved: {moved}" if moved else ""),

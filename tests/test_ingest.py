@@ -89,6 +89,20 @@ def test_simulator_output_round_trips_bit_identically(tmp_path, networks_dir):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_block_layout_round_trips_bit_identically(tmp_path):
+    # unequal lengths leave no shared grid, so each trace is its own block
+    traces = [make_trace("G1", duration=0.1), make_trace("G2", duration=0.05),
+              make_trace("G3", rate=60.0, duration=0.1, t0=0.01)]
+    first = tmp_path / "first.csv"
+    second = tmp_path / "second.csv"
+    write_traces(traces, first)
+    lines = first.read_text(encoding="utf-8").splitlines()
+    assert [line.split(",")[1] for line in lines[1:]] == (
+        ["G1"] * 13 + ["G2"] * 7 + ["G3"] * 7)
+    write_traces(parse_traces(first), second)
+    assert first.read_bytes() == second.read_bytes()
+
+
 def test_traces_sharing_a_grid_but_not_stamps_round_trip(tmp_path):
     # same length, t0 and dt; B's fifth sample arrived 1 ms late
     a, b = make_trace("A", duration=9 / 120), make_trace("B", duration=9 / 120)
@@ -561,18 +575,21 @@ def test_a_generator_joining_before_the_stop_row_is_read(tmp_path):
 
 def test_a_blank_line_before_the_stop_row_is_read_in_bulk(tmp_path):
     # loadtxt skips blank lines, and a prefix read does not count them among
-    # its rows, so R is found in the prefix or in the whole file
+    # its rows, so R is found in the prefix or in the whole file; right after
+    # the first row, the blank lines lie among the instants that predict how
+    # many rows to read
     rows = [f"{k / 120.0!r},{gid},0.1,0.0" for k in range(241)
             for gid in ("G1", "G2")]
     path = tmp_path / "blank.csv"
-    path.write_text("\n".join([CSV_HEADER] + rows[:9] + ["", ""] + rows[9:])
-                    + "\n", encoding="utf-8")
-    for until in (0.05, 1.0):
-        bulk = _parse_bulk(path, 0.0, until)
-        assert bulk is not None
-        assert _samples(bulk) == dict.fromkeys(("G1", "G2"),
-                                               1 + round(until * 120))
-        _assert_same_traces(bulk, _parse_lines(path, 0.0, until))
+    for at in (1, 9):
+        path.write_text("\n".join([CSV_HEADER] + rows[:at] + ["", ""]
+                                  + rows[at:]) + "\n", encoding="utf-8")
+        for until in (0.05, 1.0):
+            bulk = _parse_bulk(path, 0.0, until)
+            assert bulk is not None
+            assert _samples(bulk) == dict.fromkeys(("G1", "G2"),
+                                                   1 + round(until * 120))
+            _assert_same_traces(bulk, _parse_lines(path, 0.0, until))
 
 
 def test_the_bulk_pass_reads_short_for_any_number_of_generators(

@@ -297,6 +297,30 @@ def test_model_faults_name_the_file(tmp_path, old, new, message):
         load_network_file(path)
 
 
+@pytest.mark.parametrize("name, old, new, message", [
+    ("fourmachine.net", "7\n\n[branches]", "7 8\n\n[branches]",
+     "one bus id per line"),
+    ("fourmachine.net", "T56B    5     6   0.010  0.20",
+     "T56B    5     6   0.010", "branch rows need: id from to r_pu x_pu"),
+    ("fourmachine.net", "1.06  0.70", "1.06  0.70  0.1",
+     "generator rows need: id bus m d xd emf pm"),
+    ("smib.net", "2      1.0  0.0001", "2      1.0",
+     "infinite_bus rows need: bus emf xs"),
+    ("fourmachine.net", "2.40  -0.40", "2.40", "load rows need: bus g_pu b_pu"),
+    ("fourmachine.net", "base_mva = 100.0", "base_mva 100.0",
+     "expected key = value"),
+    ("fourmachine.net", "frequency_hz = 60.0", "frequency = 60.0",
+     "unknown system key 'frequency'"),
+], ids=["buses", "branches", "generators", "infinite_bus", "loads",
+        "system-no-equals", "system-unknown-key"])
+def test_row_faults_name_the_line_and_the_columns(tmp_path, name, old, new,
+                                                  message):
+    path, line = _edited(tmp_path, name, old, new)
+    with pytest.raises(LyapstabError) as exc:
+        load_network_file(path)
+    assert str(exc.value) == f"{path}:{line}: {message}"
+
+
 def test_invalid_utf8_names_its_line(tmp_path):
     path, line = _edited(tmp_path, "fourmachine.net", "[generators]",
                          "[generators]  # \udcff")
