@@ -6,19 +6,22 @@ simulate() takes by default (3 at its 360 Hz internal rate) and at one step
 a sample of 240 Hz output (as the ``assess-files`` benchmark workload
 simulates its input traces), then a full simulate() call on the
 shipped four-machine fixture.  The sizes include n = 3 to 6, on both sides
-of the crossover between the kernel's two formulations, and one-second
-calls at n = 2 to 6, the chunk simulate() hands the kernel, where the
-per-call set-up shows.  They are timed in rounds: each round runs every
+of the crossover between the kernel's two formulations, and 0.1 s calls at
+n = 2 to 6, where the per-call set-up shows: simulate() makes one kernel
+call a phase, and the pre-fault and fault-on phases of a battery case are
+about this short.  They are timed in rounds: each round runs every
 size once, starting one size later than the round before, so drift in the
 host's speed spreads over all sizes instead of reading as a size effect.
 Prints the formulation ``rk4_swing`` picks for each size, and the best and
 the median round per size.  Then it prints the per-call set-up, the best
 round of the mean of 20 calls that record nothing (``n_blocks = 0``), at
 n = 2 to 6, 12 and 48, in the formulation ``rk4_swing`` picks.  Then it
-times both formulations on one-second calls at n = 2 to 10, in rounds the
-same way, and prints the crossover table: per size, the median, quartiles
-and win count of the per-round ratio, the angle-difference form's time
-over the phasor form's.  Run from the repository root:
+times both formulations at n = 2 to 10 on calls as long as the post-fault
+phase of a 12 s case cleared at 0.25 s, the longest call simulate() makes,
+in rounds the same way, and prints the crossover table: per size, the
+median, quartiles and win count of the per-round ratio, the
+angle-difference form's time over the phasor form's.  Run from the
+repository root:
 
     python3 benchmarks/bench_kernel.py [--repeats ROUNDS] [--against FILE]
 
@@ -79,11 +82,14 @@ KERNEL_CASES = ((2, 10.0, 120, STEPS), (3, 10.0, 120, STEPS),
                 (12, 10.0, 120, STEPS),
                 (24, 10.0, 120, STEPS), (48, 10.0, 120, STEPS),
                 (4, 60.0, 120, STEPS), (4, 50.0, 240, 1)) + tuple(
-                    (n, 1.0, 120, STEPS) for n in range(2, 7))
+                    (n, 0.1, 120, STEPS) for n in range(2, 7))
 # calls that record nothing, 20 a round: the per-call set-up alone
 SETUP_CASES = tuple((n, 0.0, 120, STEPS, 20) for n in (2, 3, 4, 5, 6, 12, 48))
-# one-second calls, on both sides of the crossover
-FORM_CASES = tuple((n, 1.0, 120, STEPS) for n in (2, 3, 4, 5, 6, 8, 10))
+# post-fault calls of a 12 s case cleared at 0.25 s, on both sides of the
+# crossover
+POST_FAULT_SECONDS = 11.75
+FORM_CASES = tuple((n, POST_FAULT_SECONDS, 120, STEPS)
+                   for n in (2, 3, 4, 5, 6, 8, 10))
 
 
 def load_kernel(path):
@@ -159,13 +165,13 @@ def main():
         print(f"{'workload':<32}{'form':<18}{'best':>12}{'median':>12}")
     for (n, seconds, rate, substeps), (t, *other) in time_kernel_rounds(
             args.repeats, kernels).items():
-        label = f"rk4 n={n}, {seconds:.0f} s, {rate} Hz x {substeps}"
+        label = f"rk4 n={n}, {seconds:g} s, {rate} Hz x {substeps}"
         form = formulation(n).__name__.removeprefix("rk4_")
-        line = f"{label:<32}{form:<18}{min(t) * 1e3:>10.1f}ms"
+        line = f"{label:<32}{form:<18}{min(t) * 1e3:>10.2f}ms"
         if other:
-            line += f"{min(other[0]) * 1e3:>10.1f}ms{ratio_columns(t, *other)}"
+            line += f"{min(other[0]) * 1e3:>10.2f}ms{ratio_columns(t, *other)}"
         else:
-            line += f"{np.median(t) * 1e3:>10.1f}ms"
+            line += f"{np.median(t) * 1e3:>10.2f}ms"
         print(line)
 
     print()
@@ -178,8 +184,8 @@ def main():
               + "".join(f"{min(t) * 1e6:>10.1f}us" for t in times))
 
     print()
-    print(f"{'crossover, 1 s at 120 Hz x 3':<32}{'angle-difference / phasor':>30}"
-          f"{'faster':>9}")
+    print(f"{f'crossover, {POST_FAULT_SECONDS:g} s at 120 Hz x 3':<32}"
+          f"{'angle-difference / phasor':>30}{'faster':>9}")
     for (n, *_), times in time_kernel_rounds(
             args.repeats, (rk4_angle_difference, rk4_phasor),
             FORM_CASES).items():

@@ -36,10 +36,12 @@ The step's last product cannot write into ``x`` in place: NumPy would
 copy the overlapping ``out``, which costs more than the product itself at
 small ``n``.  So two stage buffers take turns: a step that reads one
 writes the new state into the other's first row, and the next step reads
-that one.  After an odd number of steps the state sits in the second
-buffer, so with an odd ``substeps`` a block ends with one ``np.copyto``
-back into the first.  The record ``[delta | omega]`` is a ``(2, n)`` view
-of the state's last two blocks: one row assignment into ``out`` a block.
+that one.  A block of ``substeps`` steps that starts in buffer ``b`` ends
+in buffer ``(b + substeps) mod 2``, so with an odd ``substeps`` the blocks
+alternate between the buffers as well, and no state is copied back.  Each
+buffer has its own record ``[delta | omega]``, a ``(2, n)`` view of its
+state's last two blocks, and a block ends with one row assignment into
+``out`` from the record of the buffer it ended in.
 
 ``_stages`` builds the buffers, the stage products and each buffer's step
 for both forms.  An entry of the angle-difference form's rows is one
@@ -144,8 +146,8 @@ A stage row, ``4P + 2n + 1`` numbers, is
 so ``np.sin`` of ``row[:2P]`` writes ``[c | s]`` and the operand starts at
 ``lead = 2P + n``.  A stage is that ``np.sin`` and the stage product, a
 matrix-vector product that writes the next state, pair angles included:
-two calls, 8 a step.  A restart (each ``simulate`` phase and chunk)
-derives the pair angles afresh from ``delta``.
+two calls, 8 a step.  A restart (each ``simulate`` phase) derives the
+pair angles afresh from ``delta``.
 
 A machine with ``minv == 0`` has an all-zero row in ``L``, so its
 ``omega`` is exactly still.  Its ``delta`` is recorded from the ``delta``
@@ -165,33 +167,35 @@ the bound ``ndarray.dot`` methods of ``Zr`` and of the four stage
 matrices: ``np.dot`` first passes through the ``__array_function__``
 dispatcher, the method does not.  ``_stages`` lays each buffer's step out
 as one flat list of these calls, and ``_integrate`` joins ``substeps``
-alternating steps into one list, a block, whose last call for an odd
-``substeps`` is the ``np.copyto`` back into the first buffer.  One loop
-serves both forms: it runs a block's calls in order and assigns the record
-view into ``out``.  Against a loop written out per form, which unpacks
-prebuilt stage tuples and makes the calls itself, with the same output bit
-for bit, the per-size median time ratio was 0.95-1.04 at n = 2 to 48 in
-four runs of ``benchmarks/bench_kernel.py --repeats 15 --against`` on one
-vCPU of a 2-vCPU Xeon with NumPy 2.4.6, inside the spread between runs.
-The per-call set-up, which makes the partials, grew by 4-10 us (3-10 % in
-the angle-difference form, 14-22 % in the phasor form), under 0.4 % of a
-one-second call.
+alternating steps into one list, a block, once for each buffer a block can
+start in; with an odd ``substeps`` the blocks take the two lists in turn.
+One loop serves both forms: it runs a block's calls in order and assigns
+the record view of the buffer the block ended in into ``out``.  Against a
+loop written out per form, which unpacks prebuilt stage tuples and makes
+the calls itself, with the same output bit for bit, the per-size median
+time ratio was 0.95-1.04 at n = 2 to 48 in four runs of
+``benchmarks/bench_kernel.py --repeats 15 --against`` on one vCPU of a
+2-vCPU Xeon with NumPy 2.4.6, inside the spread between runs.  The
+per-call set-up, which makes the partials, grew by 4-10 us (3-10 % in the
+angle-difference form, 14-22 % in the phasor form).  ``simulate`` makes
+one call a phase, three a run: at 80-150 us a call, the set-up is about
+1 % of a 12 s battery run at 2-4 machines.
 
 The angle-difference form makes ``P`` sines where the phasor form makes
 ``n``, and its stage product has ``(2P + 2n)(s + 1)(4P + 2n + 1)``
 entries, ``O(n^4)``, against the phasor form's ``4n^2`` coupling and
 ``27(s + 1)n`` stencil.  So the first wins only while the calls it saves
 outweigh that.  The time of the angle-difference form over the phasor
-form's, per one-second kernel call at 120 Hz output and 3 steps a sample
-(the chunk ``simulate`` makes), median of 15 rounds
-(``benchmarks/bench_kernel.py --repeats 15`` prints this table), on one
-vCPU of a 2-vCPU Xeon with NumPy 2.4.6:
+form's, per 11.75 s kernel call at 120 Hz output and 3 steps a sample (the
+post-fault call ``simulate`` makes for a 12 s run cleared at 0.25 s),
+median of 15 rounds (``benchmarks/bench_kernel.py --repeats 15`` prints
+this table), on one vCPU of a 2-vCPU Xeon with NumPy 2.4.6:
 
     n        2      3      4      5      6      8      10
-    ratio   0.53   0.59   0.68   0.89   1.30   2.42   5.89
+    ratio   0.50   0.52   0.64   0.88   1.21   2.39   5.44
 
-The angle-difference form won 13 of the 15 rounds at n = 5 and 2 at
-n = 6, on each of the two vCPUs, so ``ANGLE_DIFFERENCE_MAX_N`` is 5.
+The angle-difference form won 13 of the 15 rounds at n = 5 and none at
+n = 6, so ``ANGLE_DIFFERENCE_MAX_N`` is 5.
 Each form wins on systems that are simulated: the angle-difference form on
 the 2-4 machine networks of the acceptance battery and ``sweep``,
 the phasor form on the 12-48 machine rings and anything paper-scale, where
@@ -275,15 +279,19 @@ def _stages(slope, state, lead, h, calls, cols=()):
     return bufs, [sum(stages[:4], []), sum(stages[4:], [])]
 
 
-def _integrate(steps, x, x_other, record, n_blocks, substeps, out):
-    """Run ``n_blocks`` blocks of ``substeps`` steps from the state ``x``,
-    writing ``record`` into ``out[b]`` after block b.  Steps alternate
-    between the buffers, so an odd ``substeps`` ends in ``x_other``, and
-    the block's last call copies it back."""
-    block = (steps[0] + steps[1]) * (substeps // 2)
-    if substeps % 2:
-        block += steps[0] + [partial(np.copyto, x, x_other)]
+def _integrate(steps, records, n_blocks, substeps, out):
+    """Run ``n_blocks`` blocks of ``substeps`` steps from the state in the
+    first buffer, writing the record of the buffer block b ends in into
+    ``out[b]``.  ``records[c]`` is buffer c's record view.  Steps alternate
+    between the buffers, so a block that starts in buffer c ends in buffer
+    ``(c + substeps) % 2``: with an odd ``substeps`` the blocks alternate
+    too, and block b runs ``plan[b % 2]``."""
+    odd = substeps % 2
+    blocks = [(steps[c] + steps[1 - c]) * (substeps // 2) + steps[c] * odd
+              for c in (0, 1)]
+    plan = ((blocks[0], records[odd]), (blocks[odd], records[0]))
     for b in range(n_blocks):
+        block, record = plan[b % 2]
         for call in block:
             call()
         out[b] = record
@@ -321,14 +329,15 @@ def rk4_angle_difference(delta, omega, minv, damp, pm, emf, G, B, h,
         [partial(np.sin, th, cs)]
         for th, cs in zip(rows[:, :2 * p], rows[:, state:state + 2 * p])])
     bufs[:, :, -1] = 1.0
-    x, x_other = bufs[:, 0, :state]
+    xs = bufs[:, 0, :state]
+    x = xs[0]
     d = delta[i] - delta[j]
     x[:p] = d + np.pi / 2
     x[p:2 * p] = d
     x[2 * p:lead] = delta
     x[lead:] = omega
-    _integrate(steps, x, x_other, x[2 * p:].reshape(2, n), n_blocks,
-               substeps, out)
+    _integrate(steps, xs[:, 2 * p:].reshape(2, 2, n), n_blocks, substeps,
+               out)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -354,8 +363,9 @@ def rk4_phasor(delta, omega, minv, damp, pm, emf, G, B, h, n_blocks,
                                 rows[:, 2 * n:5 * n], rows[:, 5 * n:8 * n])],
         (n,))
     bufs[:, :, 8] = pm * minv
-    x, x_other = bufs[:, 0, :3]
+    xs = bufs[:, 0, :3]
+    x = xs[0]
     x[0] = delta + np.pi / 2
     x[1] = delta
     x[2] = omega
-    _integrate(steps, x, x_other, x[1:], n_blocks, substeps, out)
+    _integrate(steps, xs[:, 1:], n_blocks, substeps, out)

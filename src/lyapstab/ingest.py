@@ -138,6 +138,10 @@ class AlignedDataset:
 # CSV read / write
 # ---------------------------------------------------------------------------
 
+# Instants that write_traces formats at a time: bounds the strings it holds.
+_WRITE_CHUNK = 1024
+
+
 def write_traces(traces: list[GeneratorTrace], path) -> None:
     """Emit the CSV schema above, interleaving generators sample by sample.
 
@@ -157,13 +161,22 @@ def write_traces(traces: list[GeneratorTrace], path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
         for block in [traces] if same_grid else [[tr] for tr in traces]:
-            ids = [tr.gen_id for tr in block]
-            samples = zip(map(repr, block[0].sample_times().tolist()),
-                          zip(*(tr.angles.tolist() for tr in block)),
-                          zip(*(tr.speeds.tolist() for tr in block)))
-            fh.writelines(f"{t},{gid},{a!r},{s!r}\n"
-                          for t, angles, speeds in samples
-                          for gid, a, s in zip(ids, angles, speeds))
+            stamps = block[0].sample_times()
+            # the six fields of each row of one instant, [t, ",gid,", delta,
+            # ",", omega, "\n"], time and values left to fill
+            instant = [f for tr in block
+                       for f in ("", f",{tr.gen_id},", "", ",", "", "\n")]
+            width = len(instant)
+            for first in range(0, len(stamps), _WRITE_CHUNK):
+                rows = slice(first, first + _WRITE_CHUNK)
+                t = list(map(repr, stamps[rows].tolist()))
+                fields = instant * len(t)
+                for k, tr in enumerate(block):
+                    angles, speeds = tr.angles[rows], tr.speeds[rows]
+                    fields[6 * k::width] = t
+                    fields[6 * k + 2::width] = map(repr, angles.tolist())
+                    fields[6 * k + 4::width] = map(repr, speeds.tolist())
+                fh.write("".join(fields))
 
 
 def parse_traces(path, speed_offset: float = 0.0,

@@ -161,11 +161,12 @@ def simulate(model: NetworkModel, fault: FaultSpec, dt: float, horizon: float,
     that meet the rule: two (a 240 Hz step) miss it on the 275 cases
     (1.1e-3 rad).
 
-    Each phase is integrated in calls of at most one second of samples,
-    counted from the phase's start.  On numerical blow-up the traces end
-    before the first non-finite sample and are flagged ``diverged``, and the
-    call that wrote that sample is the last, so a diverging run integrates
-    less than one second of samples past the blow-up.
+    Each non-empty phase is integrated in one kernel call, from the sample
+    before its first: at most three calls a run.  On numerical
+    blow-up the traces end before the first non-finite sample and are
+    flagged ``diverged``, and no later phase runs, so a diverging run
+    integrates at most the rest of the phase in which it blew up and never
+    more samples than a finite run of the same horizon.
 
     Raises ``ValueError`` naming the argument unless ``dt`` and ``horizon``
     are finite and > 0 and ``substeps`` is an integer >= 1.
@@ -201,18 +202,14 @@ def simulate(model: NetworkModel, fault: FaultSpec, dt: float, horizon: float,
     minv = 1.0 / red_pre.m  # an infinite machine's 1 / inf is exactly 0.0
     h = dt / substeps
 
-    # rows [first, last) of the record, one second of samples at most
-    chunk = max(1, round(1.0 / dt))
-    calls = []
-    for red, begin, end in ((red_pre, 1, k_fault + 1),
-                            (red_fault, k_fault + 1, k_clear + 1),
-                            (red_post, k_clear + 1, k_end + 1)):
-        calls += [(red, first, min(first + chunk, end))
-                  for first in range(begin, end, chunk)]
-
     n_samples = k_end + 1
     diverged = False
-    for red, first, last in calls:
+    # each phase writes rows [first, last) of the record, in one call
+    for red, first, last in ((red_pre, 1, k_fault + 1),
+                             (red_fault, k_fault + 1, k_clear + 1),
+                             (red_post, k_clear + 1, k_end + 1)):
+        if first == last:
+            continue
         start = record[first - 1]
         rows = record[first:last]
         rk4_swing(start[0], start[1], minv, red.d, pm, red.emf, red.G, red.B,

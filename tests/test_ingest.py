@@ -115,6 +115,72 @@ def test_traces_sharing_a_grid_but_not_stamps_round_trip(tmp_path):
     assert np.array_equal(back["B"], b.stamps)
 
 
+def _row_writer(traces, path):
+    """The reference writer: one f-string a row, in the layout of
+    :func:`write_traces`."""
+    same_grid = bool(traces) and all(
+        np.array_equal(tr.sample_times(), traces[0].sample_times())
+        for tr in traces[1:])
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(CSV_HEADER + "\n")
+        for block in [traces] if same_grid else [[tr] for tr in traces]:
+            ids = [tr.gen_id for tr in block]
+            samples = zip(map(repr, block[0].sample_times().tolist()),
+                          zip(*(tr.angles.tolist() for tr in block)),
+                          zip(*(tr.speeds.tolist() for tr in block)))
+            fh.writelines(f"{t},{gid},{a!r},{s!r}\n"
+                          for t, angles, speeds in samples
+                          for gid, a, s in zip(ids, angles, speeds))
+
+
+_CHUNK = ingest._WRITE_CHUNK
+# -0.0, the smallest subnormal, another subnormal, and huge values
+_EDGE_VALUES = (-0.0, 5e-324, 2.5e-310, 1e300, -1e300)
+
+
+@st.composite
+def writable_traces(draw):
+    """1-5 traces that share one grid (one time-major block) or each have
+    their own (one block a trace), of lengths around the writer's chunk,
+    with jittered stamps or none, and edge values at drawn samples."""
+    shared = draw(st.booleans())
+    lengths = st.sampled_from([2, _CHUNK - 1, _CHUNK, _CHUNK + 1,
+                               2 * _CHUNK + 1])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(lengths)
+    stamps = None
+    traces = []
+    for k in range(draw(st.integers(1, 5))):
+        if not shared or k == 0:
+            n = n if shared else draw(lengths)
+            jitter = rng.normal(0.0, 1e-5, n) if draw(st.booleans()) else None
+            stamps = None if jitter is None else np.arange(n) / 120.0 + jitter
+        values = rng.normal(0.0, 2.0, (2, n))
+        for row in values:
+            at = draw(st.lists(st.integers(0, n - 1), max_size=4))
+            row[at] = [draw(st.sampled_from(_EDGE_VALUES)) for _ in at]
+        # in block layout the grids differ through t0 if not through stamps
+        t0 = 0.0 if shared else 0.001 * k
+        traces.append(GeneratorTrace(f"G{k}", t0, 1.0 / 120.0, *values,
+                                     stamps=None if stamps is None
+                                     else stamps + t0))
+    return traces
+
+
+@pytest.fixture(scope="module")
+def write_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("write")
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(traces=writable_traces())
+def test_writer_matches_the_row_at_a_time_writer(write_dir, traces):
+    write_traces(traces, write_dir / "traces.csv")
+    _row_writer(traces, write_dir / "reference.csv")
+    assert ((write_dir / "traces.csv").read_bytes()
+            == (write_dir / "reference.csv").read_bytes())
+
+
 @pytest.mark.parametrize("gen_id", ["", "G,1", "G\r1", "G\n1"],
                          ids=["empty", "comma", "cr", "lf"])
 def test_write_refuses_ids_the_csv_cannot_hold(tmp_path, gen_id):

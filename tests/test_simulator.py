@@ -264,24 +264,52 @@ def test_simulate_truncates_before_divergence():
             assert all(tr.diverged and len(tr) == n_kept for tr in last)
 
 
-def test_diverging_run_stops_within_a_second_of_the_blow_up(monkeypatch):
-    # each phase is integrated one second of samples per kernel call, so a
-    # run that blows up 0.6 s into an 8 s horizon stops after the call that
-    # wrote its first non-finite row
+def _count_kernel_calls(monkeypatch):
+    """The ``n_blocks`` of every kernel call ``simulate`` makes from now."""
     kernel = simulator.rk4_swing
-    integrated = []
+    n_blocks = []
 
     def counting_kernel(*args):
-        integrated.append(args[9])  # n_blocks
+        n_blocks.append(args[9])
         kernel(*args)
 
     monkeypatch.setattr(simulator, "rk4_swing", counting_kernel)
+    return n_blocks
+
+
+@pytest.mark.parametrize("t_fault, t_clear", [
+    (0.1, 0.3), (1.5, 2.75),  # phases longer than a second run in one call
+    (0.0, 0.3), (0.2, 0.2), (0.0, 0.0)])  # empty phases make no call
+def test_simulate_calls_the_kernel_once_per_non_empty_phase(
+        smib, monkeypatch, t_fault, t_clear):
+    n_blocks = _count_kernel_calls(monkeypatch)
+    traces = simulate(smib, smib_fault(t_clear=t_clear, t_fault=t_fault),
+                      dt=DT, horizon=4.0)
+    k_fault, k_clear = round(t_fault / DT), round(t_clear / DT)
+    k_end = len(traces[0]) - 1
+    assert k_end == round(4.0 / DT) and not traces[0].diverged
+    phases = (k_fault, k_clear - k_fault, k_end - k_clear)
+    assert n_blocks == [rows for rows in phases if rows]
+
+
+def test_diverging_run_stops_with_the_phase_that_blew_up(monkeypatch):
+    # each phase is one kernel call, so a run that blows up 0.6 s into an
+    # 8 s horizon integrates the rest of the post-fault phase and stops
+    n_blocks = _count_kernel_calls(monkeypatch)
     traces = simulate(two_machine_model(d1=-20.0),
                       FaultSpec(bus="3", t_fault=0.1, t_clear=0.2),
                       dt=DT, horizon=8.0)
     first_bad = len(traces[0])
-    assert traces[0].diverged and first_bad < round(1.0 / DT)
-    assert sum(integrated) - first_bad < round(1.0 / DT)
+    assert traces[0].diverged and round(0.2 / DT) < first_bad < round(1.0 / DT)
+    assert n_blocks == [round(0.1 / DT)] * 2 + [round(7.8 / DT)]
+    assert sum(n_blocks) == round(8.0 / DT)  # the rows through the phase end
+    # a blow-up while the fault is on ends the calls with the fault-on phase
+    n_blocks.clear()
+    traces = simulate(two_machine_model(d1=-20.0),
+                      FaultSpec(bus="3", t_fault=0.1, t_clear=3.0),
+                      dt=DT, horizon=8.0)
+    assert traces[0].diverged and len(traces[0]) < round(3.0 / DT)
+    assert n_blocks == [round(0.1 / DT), round(2.9 / DT)]
 
 
 def test_divergence_during_the_fault_skips_later_phases():
