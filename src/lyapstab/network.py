@@ -3,7 +3,9 @@
 Units are per-unit on the system base throughout, except inertia ``m``
 (s^2/rad * p.u.) and angles (rad).  An "infinite bus" is represented as a
 regular machine with infinite inertia: it never moves, so the integrator
-needs no special case for it.
+needs no special case for it.  Each simulation phase reduces the model
+with its own edits: none before the fault, the fault shunt at one bus while
+it is on, and the opened branches out after it is cleared.
 """
 
 from __future__ import annotations
@@ -14,11 +16,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import LyapstabError, utf8_fault
-
-PRE_FAULT = "pre_fault"
-FAULT_ON = "fault_on"
-POST_FAULT = "post_fault"
-TOPOLOGIES = (PRE_FAULT, FAULT_ON, POST_FAULT)
 
 # A bolted three-phase fault is modelled as this shunt conductance (p.u.) at
 # the faulted bus, which keeps the reduction non-singular.
@@ -122,12 +119,6 @@ class NetworkModel:
             replace(g, d=damping.get(g.gen_id, g.d)) for g in self.generators)
         return replace(self, generators=gens)
 
-    def branch(self, branch_id: str) -> Branch:
-        for br in self.branches:
-            if br.branch_id == branch_id:
-                return br
-        raise LyapstabError(f"unknown branch id {branch_id!r}")
-
 
 @dataclass(frozen=True)
 class FaultSpec:
@@ -146,11 +137,20 @@ class FaultSpec:
         if self.t_fault < 0.0 or self.t_clear < self.t_fault:
             raise LyapstabError(
                 f"need t_clear >= t_fault >= 0, got ({self.t_fault}, {self.t_clear})")
-        if self.bus not in model.buses:
-            raise LyapstabError(f"faulted bus {self.bus!r} not in model")
-        for bid in self.removed_branches:
-            model.branch(bid)
+        _check_ids(model, self.removed_branches, self.bus)
         _check_connected(model, self.removed_branches)
+
+
+def _check_ids(model: NetworkModel, removed: tuple[str, ...],
+               shunt_bus: str | None) -> None:
+    """Raise for ``shunt_bus`` if the model lacks it, then for the first id
+    of ``removed`` that names none of its branches."""
+    if shunt_bus is not None and shunt_bus not in model.buses:
+        raise LyapstabError(f"faulted bus {shunt_bus!r} not in model")
+    branch_ids = {br.branch_id for br in model.branches}
+    for bid in removed:
+        if bid not in branch_ids:
+            raise LyapstabError(f"unknown branch id {bid!r}")
 
 
 def _check_connected(model: NetworkModel, removed: tuple[str, ...]) -> None:
@@ -198,12 +198,10 @@ class ReducedSystem:
         return len(self.gen_ids)
 
 
-def _assemble_full_admittance(model: NetworkModel, topology: str,
-                              fault: FaultSpec | None) -> np.ndarray:
-    """Complex admittance over [machine internal nodes | network buses].
-
-    ``reduce_network`` has checked that ``fault`` is set unless pre-fault.
-    """
+def _assemble_full_admittance(model: NetworkModel, removed: tuple[str, ...],
+                              shunt_bus: str | None) -> np.ndarray:
+    """Complex admittance over [machine internal nodes | network buses], with
+    the branches ``removed`` left out and the fault shunt at ``shunt_bus``."""
     n_gen = len(model.generators)
     bus_index = {bus: n_gen + i for i, bus in enumerate(model.buses)}
     n = n_gen + len(model.buses)
@@ -215,7 +213,6 @@ def _assemble_full_admittance(model: NetworkModel, topology: str,
         Y[a, b] -= y
         Y[b, a] -= y
 
-    removed = set(fault.removed_branches) if topology == POST_FAULT else set()
     for br in model.branches:
         if br.branch_id in removed:
             continue
@@ -225,34 +222,38 @@ def _assemble_full_admittance(model: NetworkModel, topology: str,
         add_series(i, bus_index[gen.bus], 1.0 / complex(0.0, gen.xd))
     for load in model.loads:
         Y[bus_index[load.bus], bus_index[load.bus]] += complex(load.g, load.b)
-    if topology == FAULT_ON:
-        Y[bus_index[fault.bus], bus_index[fault.bus]] += FAULT_SHUNT_G
+    if shunt_bus is not None:
+        Y[bus_index[shunt_bus], bus_index[shunt_bus]] += FAULT_SHUNT_G
     return Y
 
 
-def reduce_network(model: NetworkModel, topology: str,
-                   fault: FaultSpec | None = None) -> ReducedSystem:
+def reduce_network(model: NetworkModel, removed: tuple[str, ...] = (),
+                   shunt_bus: str | None = None) -> ReducedSystem:
     """Eliminate all network buses, keeping the machine internal nodes.
 
-    Standard Schur complement ``Ygg - Ygb Ybb^{-1} Ybg``.  Raises
-    :class:`LyapstabError` when the bus block is singular (an island with no
-    path to any machine).
+    The network is ``model`` with the branches ``removed`` opened and, unless
+    ``shunt_bus`` is None, a bolted fault (``FAULT_SHUNT_G``) at that bus:
+    ``simulate`` reduces the intact network, then the one with the fault
+    shunt on, then the one with the fault's branches out.  Standard Schur
+    complement ``Ygg - Ygb Ybb^{-1} Ybg``.  Raises :class:`LyapstabError` for
+    an id the model lacks, and when the bus block is singular (an island
+    with no path to any machine); the latter names the phase the edits make,
+    ``pre_fault``, ``fault_on`` or ``post_fault``.
     """
-    if topology not in TOPOLOGIES:
-        raise LyapstabError(f"unknown topology {topology!r}")
-    if topology != PRE_FAULT and fault is None:
-        raise LyapstabError(f"{topology} reduction needs a FaultSpec")
+    _check_ids(model, removed, shunt_bus)
+    phase = ("fault_on" if shunt_bus is not None
+             else "post_fault" if removed else "pre_fault")
     n_gen = len(model.generators)
-    Y = _assemble_full_admittance(model, topology, fault)
+    Y = _assemble_full_admittance(model, removed, shunt_bus)
     Ygg = Y[:n_gen, :n_gen]
     Ygb = Y[:n_gen, n_gen:]
     Ybb = Y[n_gen:, n_gen:]
     try:
         Yred = Ygg - Ygb @ np.linalg.solve(Ybb, Ygb.T)
     except np.linalg.LinAlgError as exc:
-        raise LyapstabError(f"singular bus admittance block ({topology})") from exc
+        raise LyapstabError(f"singular bus admittance block ({phase})") from exc
     if not np.isfinite(Yred).all():
-        raise LyapstabError(f"non-finite reduced admittance ({topology})")
+        raise LyapstabError(f"non-finite reduced admittance ({phase})")
     asym = np.abs(Yred - Yred.T).max()
     scale = max(np.abs(Yred).max(), 1.0)
     if asym > 1e-9 * scale:

@@ -18,8 +18,7 @@ import numpy as np
 
 from ._swing_numpy import rk4_swing
 from .errors import LyapstabError
-from .network import (FAULT_ON, POST_FAULT, PRE_FAULT, FaultSpec, NetworkModel,
-                      ReducedSystem, reduce_network)
+from .network import FaultSpec, NetworkModel, ReducedSystem, reduce_network
 
 # Internal RK4 rate targeted by default: three steps per 120 Hz output sample.
 # ``simulate``'s docstring states the accuracy rule it meets.
@@ -184,9 +183,9 @@ def simulate(model: NetworkModel, fault: FaultSpec, dt: float, horizon: float,
     if horizon <= fault.t_clear:
         raise ValueError("horizon must extend past the clearing time")
 
-    red_pre = reduce_network(model, PRE_FAULT)
-    red_fault = reduce_network(model, FAULT_ON, fault)
-    red_post = reduce_network(model, POST_FAULT, fault)
+    red_pre = reduce_network(model)
+    red_fault = reduce_network(model, shunt_bus=fault.bus)
+    red_post = reduce_network(model, removed=fault.removed_branches)
     delta0, pm = solve_equilibrium(red_pre)
 
     k_fault = round(fault.t_fault / dt)

@@ -503,10 +503,10 @@ def test_criterion_7_simulator_validity(networks_dir):
     fault = FaultSpec(bus="1", t_fault=0.0, t_clear=0.0,
                       removed_branches=("L2",))
     traces = simulate(smib, fault, dt=1.0 / 1200.0, horizon=10.0)
-    from lyapstab.network import POST_FAULT, PRE_FAULT, reduce_network
+    from lyapstab.network import reduce_network
     from lyapstab.simulator import solve_equilibrium
-    red = reduce_network(smib, POST_FAULT, fault)
-    _, pm = solve_equilibrium(reduce_network(smib, PRE_FAULT))
+    red = reduce_network(smib, removed=fault.removed_branches)
+    _, pm = solve_equilibrium(reduce_network(smib))
     angles = np.stack([tr.angles for tr in traces])
     speeds = np.stack([tr.speeds for tr in traces])
     finite = ~np.isinf(red.m)

@@ -842,7 +842,8 @@ def test_trace_faults_print_one_exact_error(four_b6, tmp_path, capsys, fault):
 
 
 @pytest.mark.parametrize("case", ["bad-number", "stalled", "islands",
-                                  "unknown-bus", "short-horizon"])
+                                  "unknown-bus", "unknown-branch",
+                                  "short-horizon"])
 def test_simulate_faults_print_one_exact_error(tmp_path, networks_dir, capsys,
                                                case):
     four = networks_dir / "fourmachine.net"
@@ -862,6 +863,8 @@ def test_simulate_faults_print_one_exact_error(tmp_path, networks_dir, capsys,
         flags += ("--open-branch", "T56A", "--open-branch", "T56B")
     elif case == "unknown-bus":
         bus = "99"
+    elif case == "unknown-branch":
+        flags += ("--open-branch", "NOPE")
     else:
         flags = ("--clear-time", "0.25", "--horizon", "0.2")
     out = tmp_path / "x.csv"
@@ -873,6 +876,7 @@ def test_simulate_faults_print_one_exact_error(tmp_path, networks_dir, capsys,
         "islands": "post-fault network splits the generator buses into 2 "
                    "islands (removed: ['T56A', 'T56B'])",
         "unknown-bus": "faulted bus '99' not in model",
+        "unknown-branch": "unknown branch id 'NOPE'",
         "short-horizon": "horizon must extend past the clearing time",
     }[case]
     assert capsys.readouterr() == ("", f"error: {message}\n")

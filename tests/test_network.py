@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import NETWORKS
+from conftest import NETWORKS, chain_model
 from lyapstab.errors import LyapstabError
-from lyapstab.network import (FAULT_ON, POST_FAULT, PRE_FAULT, SECTIONS,
-                              Branch, FaultSpec, Generator, NetworkModel,
-                              load_network_file, reduce_network)
+from lyapstab.network import (FAULT_SHUNT_G, SECTIONS, Branch, FaultSpec,
+                              Generator, NetworkModel, load_network_file,
+                              reduce_network)
 
 
 def lossless_pair(x_line=0.4):
@@ -112,7 +112,7 @@ def test_fault_spec_rejects_islanding_removal():
 def test_two_generator_lossless_reduction_is_series_path():
     # unique path 1-2: x'd1 + x_line + x'd2 = 0.3 + 0.4 + 0.2
     model = lossless_pair(x_line=0.4)
-    red = reduce_network(model, PRE_FAULT)
+    red = reduce_network(model)
     b_path = 1.0 / (0.3 + 0.4 + 0.2)
     assert red.G == pytest.approx(np.zeros((2, 2)), abs=1e-12)
     assert red.B[0, 1] == pytest.approx(b_path, rel=1e-12)
@@ -123,7 +123,7 @@ def test_two_generator_lossless_reduction_is_series_path():
 def test_fault_at_generator_terminal_stays_finite():
     model = lossless_pair()
     fault = FaultSpec(bus="1", t_fault=0.0, t_clear=0.1)
-    red = reduce_network(model, FAULT_ON, fault)
+    red = reduce_network(model, shunt_bus=fault.bus)
     assert np.isfinite(red.G).all() and np.isfinite(red.B).all()
     # the faulted machine is essentially shorted: its transfer admittance to
     # the other machine collapses, its self-term approaches 1 / x'd
@@ -131,18 +131,18 @@ def test_fault_at_generator_terminal_stays_finite():
     assert red.B[0, 0] == pytest.approx(-1.0 / 0.3, rel=1e-3)
 
 
-def test_nine_bus_reduction_matches_schur_oracle(networks_dir):
-    model = load_network_file(networks_dir / "threemachine.net")
-    red = reduce_network(model, PRE_FAULT)
-
-    # independent assembly: complex admittance over [machines | buses] built
-    # with plain dictionaries, then an explicit inverse-based Schur complement
+def _schur_oracle(model, removed, shunt_bus):
+    """The reduced admittance from an independent assembly: complex admittance
+    over [machines | buses] built with plain dictionaries, then an explicit
+    inverse-based Schur complement."""
     n_gen = len(model.generators)
     nodes = [g.gen_id for g in model.generators] + list(model.buses)
     index = {name: k for k, name in enumerate(nodes)}
     n = len(nodes)
     Y = np.zeros((n, n), dtype=complex)
     for br in model.branches:
+        if br.branch_id in removed:
+            continue
         y = 1.0 / complex(br.r, br.x)
         a, b = index[br.from_bus], index[br.to_bus]
         Y[a, a] += y
@@ -159,20 +159,37 @@ def test_nine_bus_reduction_matches_schur_oracle(networks_dir):
     for load in model.loads:
         k = index[load.bus]
         Y[k, k] += complex(load.g, load.b)
+    if shunt_bus is not None:
+        Y[index[shunt_bus], index[shunt_bus]] += FAULT_SHUNT_G
     Ygg = Y[:n_gen, :n_gen]
     Ygb = Y[:n_gen, n_gen:]
     Ybb = Y[n_gen:, n_gen:]
-    oracle = Ygg - Ygb @ np.linalg.inv(Ybb) @ Ygb.T
+    return Ygg - Ygb @ np.linalg.inv(Ybb) @ Ygb.T
 
-    assert np.abs(red.G - oracle.real).max() < 1e-9
-    assert np.abs(red.B - oracle.imag).max() < 1e-9
+
+def test_nine_bus_reduction_matches_schur_oracle(networks_dir):
+    # every (network, faulted bus, opened branches) of the acceptance battery,
+    # in each of simulate's phases: intact, fault shunt on, branches out
+    for name, bus, removed in (
+            ("smib", "1", ("L2",)), ("twomachine", "3", ()),
+            ("threemachine", "8", ("L78",)), ("threemachine", "5", ("L45",)),
+            ("threemachine", "6", ("L67",)), ("fourmachine", "1", ("L15A",)),
+            ("fourmachine", "6", ("T56B",)), ("fourmachine", "7", ("T67B",)),
+            ("chain", "B", ())):
+        model = (chain_model() if name == "chain"
+                 else load_network_file(networks_dir / f"{name}.net"))
+        for edits in ((), None), ((), bus), (removed, None):
+            red = reduce_network(model, *edits)
+            oracle = _schur_oracle(model, *edits)
+            assert np.abs(red.G - oracle.real).max() < 1e-9, (bus, edits)
+            assert np.abs(red.B - oracle.imag).max() < 1e-9, (bus, edits)
 
 
 def test_reduced_matrix_symmetric(networks_dir):
     for name in ("smib.net", "twomachine.net", "threemachine.net",
                  "fourmachine.net"):
         model = load_network_file(networks_dir / name)
-        red = reduce_network(model, PRE_FAULT)
+        red = reduce_network(model)
         scale = max(np.abs(red.B).max(), 1.0)
         assert np.abs(red.B - red.B.T).max() < 1e-9 * scale
         assert np.abs(red.G - red.G.T).max() < 1e-9 * scale
@@ -184,17 +201,18 @@ def test_bus_without_branch_or_load_is_singular():
                          generators=pair.generators)
     with pytest.raises(LyapstabError,
                        match=r"singular bus admittance block \(pre_fault\)"):
-        reduce_network(model, PRE_FAULT)
+        reduce_network(model)
 
 
-def test_fault_on_requires_fault_spec():
-    with pytest.raises(LyapstabError, match="FaultSpec"):
-        reduce_network(lossless_pair(), FAULT_ON)
-
-
-def test_unknown_topology_rejected():
-    with pytest.raises(LyapstabError, match="topology"):
-        reduce_network(lossless_pair(), "mid_fault")
+@pytest.mark.parametrize("edits, message", [
+    ({"shunt_bus": "99"}, "faulted bus '99' not in model"),
+    ({"removed": ("L1", "NOPE", "ALSO")}, "unknown branch id 'NOPE'"),
+    ({"removed": ("ALSO",), "shunt_bus": "99"},
+     "faulted bus '99' not in model"),
+])
+def test_reduction_rejects_unknown_ids(edits, message):
+    with pytest.raises(LyapstabError, match=f"^{re.escape(message)}$"):
+        reduce_network(lossless_pair(), **edits)
 
 
 def test_post_fault_removes_branch():
@@ -209,8 +227,8 @@ def test_post_fault_removes_branch():
     )
     fault = FaultSpec(bus="1", t_fault=0.0, t_clear=0.1,
                       removed_branches=("L2",))
-    pre = reduce_network(model, PRE_FAULT)
-    post = reduce_network(model, POST_FAULT, fault)
+    pre = reduce_network(model)
+    post = reduce_network(model, removed=fault.removed_branches)
     assert pre.B[0, 1] == pytest.approx(1.0 / 0.7, rel=1e-12)
     assert post.B[0, 1] == pytest.approx(1.0 / 0.9, rel=1e-12)
 

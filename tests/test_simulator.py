@@ -12,8 +12,7 @@ from conftest import (DT, chain_model, smib_equal_area_critical_time,
                       smib_fault, two_machine_model)
 from lyapstab import simulator
 from lyapstab.errors import LyapstabError
-from lyapstab.network import (POST_FAULT, PRE_FAULT, FaultSpec,
-                              load_network_file, reduce_network)
+from lyapstab.network import FaultSpec, load_network_file, reduce_network
 from lyapstab.simulator import (STABLE, UNSTABLE, GeneratorTrace, simulate,
                                 solve_equilibrium, stability_oracle)
 
@@ -28,7 +27,7 @@ def smib(networks_dir):
 # ---------------------------------------------------------------------------
 
 def test_equilibrium_balances_power(smib):
-    red = reduce_network(smib, PRE_FAULT)
+    red = reduce_network(smib)
     delta0, pm = solve_equilibrium(red)
     # analytic SMIB angle: asin(Pm * X / (E1 E2)) over the series path
     x_path = 0.3 + 0.2 + 1e-4
@@ -136,8 +135,8 @@ def test_undamped_energy_conserved(smib):
                       removed_branches=("L2",))
     dt = 1.0 / 1200.0
     traces = simulate(smib, fault, dt=dt, horizon=10.0)
-    red = reduce_network(smib, POST_FAULT, fault)
-    _, pm = solve_equilibrium(reduce_network(smib, PRE_FAULT))
+    red = reduce_network(smib, removed=fault.removed_branches)
+    _, pm = solve_equilibrium(reduce_network(smib))
 
     angles = np.stack([tr.angles for tr in traces])
     speeds = np.stack([tr.speeds for tr in traces])
@@ -290,6 +289,20 @@ def test_simulate_calls_the_kernel_once_per_non_empty_phase(
     assert k_end == round(4.0 / DT) and not traces[0].diverged
     phases = (k_fault, k_clear - k_fault, k_end - k_clear)
     assert n_blocks == [rows for rows in phases if rows]
+
+
+def test_simulate_reduces_each_phase_by_its_edits(smib, monkeypatch):
+    reduce = simulator.reduce_network
+    edits = []
+
+    def recording_reduce(model, removed=(), shunt_bus=None):
+        edits.append((removed, shunt_bus))
+        return reduce(model, removed, shunt_bus)
+
+    monkeypatch.setattr(simulator, "reduce_network", recording_reduce)
+    simulate(smib, smib_fault(t_clear=0.25), dt=DT, horizon=1.0)
+    # intact, then the fault shunt on bus 1, then L2 opened
+    assert edits == [((), None), ((), "1"), (("L2",), None)]
 
 
 def test_diverging_run_stops_with_the_phase_that_blew_up(monkeypatch):
