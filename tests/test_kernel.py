@@ -25,14 +25,14 @@ def forms(n):
     return FORMS if n <= 12 else FORMS[1:]
 
 
-def example_system(n=4, seed=3, infinite=(-1,)):
+def example_system(n=4, seed=3, infinite=(-1,), damping=(0.0, 0.1)):
     rng = np.random.default_rng(seed)
     delta = rng.normal(0.0, 0.4, n)
     omega = rng.normal(0.0, 0.5, n)
     minv = 1.0 / rng.uniform(0.01, 0.2, n)
     minv[list(infinite)] = 0.0  # infinite machines start (and stay) at rest
     omega[list(infinite)] = 0.0
-    damp = rng.uniform(0.0, 0.1, n)
+    damp = rng.uniform(*damping, n)
     pm = rng.normal(0.0, 0.5, n)
     emf = rng.uniform(0.9, 1.2, n)
     b_off = rng.uniform(0.5, 2.0, (n, n))
@@ -110,7 +110,7 @@ def assert_matches_reference(state, n_blocks, substeps, tol):
 
 # (machines, indices of the infinite machines).  Machine 0 fills the first
 # slot and machine -1 the last of each machine block of either form's state
-# ([theta_a | theta_b | omega] in the phasor form, [delta | omega] after the
+# (every block of the phasor form's stage buffers, [delta | omega] after the
 # pair angles in the angle-difference form), and their pairs come first and
 # last in each pair block, so "n4-inf0", "n24" and the smallest phasor size
 # put an infinite machine at a block's start, and "n24" one at its end too
@@ -123,17 +123,27 @@ SIZES = [pytest.param(2, (-1,), id="n2"), pytest.param(3, (-1,), id="n3"),
          pytest.param(12, (4, -1), id="n12"),
          pytest.param(24, (0, -1), id="n24")]
 SIZE_VALUES = [size.values for size in SIZES]
+# Machine-varying damping, negative on some machines as in the negD battery
+# families, which the phasor form's damping expansion must carry exactly:
+# (machines, indices of the infinite machines, damping range)
+NEGATIVE_DAMPING = [pytest.param(n, (1,), (-0.05, 0.1),
+                                 id=f"n{n}-negative-damping")
+                    for n in (6, 12)]
 
 
-@pytest.mark.parametrize("n, infinite", SIZES)
+@pytest.mark.parametrize("n, infinite, damping", [
+    pytest.param(*size.values, (0.0, 0.1), id=size.id) for size in SIZES]
+    + NEGATIVE_DAMPING)
 # "odd-substeps" runs each block's last step out of the second stage
 # buffer, whose state is copied back before it is recorded
 @pytest.mark.parametrize("n_blocks, substeps, tol",
                          [(1, 1, 1e-13), (60, 10, 1e-9), (20, 3, 1e-12)],
                          ids=["one-step", "half-second", "odd-substeps"])
-def test_kernels_match_reference(n_blocks, substeps, tol, n, infinite):
-    assert_matches_reference(example_system(n, infinite=infinite), n_blocks,
-                             substeps, tol)
+def test_kernels_match_reference(n_blocks, substeps, tol, n, infinite,
+                                 damping):
+    assert_matches_reference(
+        example_system(n, infinite=infinite, damping=damping), n_blocks,
+        substeps, tol)
 
 
 @pytest.mark.parametrize("n", [24, 48])
@@ -200,7 +210,8 @@ def test_call_leaves_start_state_and_hands_off_from_a_record_row():
 
 @pytest.mark.parametrize("n, s", [
     pytest.param(n, s, id=f"{n}" if s == 4 else f"{n}-s{s}")
-    for n in sorted({n for n, _ in SIZE_VALUES}) for s in (4, 3, 2, 5)])
+    for n in sorted({size.values[0] for size in SIZES + NEGATIVE_DAMPING})
+    for s in (4, 3, 2, 5)])
 def test_blocks_record_every_substeps_th_step_bit_for_bit(n, s):
     # Grouping steps into blocks only chooses which states are recorded:
     # n_blocks=k, substeps=s records rows s-1, 2s-1, ... of one step a block.
